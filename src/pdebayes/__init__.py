@@ -6,19 +6,19 @@ approximation, geometry-aware MCMC kernels, and multi-chain convergence
 diagnostics, plus a CLI driving the full pipeline.
 """
 
-from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize
+from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
+                     serialize, validate)
 from .diagnostics import (ChainEnsemble, DiagnosticsReport, acf_estimate, ess,
-                          mpsrf, project_to_lis, qoi_moments, summarize, vhat,
+                          mpsrf, qoi_moments, summarize, vhat,
                           within_between_cov)
 from .fem import (Mesh, SpdSolver, assemble_boundary_mass, assemble_mass,
                   assemble_stiffness, build_unit_square_mesh,
-                  point_observation_operator, sparse_solve)
+                  point_observation_operator)
 from .laplace import (LaplaceApprox, MapConvergenceError, NewtonConfig,
                       compute_map, doublepass_randomized_eig, truncate_spectrum)
 from .mcmc import (ChainRecord, DiliKernel, DRKernel, MHKernel,
-                   SubspaceGibbsConfig, dr_accept_prob, h_inf_mala, h_mala,
-                   h_pcn, inf_mala, mala, mh_accept_prob, pcn, random_walk,
-                   run_chain)
+                   SubspaceGibbsConfig, dr_accept_prob, inf_mala, mala,
+                   mh_accept_prob, pcn, random_walk, run_chain)
 from .models import (LinearizedPoissonProblem, ModelEvaluationError,
                      NonPositiveFluxError, PoissonProblem,
                      generate_synthetic_data)

@@ -12,7 +12,7 @@ import argparse
 import logging
 import sys
 
-from .config import METHODS, ConfigError, ExperimentConfig, load_config
+from .config import METHODS, ConfigError, ExperimentConfig, load_config, validate
 from .driver import StageError, run_experiment
 
 EXIT_OK = 0
@@ -45,21 +45,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
             cfg.mcmc_seed = args.seed
         if args.chains is not None:
-            if args.chains < 1:
-                raise ConfigError("--chains must be positive")
             cfg.mcmc_chains = args.chains
         if args.samples is not None:
-            if args.samples < 1:
-                raise ConfigError("--samples must be positive")
             cfg.mcmc_samples = args.samples
         if args.method is not None:
             cfg.mcmc_method = args.method
         if args.output is not None:
             cfg.output_dir = args.output
+        validate(cfg)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

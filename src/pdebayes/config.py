@@ -131,8 +131,10 @@ _SCHEMA = {
     "mcmc.dili_beta": ("mcmc_dili_beta", float, _unit_interval, "in (0, 1]"),
     "mcmc.dili_tau": ("mcmc_dili_tau", float, _unit_interval, "in (0, 1]"),
     "mcmc.dili_center": ("mcmc_dili_center", DILI_CENTERS, None, ""),
-    "mcmc.chains": ("mcmc_chains", int, _positive, "positive integer"),
-    "mcmc.samples": ("mcmc_samples", int, _positive, "positive integer"),
+    # The diagnostics need at least 2 chains (between-chain covariance) and
+    # 4 samples per chain (effective sample size).
+    "mcmc.chains": ("mcmc_chains", int, lambda v: v >= 2, "integer >= 2"),
+    "mcmc.samples": ("mcmc_samples", int, lambda v: v >= 4, "integer >= 4"),
     "mcmc.seed": ("mcmc_seed", int, _nonnegative, "nonnegative integer"),
     "mcmc.start": ("mcmc_start", START_MODES, None, ""),
     "mcmc.project_dim": ("mcmc_project_dim", int, _positive, "positive integer"),
@@ -141,7 +143,7 @@ _SCHEMA = {
 
 
 def _convert(key: str, raw: str, line: int):
-    attr, kind, check, range_doc = _SCHEMA[key]
+    attr, kind, _, _ = _SCHEMA[key]
     value: object
     if kind is int:
         try:
@@ -167,22 +169,15 @@ def _convert(key: str, raw: str, line: int):
             except ValueError:
                 raise ConfigError(
                     f"{key} expects a number or 'auto', got '{raw}'", line) from None
-    elif isinstance(kind, tuple):
-        if raw not in kind:
-            raise ConfigError(
-                f"{key} must be one of {', '.join(kind)}; got '{raw}'", line)
-        value = raw
     else:
         value = raw
-    if check is not None and value is not None and not check(value):
-        raise ConfigError(f"{key} = {raw} out of range ({range_doc})", line)
     return attr, value
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the key-value grammar into a validated configuration."""
     cfg = ExperimentConfig()
-    seen = set()
+    seen = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -196,16 +191,31 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key '{key}'", lineno)
         if key in seen:
             raise ConfigError(f"duplicate key '{key}'", lineno)
-        seen.add(key)
+        seen[key] = lineno
         if not raw:
             raise ConfigError(f"missing value for '{key}'", lineno)
         attr, value = _convert(key, raw, lineno)
         setattr(cfg, attr, value)
-    _cross_validate(cfg)
+    validate(cfg, seen)
     return cfg
 
 
-def _cross_validate(cfg: ExperimentConfig) -> None:
+def validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
+    """Reject a configuration that no run could complete, before any work.
+
+    Applies every key's range check and the cross-key checks. lines maps
+    keys to the line they were read from, for the error message.
+    """
+    lines = lines or {}
+    for key, (attr, kind, check, range_doc) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        if isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(kind)}; got '{value}'",
+                lines.get(key))
+        if check is not None and value is not None and not check(value):
+            raise ConfigError(f"{key} = {value} out of range ({range_doc})",
+                              lines.get(key))
     if cfg.data_box_lo >= cfg.data_box_hi:
         raise ConfigError("data.box_lo must be below data.box_hi")
     dim = (cfg.mesh_n + 1) ** 2

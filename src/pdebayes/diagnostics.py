@@ -61,13 +61,6 @@ class ChainEnsemble:
         )
 
 
-def project_to_lis(vecs: np.ndarray, prior, m: np.ndarray) -> np.ndarray:
-    """Coefficients of m along the given directions: vecs^T C^{-1} m."""
-    if vecs.shape[1] < 1:
-        raise ValueError("projection needs at least one direction")
-    return vecs.T @ prior.apply_precision(m)
-
-
 def within_between_cov(coords: np.ndarray):
     """Within-chain covariance W and between-chain covariance B.
 
@@ -162,18 +155,12 @@ def ess(coords: np.ndarray, coordinate: int,
         w, b = within_between_cov(coords)
         vh = vhat(w, b, n, m_chains)
         vhat_ii = float(vh[coordinate, coordinate])
-    if vhat_ii == 0.0:
-        raise ZeroDivisionError(
-            "pooled variance is zero (constant chains); ESS undefined")
 
-    x = coords[:, :, coordinate]
-    rho = {0: 1.0}
+    rho = {}
 
     def rho_at(t: int) -> float:
         if t not in rho:
-            diff = x[:, t:] - x[:, :-t]
-            v = np.sum(diff * diff) / (m_chains * (n - t))
-            rho[t] = 1.0 - v / (2.0 * vhat_ii)
+            rho[t] = acf_estimate(coords, coordinate, t, vhat_ii=vhat_ii)
         return rho[t]
 
     t_trunc = 0

@@ -17,7 +17,7 @@ import numpy as np
 from . import mcmc
 from .config import ExperimentConfig, serialize
 from .diagnostics import ChainEnsemble, acf_estimate, summarize, vhat, within_between_cov
-from .fem import build_unit_square_mesh, point_observation_operator
+from .fem import build_unit_square_mesh
 from .laplace import LaplaceApprox, NewtonConfig, compute_map, doublepass_randomized_eig
 from .models import (LinearizedPoissonProblem, PoissonProblem,
                      generate_synthetic_data)
@@ -27,6 +27,8 @@ from .targets import PosteriorTarget
 logger = logging.getLogger(__name__)
 
 FLOAT_FMT = "%.17g"
+
+PROBLEMS = {"poisson": PoissonProblem, "linearized": LinearizedPoissonProblem}
 
 
 class StageError(RuntimeError):
@@ -48,12 +50,6 @@ def build_prior_for(cfg: ExperimentConfig, mesh) -> BiLaplacianPrior:
         alpha=cfg.prior_alpha, mean=cfg.prior_mean)
 
 
-def _make_problem(kind: str, mesh, points, sigma):
-    if kind == "linearized":
-        return LinearizedPoissonProblem(mesh, points, sigma)
-    return PoissonProblem(mesh, points, sigma)
-
-
 def draw_observation_points(cfg: ExperimentConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.data_seed)
     return rng.uniform(cfg.data_box_lo, cfg.data_box_hi, size=(cfg.data_count, 2))
@@ -70,18 +66,9 @@ def synthesize_data(cfg: ExperimentConfig, points: np.ndarray):
     mesh_t = build_unit_square_mesh(n_truth)
     prior_t = build_prior_for(cfg, mesh_t)
     m_true = prior_t.sample(np.random.default_rng(cfg.data_seed + 1))
-    if cfg.model_kind == "linearized":
-        fine = build_unit_square_mesh(2 * n_truth)
-        lift = point_observation_operator(mesh_t, fine.vertices)
-        fine_problem = LinearizedPoissonProblem(fine, points, cfg.data_sigma)
-        d = fine_problem.observe(fine_problem.solve_forward(lift @ m_true))
-        if not cfg.data_exact:
-            noise_rng = np.random.default_rng(cfg.data_seed + 2)
-            d = d + cfg.data_sigma * noise_rng.standard_normal(d.shape)
-    else:
-        problem_t = PoissonProblem(mesh_t, points, cfg.data_sigma)
-        d = generate_synthetic_data(problem_t, m_true, cfg.data_sigma,
-                                    seed=cfg.data_seed + 2, exact=cfg.data_exact)
+    problem_t = PROBLEMS[cfg.model_kind](mesh_t, points, cfg.data_sigma)
+    d = generate_synthetic_data(problem_t, m_true, cfg.data_sigma,
+                                seed=cfg.data_seed + 2, exact=cfg.data_exact)
     return n_truth, m_true, d
 
 
@@ -96,17 +83,17 @@ def build_kernel(cfg: ExperimentConfig, prior, laplace):
     if method == "inf-mala":
         return mcmc.MHKernel(mcmc.inf_mala(prior, cfg.mcmc_h))
     if method == "h-pcn":
-        return mcmc.MHKernel(mcmc.h_pcn(laplace, cfg.mcmc_beta))
+        return mcmc.MHKernel(mcmc.pcn(laplace, cfg.mcmc_beta))
     if method == "h-mala":
-        return mcmc.MHKernel(mcmc.h_mala(laplace, cfg.mcmc_tau))
+        return mcmc.MHKernel(mcmc.mala(laplace, cfg.mcmc_tau))
     if method == "h-inf-mala":
-        return mcmc.MHKernel(mcmc.h_inf_mala(laplace, cfg.mcmc_h))
+        return mcmc.MHKernel(mcmc.inf_mala(laplace, cfg.mcmc_h, prior))
     if method == "dr":
-        stage1 = mcmc.h_pcn(laplace, cfg.mcmc_dr_beta)
+        stage1 = mcmc.pcn(laplace, cfg.mcmc_dr_beta)
         if cfg.mcmc_dr_stage2 == "h-inf-mala":
-            stage2 = mcmc.h_inf_mala(laplace, cfg.mcmc_h)
+            stage2 = mcmc.inf_mala(laplace, cfg.mcmc_h, prior)
         else:
-            stage2 = mcmc.h_mala(laplace, cfg.mcmc_tau)
+            stage2 = mcmc.mala(laplace, cfg.mcmc_tau)
         return mcmc.DRKernel([stage1, stage2])
     if method == "dili":
         spec = mcmc.SubspaceGibbsConfig(lis_step=cfg.mcmc_dili_tau,
@@ -201,7 +188,7 @@ def _oracle_check(problem, prior, laplace, map_m, rng) -> dict:
     """Dense Gaussian-posterior comparison for the linearized model."""
     f_mat = problem.dense_forward_matrix()
     a_dense = prior.A.toarray()
-    r_dense = a_dense @ ((1.0 / prior._ml)[:, None] * a_dense)
+    r_dense = a_dense @ ((1.0 / prior.lumped_mass)[:, None] * a_dense)
     h_dense = f_mat.T @ f_mat / problem.sigma**2 + r_dense
     mean_dense = np.linalg.solve(
         h_dense, f_mat.T @ problem.data / problem.sigma**2 + r_dense @ prior.mean)
@@ -237,8 +224,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
         stage = "data"
         n_truth, m_true, data = synthesize_data(cfg, points)
-        problem = _make_problem(cfg.model_kind, mesh, points, cfg.data_sigma)
-        problem.set_data(data)
+        problem = PROBLEMS[cfg.model_kind](mesh, points, cfg.data_sigma, data)
         _write_field(os.path.join(out_dir, "truth.txt"), m_true,
                      f"truth field, mesh n={n_truth}")
         with open(os.path.join(out_dir, "data.txt"), "w",
@@ -275,7 +261,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                                               threshold=cfg.eig_threshold)
 
         stage = "chains"
-        setup_solves = _solves_of(problem)
+        setup_solves = problem.counter.total
         kernel = build_kernel(cfg, prior, laplace)
         target = PosteriorTarget(problem, prior)
         k_proj = min(cfg.mcmc_project_dim, vecs.shape[1])
@@ -339,11 +325,4 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         write_report(entries, os.path.join(out_dir, "report.txt"))
         return entries
     except Exception as exc:
-        if isinstance(exc, StageError):
-            raise
         raise StageError(stage, exc) from exc
-
-
-def _solves_of(problem) -> int:
-    counter = getattr(problem, "counter", None)
-    return counter.total if counter is not None else 0

@@ -256,11 +256,6 @@ class SpdSolver:
         return self._lu.solve(b)
 
 
-def sparse_solve(matrix: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """One-shot SPD solve; see SpdSolver for reuse across right-hand sides."""
-    return SpdSolver(matrix).solve(b)
-
-
 class StiffnessAssembler:
     """Fast repeated stiffness assembly with Dirichlet elimination.
 
@@ -335,8 +330,7 @@ class StiffnessAssembler:
     def factorize(self, coeff: np.ndarray) -> SpdSolver:
         return SpdSolver(self.assemble(coeff))
 
-    def lifted_rhs(self, coeff: np.ndarray, dirichlet_values: np.ndarray,
-                   load: np.ndarray | None = None) -> np.ndarray:
+    def lifted_rhs(self, coeff: np.ndarray, dirichlet_values: np.ndarray) -> np.ndarray:
         """Right-hand side with Dirichlet lifting.
 
         dirichlet_values is a full-length vector that is nonzero only where
@@ -344,7 +338,5 @@ class StiffnessAssembler:
         system so that x equals the prescribed values on Dirichlet vertices.
         """
         b = -self.matvec_full(coeff, dirichlet_values)
-        if load is not None:
-            b = b + load
         b[self.is_dirichlet] = dirichlet_values[self.is_dirichlet]
         return b

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .models import MODEL_FAILURES
+
 logger = logging.getLogger(__name__)
 
 
@@ -131,7 +133,7 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
             try:
                 trial_state = model.evaluate(m + alpha * direction)
                 trial_cost = trial_state.cost + prior.cost(m + alpha * direction)
-            except Exception:
+            except MODEL_FAILURES:
                 trial_cost = np.inf
                 trial_state = None
             if trial_cost <= cost + cfg.armijo_c * alpha * slope:
@@ -262,8 +264,6 @@ class LaplaceApprox:
     def apply_covariance(self, v: np.ndarray) -> np.ndarray:
         """Sherman-Morrison-Woodbury action (C - V D V^T) v."""
         return self.prior.apply_covariance(v) - self.vecs @ (self._d * (self.vecs.T @ v))
-
-    apply_hinv = apply_covariance
 
     def apply_precision(self, v: np.ndarray) -> np.ndarray:
         """H v = C^{-1} v + W diag(lam) W^T v with W = C^{-1} V."""

@@ -43,7 +43,6 @@ class GaussianProposal:
     """
 
     requires_gradient = False
-    name = "gaussian"
 
     def __init__(self, reference, scale: float):
         if scale <= 0:
@@ -67,8 +66,6 @@ class GaussianProposal:
 class RandomWalkProposal(GaussianProposal):
     """Centered at the current state; covariance step^2 times the reference."""
 
-    name = "rw"
-
     def mean(self, state: ChainState) -> np.ndarray:
         return state.m
 
@@ -80,8 +77,6 @@ class AutoregressiveProposal(GaussianProposal):
     proposal (a prior draw at beta = 1); with the low-rank posterior Gaussian
     it becomes its curvature-informed variant.
     """
-
-    name = "pcn"
 
     def __init__(self, reference, beta: float):
         if not 0 < beta <= 1:
@@ -101,7 +96,6 @@ class LangevinProposal(GaussianProposal):
     Mean m + tau * Cov * grad log pi(m), covariance 2 tau Cov.
     """
 
-    name = "mala"
     requires_gradient = True
 
     def __init__(self, reference, tau: float):
@@ -125,7 +119,6 @@ class DimensionRobustLangevinProposal(GaussianProposal):
     both realized through operator actions.
     """
 
-    name = "inf-mala"
     requires_gradient = True
 
     def __init__(self, reference, h: float, prior=None):
@@ -152,34 +145,17 @@ def random_walk(reference, step: float = 1.0) -> RandomWalkProposal:
     return RandomWalkProposal(reference, step)
 
 
-def pcn(prior, beta: float) -> AutoregressiveProposal:
-    return AutoregressiveProposal(prior, beta)
+def pcn(reference, beta: float) -> AutoregressiveProposal:
+    return AutoregressiveProposal(reference, beta)
 
 
 def mala(reference, tau: float) -> LangevinProposal:
     return LangevinProposal(reference, tau)
 
 
-def inf_mala(prior, h: float) -> DimensionRobustLangevinProposal:
-    return DimensionRobustLangevinProposal(prior, h)
-
-
-def h_pcn(laplace, beta: float) -> AutoregressiveProposal:
-    prop = AutoregressiveProposal(laplace, beta)
-    prop.name = "h-pcn"
-    return prop
-
-
-def h_mala(laplace, tau: float) -> LangevinProposal:
-    prop = LangevinProposal(laplace, tau)
-    prop.name = "h-mala"
-    return prop
-
-
-def h_inf_mala(laplace, h: float) -> DimensionRobustLangevinProposal:
-    prop = DimensionRobustLangevinProposal(laplace, h, prior=laplace.prior)
-    prop.name = "h-inf-mala"
-    return prop
+def inf_mala(reference, h: float, prior=None) -> DimensionRobustLangevinProposal:
+    """Pass the field prior when the reference is the low-rank posterior Gaussian."""
+    return DimensionRobustLangevinProposal(reference, h, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +180,8 @@ def mh_accept_prob(proposal, current: ChainState, proposed: ChainState) -> float
 class MHKernel:
     """Single-proposal Metropolis-Hastings transition kernel."""
 
+    n_stages = 1
+
     def __init__(self, proposal):
         self.proposals = [proposal]
 
@@ -211,21 +189,18 @@ class MHKernel:
     def proposal(self):
         return self.proposals[0]
 
-    def validate(self, target) -> None:
-        if self.proposal.requires_gradient and not getattr(
-                target, "supports_gradient", True):
-            raise ValueError("proposal needs gradients the target cannot provide")
-
     def step(self, target, current: ChainState, rng: np.random.Generator):
+        """One transition: (state, CSV code, attempted, accepted); see run_chain."""
+        attempted = np.ones(1, dtype=np.int64)
         try:
             proposed = target.make_state(self.proposal.sample(current, rng))
             log_alpha = mh_accept_log_prob(self.proposal, current, proposed)
         except TargetEvaluationError as exc:
             logger.warning("model failure at proposed point: %s", exc)
-            return current, 0
+            return current, 0, attempted, np.zeros(1, dtype=np.int64)
         if math.log(max(rng.random(), 1e-300)) < log_alpha:
-            return proposed, 1
-        return current, 0
+            return proposed, 1, attempted, np.ones(1, dtype=np.int64)
+        return current, 0, attempted, np.zeros(1, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +253,31 @@ class DRKernel:
         if len(proposals) < 1:
             raise ValueError("delayed rejection needs at least one proposal")
         self.proposals = list(proposals)
-
-    def validate(self, target) -> None:
-        for prop in self.proposals:
-            if prop.requires_gradient and not getattr(target, "supports_gradient", True):
-                raise ValueError("proposal needs gradients the target cannot provide")
+        self.n_stages = len(self.proposals)
 
     def step(self, target, current: ChainState, rng: np.random.Generator):
+        """One transition: (state, CSV code, attempted, accepted); see run_chain.
+
+        A model failure at stage j ends the step, so later stages count as
+        not attempted.
+        """
+        attempted = np.zeros(self.n_stages, dtype=np.int64)
+        accepted = np.zeros(self.n_stages, dtype=np.int64)
         rejected = []
-        for j, proposal in enumerate(self.proposals, start=1):
+        for j, proposal in enumerate(self.proposals):
+            attempted[j] = 1
             try:
                 proposed = target.make_state(proposal.sample(current, rng))
                 log_alpha = dr_accept_log_prob(self.proposals, current,
                                                rejected, proposed)
             except TargetEvaluationError as exc:
-                logger.warning("model failure at stage-%d point: %s", j, exc)
-                return current, 0
+                logger.warning("model failure at stage-%d point: %s", j + 1, exc)
+                return current, 0, attempted, accepted
             if math.log(max(rng.random(), 1e-300)) < log_alpha:
-                return proposed, j
+                accepted[j] = 1
+                return proposed, j + 1, attempted, accepted
             rejected.append(proposed)
-        return current, 0
+        return current, 0, attempted, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +313,9 @@ class DiliKernel:
     posterior at the recombined point.
     """
 
+    n_stages = 2
+    proposals = ()      # neither move uses gradients
+
     def __init__(self, laplace, config: SubspaceGibbsConfig | None = None):
         if laplace.rank < 1:
             raise ValueError("subspace kernel needs at least one retained direction")
@@ -340,19 +323,15 @@ class DiliKernel:
         self.prior = laplace.prior
         self.config = config or SubspaceGibbsConfig()
         self.vecs = laplace.vecs
-        self._w = laplace._w
         lam = laplace.lam
         self._lis_sd = np.sqrt(self.config.lis_step / (1.0 + lam))
         self._lis_prec = (1.0 + lam) / self.config.lis_step
-        self._r_map = self._w.T @ laplace.m_map
-        self._r_prior = self._w.T @ self.prior.mean
+        self._r_map = laplace.project(laplace.m_map)
+        self._r_prior = laplace.project(self.prior.mean)
         self._c_prior = self.prior.mean - self.vecs @ self._r_prior
 
-    def validate(self, target) -> None:
-        pass
-
     def split(self, m: np.ndarray):
-        r = self._w.T @ m
+        r = self.laplace.project(m)
         return r, m - self.vecs @ r
 
     def _lis_mean(self, r: np.ndarray) -> np.ndarray:
@@ -368,7 +347,13 @@ class DiliKernel:
         return -0.5 * float(d @ (self._lis_prec * d))
 
     def step(self, target, current: ChainState, rng: np.random.Generator):
+        """One Gibbs scan: (state, CSV code, attempted, accepted); see run_chain.
+
+        Both moves are attempted on every scan; the code is 1 when either
+        moved the chain.
+        """
         cfg = self.config
+        attempted = np.ones(2, dtype=np.int64)
         r, c = self.split(current.m)
 
         # Informed-subspace move at c fixed.
@@ -391,7 +376,7 @@ class DiliKernel:
         # two components, so the correction uses the full prior precision.
         keep = math.sqrt(1.0 - cfg.cs_beta**2)
         noise = self.prior.apply_cov_factor(rng.standard_normal(self.prior.dim))
-        noise = noise - self.vecs @ (self._w.T @ noise)
+        noise = noise - self.vecs @ self.laplace.project(noise)
         c_prop = (self._c_prior + keep * (c - self._c_prior) + cfg.cs_beta * noise)
         try:
             candidate = target.make_state(mid.m + (c_prop - c))
@@ -402,10 +387,10 @@ class DiliKernel:
                 - float(d_fwd @ self.prior.apply_precision(d_fwd)))
             log_alpha = candidate.log_posterior - mid.log_posterior + corr
             if not math.isnan(log_alpha) and math.log(max(rng.random(), 1e-300)) < log_alpha:
-                return candidate, (lis_accepted, 1)
+                return candidate, 1, attempted, np.array([lis_accepted, 1])
         except TargetEvaluationError as exc:
             logger.warning("model failure in complement move: %s", exc)
-        return mid, (lis_accepted, 0)
+        return mid, lis_accepted, attempted, np.array([lis_accepted, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -439,43 +424,34 @@ def run_chain(target, kernel, start: np.ndarray, n_steps: int, seed: int,
               projector=None, kernel_name: str = "") -> ChainRecord:
     """Apply the kernel n_steps times, recording projections and the QoI.
 
+    Every kernel's step returns (state, code, attempted, accepted): code is
+    the CSV `accepted` value (the accepting stage, 0 for none, or a 0/1 move
+    flag), and attempted and accepted are 0/1 vectors over kernel.n_stages.
     Deterministic for fixed inputs: the chain owns a fresh generator seeded
     with `seed`. Model failures at proposed points reject the move and are
     logged; QoI failures record NaN for that sample only.
     """
     if n_steps < 1:
         raise ValueError("chain length must be at least 1")
-    kernel.validate(target)
+    if any(p.requires_gradient for p in kernel.proposals) and not getattr(
+            target, "supports_gradient", True):
+        raise ValueError("proposal needs gradients the target cannot provide")
     rng = np.random.default_rng(seed)
     state = target.make_state(np.asarray(start, dtype=float))
 
-    n_stages = len(getattr(kernel, "proposals", (None,))) if not isinstance(
-        kernel, DiliKernel) else 2
     k = 0 if projector is None else projector(state.m).size
     coords = np.empty((n_steps, k))
     qoi = np.empty(n_steps)
     logpost = np.empty(n_steps)
     accepted = np.zeros(n_steps, dtype=np.int64)
-    stage_attempts = np.zeros(n_stages, dtype=np.int64)
-    stage_accepts = np.zeros(n_stages, dtype=np.int64)
+    stage_attempts = np.zeros(kernel.n_stages, dtype=np.int64)
+    stage_accepts = np.zeros(kernel.n_stages, dtype=np.int64)
 
     solves0 = target.solve_total
     for i in range(n_steps):
-        state, info = kernel.step(target, state, rng)
-        if isinstance(kernel, DiliKernel):
-            lis_acc, cs_acc = info
-            stage_attempts += 1
-            stage_accepts[0] += lis_acc
-            stage_accepts[1] += cs_acc
-            accepted[i] = 1 if (lis_acc or cs_acc) else 0
-        else:
-            stage = int(info)
-            if stage == 0:
-                stage_attempts += 1
-            else:
-                stage_attempts[:stage] += 1
-                stage_accepts[stage - 1] += 1
-            accepted[i] = stage
+        state, accepted[i], attempted, stage_accepted = kernel.step(target, state, rng)
+        stage_attempts += attempted
+        stage_accepts += stage_accepted
         if k:
             coords[i] = projector(state.m)
         qoi[i] = state.qoi()

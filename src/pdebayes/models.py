@@ -12,9 +12,11 @@ Gaussian, which makes it a dense-computable oracle for the whole pipeline.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .fem import (Mesh, StiffnessAssembler, assemble_mass,
+from .fem import (Mesh, SpdSolver, StiffnessAssembler, assemble_mass,
                   build_unit_square_mesh, point_observation_operator)
 
 DIRICHLET_TAGS = ("bottom", "top")
@@ -26,6 +28,11 @@ class ModelEvaluationError(RuntimeError):
 
 class NonPositiveFluxError(RuntimeError):
     """The boundary flux was non-positive, so its log is undefined."""
+
+
+# What a model evaluation raises at a point where the model cannot be
+# evaluated; callers reject the point instead of failing the run.
+MODEL_FAILURES = (np.linalg.LinAlgError, RuntimeError)
 
 
 class SolveCounter:
@@ -44,6 +51,60 @@ class SolveCounter:
 
     def snapshot(self) -> tuple:
         return (self.forward, self.adjoint, self.incremental)
+
+
+class ObservedProblem:
+    """Point observations with Gaussian noise of a field on the unit square.
+
+    Holds what both problems share: the mesh, the observation operator and
+    data, the noise level, the stiffness assembler with Dirichlet data on the
+    top and bottom sides, and the tally of PDE solves. Subclasses define
+    evaluate(m), which returns a state with the misfit `cost`, gradient(),
+    hessian_action() and qoi().
+    """
+
+    def __init__(self, mesh: Mesh, obs_points, sigma: float,
+                 data: np.ndarray | None = None):
+        if sigma <= 0:
+            raise ValueError("noise standard deviation must be positive")
+        self.mesh = mesh
+        self.sigma = float(sigma)
+        self.obs_points = np.atleast_2d(np.asarray(obs_points, dtype=float))
+        self.obs_op = point_observation_operator(mesh, self.obs_points)
+        self.assembler = StiffnessAssembler(
+            mesh, mesh.boundary_vertices(DIRICHLET_TAGS))
+        self.counter = SolveCounter()
+        self.data = None
+        if data is not None:
+            self.set_data(data)
+
+    @property
+    def dim(self) -> int:
+        return self.mesh.num_vertices
+
+    @property
+    def num_obs(self) -> int:
+        return self.obs_points.shape[0]
+
+    def set_data(self, data: np.ndarray) -> None:
+        data = np.asarray(data, dtype=float)
+        if data.shape != (self.num_obs,):
+            raise ValueError("data length must match the observation count")
+        self.data = data
+
+    def observe(self, u: np.ndarray) -> np.ndarray:
+        return self.obs_op @ u
+
+    def residual_and_cost(self, u: np.ndarray):
+        """Data residual of the state u and the misfit 0.5 |r|^2 / sigma^2."""
+        residual = self.observe(u) - self.data
+        return residual, 0.5 * float(residual @ residual) / self.sigma**2
+
+    def misfit_cost(self, m: np.ndarray) -> float:
+        return self.evaluate(m).cost
+
+    def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
+        return self.evaluate(m).gradient()
 
 
 class PoissonState:
@@ -70,8 +131,7 @@ class PoissonState:
         rhs = problem.assembler.lifted_rhs(self.coeff, problem.dirichlet_values)
         self.u = self.solver.solve(rhs)
         problem.counter.forward += 1
-        self.residual = problem.observe(self.u) - problem.data
-        self.cost = 0.5 * float(self.residual @ self.residual) / problem.sigma**2
+        self.residual, self.cost = problem.residual_and_cost(self.u)
         if not np.isfinite(self.cost):
             raise ModelEvaluationError("misfit cost is not finite")
         self._p = None
@@ -134,20 +194,12 @@ class PoissonState:
         return float(np.log(-flux))
 
 
-class PoissonProblem:
+class PoissonProblem(ObservedProblem):
     """Coefficient inversion setup: mesh, boundary data, observations, noise."""
 
     def __init__(self, mesh: Mesh, obs_points, sigma: float,
                  data: np.ndarray | None = None):
-        if sigma <= 0:
-            raise ValueError("noise standard deviation must be positive")
-        self.mesh = mesh
-        self.sigma = float(sigma)
-        self.obs_points = np.atleast_2d(np.asarray(obs_points, dtype=float))
-        self.obs_op = point_observation_operator(mesh, self.obs_points)
-
-        dirichlet = mesh.boundary_vertices(DIRICHLET_TAGS)
-        self.assembler = StiffnessAssembler(mesh, dirichlet)
+        super().__init__(mesh, obs_points, sigma, data)
         self.dirichlet_values = np.zeros(mesh.num_vertices)
         self.dirichlet_values[mesh.boundary_vertices(["top"])] = 1.0
 
@@ -161,28 +213,6 @@ class PoissonProblem:
             [edge_to_tri[frozenset(e)] for e in bottom], dtype=np.int64)
         self.bottom_lengths = np.linalg.norm(
             mesh.vertices[bottom[:, 1]] - mesh.vertices[bottom[:, 0]], axis=1)
-
-        self.counter = SolveCounter()
-        self.data = None
-        if data is not None:
-            self.set_data(data)
-
-    @property
-    def dim(self) -> int:
-        return self.mesh.num_vertices
-
-    @property
-    def num_obs(self) -> int:
-        return self.obs_points.shape[0]
-
-    def set_data(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=float)
-        if data.shape != (self.num_obs,):
-            raise ValueError("data length must match the observation count")
-        self.data = data
-
-    def observe(self, u: np.ndarray) -> np.ndarray:
-        return self.obs_op @ u
 
     def weighted_gradient_form(self, coeff, u, p) -> np.ndarray:
         """Assemble the vector with entries <phi_j coeff grad u . grad p>."""
@@ -201,12 +231,6 @@ class PoissonProblem:
             raise RuntimeError("observational data not set")
         return PoissonState(self, m)
 
-    def misfit_cost(self, m: np.ndarray) -> float:
-        return self.evaluate(m).cost
-
-    def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
-        return self.evaluate(m).gradient()
-
     def solve_forward(self, m: np.ndarray) -> np.ndarray:
         """Forward solution only; usable before data is attached."""
         coeff = np.exp(self.mesh.centroid_values(np.asarray(m, dtype=float)))
@@ -216,7 +240,7 @@ class PoissonProblem:
         return solver.solve(rhs)
 
 
-def generate_synthetic_data(problem: PoissonProblem, m_true: np.ndarray,
+def generate_synthetic_data(problem: ObservedProblem, m_true: np.ndarray,
                             sigma: float, seed: int,
                             exact: bool = False) -> np.ndarray:
     """Observe the forward solution on a once-refined mesh, plus iid noise.
@@ -229,7 +253,7 @@ def generate_synthetic_data(problem: PoissonProblem, m_true: np.ndarray,
         raise ValueError("noise standard deviation must be positive")
     fine = build_unit_square_mesh(2 * problem.mesh.n)
     lift = point_observation_operator(problem.mesh, fine.vertices)
-    fine_problem = PoissonProblem(fine, problem.obs_points, sigma)
+    fine_problem = type(problem)(fine, problem.obs_points, sigma)
     u = fine_problem.solve_forward(lift @ np.asarray(m_true, dtype=float))
     d = fine_problem.observe(u)
     if not exact:
@@ -246,8 +270,7 @@ class LinearizedState:
         if not np.all(np.isfinite(self.m)):
             raise ModelEvaluationError("parameter field contains non-finite entries")
         self.u = problem.solve_forward(self.m)
-        self.residual = problem.observe(self.u) - problem.data
-        self.cost = 0.5 * float(self.residual @ self.residual) / problem.sigma**2
+        self.residual, self.cost = problem.residual_and_cost(self.u)
         self._grad = None
 
     def gradient(self) -> np.ndarray:
@@ -273,7 +296,7 @@ class LinearizedState:
         raise NonPositiveFluxError("linearized model defines no flux")
 
 
-class LinearizedPoissonProblem:
+class LinearizedPoissonProblem(ObservedProblem):
     """Observations of -lap(u) = m with homogeneous top/bottom Dirichlet data.
 
     The map m -> observations is exactly linear, so the Bayesian posterior
@@ -283,37 +306,15 @@ class LinearizedPoissonProblem:
 
     def __init__(self, mesh: Mesh, obs_points, sigma: float,
                  data: np.ndarray | None = None):
-        if sigma <= 0:
-            raise ValueError("noise standard deviation must be positive")
-        self.mesh = mesh
-        self.sigma = float(sigma)
-        self.obs_points = np.atleast_2d(np.asarray(obs_points, dtype=float))
-        self.obs_op = point_observation_operator(mesh, self.obs_points)
-        dirichlet = mesh.boundary_vertices(DIRICHLET_TAGS)
-        self.assembler = StiffnessAssembler(mesh, dirichlet)
-        self.solver = self.assembler.factorize(np.ones(mesh.num_triangles))
+        super().__init__(mesh, obs_points, sigma, data)
         self.M = assemble_mass(mesh)
-        self.counter = SolveCounter()
-        self.data = None
-        if data is not None:
-            self.set_data(data)
 
-    @property
-    def dim(self) -> int:
-        return self.mesh.num_vertices
-
-    @property
-    def num_obs(self) -> int:
-        return self.obs_points.shape[0]
-
-    def set_data(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=float)
-        if data.shape != (self.num_obs,):
-            raise ValueError("data length must match the observation count")
-        self.data = data
-
-    def observe(self, u: np.ndarray) -> np.ndarray:
-        return self.obs_op @ u
+    @cached_property
+    def solver(self) -> SpdSolver:
+        """Factorized Laplacian, built on first use: a problem that only
+        defines the mesh and observation points of synthetic data never
+        solves."""
+        return self.assembler.factorize(np.ones(self.mesh.num_triangles))
 
     def solve_forward(self, m: np.ndarray, count: str = "forward") -> np.ndarray:
         rhs = self.M @ m
@@ -326,15 +327,9 @@ class LinearizedPoissonProblem:
             raise RuntimeError("observational data not set")
         return LinearizedState(self, m)
 
-    def misfit_cost(self, m: np.ndarray) -> float:
-        return self.evaluate(m).cost
-
-    def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
-        return self.evaluate(m).gradient()
-
     def dense_forward_matrix(self) -> np.ndarray:
         """The observation map as a dense matrix (small meshes only)."""
         rhs = self.M.toarray()
         rhs[self.assembler.is_dirichlet, :] = 0.0
-        u_cols = self.solver._lu.solve(rhs)
+        u_cols = self.solver.solve(rhs)
         return self.obs_op @ u_cols

@@ -61,7 +61,7 @@ class BiLaplacianPrior:
 
         self.M = assemble_mass(mesh)
         ml = assemble_mass(mesh, lumped=True).diagonal()
-        self._ml = ml
+        self.lumped_mass = ml
         self._ml_sqrt = np.sqrt(ml)
         self._ml_inv = 1.0 / ml
 
@@ -96,7 +96,7 @@ class BiLaplacianPrior:
 
     def apply_covariance(self, v: np.ndarray) -> np.ndarray:
         """C v = A^{-1} M_l A^{-1} v."""
-        return self._solver.solve(self._ml * self._solver.solve(v))
+        return self._solver.solve(self.lumped_mass * self._solver.solve(v))
 
     def apply_precision(self, v: np.ndarray) -> np.ndarray:
         """C^{-1} v = A M_l^{-1} A v."""

@@ -1,8 +1,8 @@
 """Posterior targets and chain states for the samplers.
 
 A target turns parameter vectors into ChainStates carrying the cached
-log-posterior, misfit value, and (lazily) the gradients that
-gradient-based proposals need. PosteriorTarget composes a forward model
+log-posterior and (lazily) the gradients that gradient-based proposals
+need. PosteriorTarget composes a forward model
 with a Gaussian prior; DenseGaussian provides the same operator interface
 as the field prior for small dense problems, which makes linear-Gaussian
 oracle targets and low-dimensional sampler tests cheap to build.
@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .models import MODEL_FAILURES
+
 
 class TargetEvaluationError(RuntimeError):
     """The target could not be evaluated at the requested point."""
@@ -21,14 +23,13 @@ class TargetEvaluationError(RuntimeError):
 class ChainState:
     """One evaluated point of a target, with lazy gradient caches."""
 
-    __slots__ = ("target", "m", "log_posterior", "misfit_cost",
-                 "_grad_phi", "_grad_logpost", "model_state")
+    __slots__ = ("target", "m", "log_posterior", "_grad_phi", "_grad_logpost",
+                 "model_state")
 
-    def __init__(self, target, m, log_posterior, misfit_cost, model_state=None):
+    def __init__(self, target, m, log_posterior, model_state=None):
         self.target = target
         self.m = m
         self.log_posterior = log_posterior
-        self.misfit_cost = misfit_cost
         self.model_state = model_state
         self._grad_phi = None
         self._grad_logpost = None
@@ -65,13 +66,12 @@ class PosteriorTarget:
     def make_state(self, m: np.ndarray) -> ChainState:
         try:
             model_state = self.model.evaluate(m)
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
+        except MODEL_FAILURES as exc:
             raise TargetEvaluationError(str(exc)) from exc
-        phi = model_state.cost
-        log_post = -phi - self.prior.cost(m)
+        log_post = -model_state.cost - self.prior.cost(m)
         if not np.isfinite(log_post):
             raise TargetEvaluationError(f"log posterior {log_post} at evaluated point")
-        return ChainState(self, np.asarray(m, dtype=float), log_post, phi, model_state)
+        return ChainState(self, np.asarray(m, dtype=float), log_post, model_state)
 
     def fill_gradient(self, state: ChainState) -> None:
         state._grad_phi = state.model_state.gradient()
@@ -82,12 +82,6 @@ class PosteriorTarget:
             return state.model_state.qoi()
         except RuntimeError:
             return float("nan")
-
-    def log_posterior(self, m: np.ndarray) -> float:
-        return self.make_state(m).log_posterior
-
-    def grad_log_posterior(self, m: np.ndarray) -> np.ndarray:
-        return self.make_state(m).grad_log_posterior
 
     @property
     def solve_total(self) -> int:
@@ -111,7 +105,7 @@ class CallableTarget:
         lp = float(self._logpdf(m))
         if np.isnan(lp):
             raise TargetEvaluationError("log density is NaN")
-        return ChainState(self, m, lp, -lp)
+        return ChainState(self, m, lp)
 
     def fill_gradient(self, state: ChainState) -> None:
         if self._grad is None:

@@ -61,7 +61,7 @@ def dense_boundary_mass(mesh, tags):
 def dense_prior_matrices(prior):
     """Dense (A, R, C) of a field prior, via numpy inverses."""
     a = prior.A.toarray()
-    ml_inv = np.diag(1.0 / prior._ml)
+    ml_inv = np.diag(1.0 / prior.lumped_mass)
     r = a @ ml_inv @ a
     return a, r, np.linalg.inv(r)
 

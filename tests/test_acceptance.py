@@ -239,11 +239,11 @@ def test_criterion_4b_all_kernels_gaussian_target():
         "mh/pcn": mc.MHKernel(mc.pcn(prior, 0.55)),
         "mh/mala": mc.MHKernel(mc.mala(prior, 0.12)),
         "mh/inf-mala": mc.MHKernel(mc.inf_mala(prior, 0.55)),
-        "mh/h-pcn": mc.MHKernel(mc.h_pcn(truncated, 0.8)),
-        "mh/h-mala": mc.MHKernel(mc.h_mala(truncated, 0.35)),
-        "mh/h-inf-mala": mc.MHKernel(mc.h_inf_mala(truncated, 1.2)),
-        "dr": mc.DRKernel([mc.h_pcn(truncated, 1.0),
-                           mc.h_mala(truncated, 0.25)]),
+        "mh/h-pcn": mc.MHKernel(mc.pcn(truncated, 0.8)),
+        "mh/h-mala": mc.MHKernel(mc.mala(truncated, 0.35)),
+        "mh/h-inf-mala": mc.MHKernel(mc.inf_mala(truncated, 1.2, prior)),
+        "dr": mc.DRKernel([mc.pcn(truncated, 1.0),
+                           mc.mala(truncated, 0.25)]),
         "dili": mc.DiliKernel(truncated,
                               mc.SubspaceGibbsConfig(lis_step=0.5, cs_beta=0.8)),
     }

@@ -49,10 +49,15 @@ class TestErrors:
             parse_config("\nmesh.n = two\n")
         assert err.value.line == 2
 
-    def test_beta_out_of_range(self):
+    @pytest.mark.parametrize("key, value", [
+        ("mcmc.beta", "1.5"),
+        ("mcmc.chains", "1"),      # between-chain covariance needs 2
+        ("mcmc.samples", "3"),     # effective sample size needs 4
+    ])
+    def test_out_of_range_with_line(self, key, value):
         with pytest.raises(ConfigError) as err:
-            parse_config("mcmc.beta = 1.5\n")
-        assert err.value.line == 1
+            parse_config(f"mesh.n = 8\n{key} = {value}\n")
+        assert err.value.line == 2
         assert "out of range" in str(err.value)
 
     def test_negative_sigma(self):

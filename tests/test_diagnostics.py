@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pdebayes.diagnostics import (ChainEnsemble, acf_estimate, ess, mpsrf,
-                                  project_to_lis, qoi_moments, summarize,
-                                  variogram, vhat, within_between_cov)
+                                  qoi_moments, summarize, variogram, vhat,
+                                  within_between_cov)
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.prior import BiLaplacianPrior
 from pdebayes.laplace import LaplaceApprox
@@ -233,15 +233,14 @@ class TestProjection:
         _, r_dense, _ = dense_prior_matrices(prior)
         g = raw.T @ r_dense @ raw
         vecs = raw @ np.linalg.inv(np.linalg.cholesky(g)).T
+        la = LaplaceApprox(prior, prior.mean, np.array([3.0, 2.0, 1.5]), vecs)
 
-        np.testing.assert_allclose(
-            project_to_lis(vecs, prior, vecs[:, 1]), [0, 1, 0], atol=1e-10)
-        np.testing.assert_allclose(
-            project_to_lis(vecs, prior, np.zeros(prior.dim)), 0.0, atol=1e-15)
+        np.testing.assert_allclose(la.project(vecs[:, 1]), [0, 1, 0], atol=1e-10)
+        np.testing.assert_allclose(la.project(np.zeros(prior.dim)), 0.0,
+                                   atol=1e-15)
         m = rng.standard_normal(prior.dim)
         dense = vecs.T @ r_dense @ m
-        np.testing.assert_allclose(project_to_lis(vecs, prior, m), dense,
-                                   rtol=1e-10)
+        np.testing.assert_allclose(la.project(m), dense, rtol=1e-10)
 
     def test_matches_laplace_project(self):
         mesh = build_unit_square_mesh(4)
@@ -253,8 +252,8 @@ class TestProjection:
         vecs = raw @ np.linalg.inv(np.linalg.cholesky(g)).T
         la = LaplaceApprox(prior, prior.mean, np.array([3.0, 2.0]), vecs)
         m = rng.standard_normal(prior.dim)
-        np.testing.assert_allclose(la.project(m),
-                                   project_to_lis(vecs, prior, m), rtol=1e-10)
+        np.testing.assert_allclose(la.project(m), vecs.T @ r_dense @ m,
+                                   rtol=1e-10)
 
 
 class TestSummarize:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdebayes.cli import main as cli_main
-from pdebayes.config import parse_config
+from pdebayes.config import METHODS, MODEL_KINDS, parse_config
 from pdebayes.driver import (StageError, read_chain_csv, read_report,
                              run_experiment, write_chain_csv)
 from pdebayes.mcmc import ChainRecord
@@ -85,8 +85,12 @@ class TestArtifacts:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = parse_config(FAST_POISSON)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_byte_identical_reruns(self, tmp_path, method, kind):
+        cfg = parse_config(FAST_POISSON.replace("mcmc.method = h-pcn",
+                                                f"mcmc.method = {method}")
+                           + f"model.kind = {kind}\n")
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         run_experiment(cfg, str(out1))
@@ -201,6 +205,16 @@ class TestCli:
         code = cli_main(["solve", "--config", str(bad)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_invalid_override_rejected_before_sampling(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(FAST_POISSON)
+        out = tmp_path / "out"
+        code = cli_main(["solve", "--config", str(cfg_file), "--chains", "1",
+                         "--output", str(out)])
+        assert code == 2
+        assert "mcmc.chains" in capsys.readouterr().err
+        assert not (out / "chain_00.csv").exists()
 
     def test_missing_config_file(self, capsys):
         code = cli_main(["solve", "--config", "/nonexistent/path.cfg"])

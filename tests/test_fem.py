@@ -6,8 +6,7 @@ import scipy.sparse as sp
 
 from pdebayes.fem import (BOUNDARY_TAGS, SpdSolver, assemble_boundary_mass,
                           assemble_mass, assemble_stiffness,
-                          build_unit_square_mesh, point_observation_operator,
-                          sparse_solve)
+                          build_unit_square_mesh, point_observation_operator)
 
 from helpers import dense_boundary_mass, dense_mass, dense_stiffness
 
@@ -199,7 +198,7 @@ class TestSparseSolve:
     def test_diagonal_system(self):
         diag = np.array([2.0, 4.0, 5.0])
         b = np.array([2.0, 8.0, 15.0])
-        x = sparse_solve(sp.diags(diag), b)
+        x = SpdSolver(sp.diags(diag)).solve(b)
         np.testing.assert_allclose(x, b / diag)
 
     def test_random_spd_matches_dense(self):
@@ -207,7 +206,7 @@ class TestSparseSolve:
         a = rng.standard_normal((10, 10))
         spd = a @ a.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        x = sparse_solve(sp.csr_matrix(spd), b)
+        x = SpdSolver(sp.csr_matrix(spd)).solve(b)
         x_dense = np.linalg.solve(spd, b)
         assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-10
         assert np.linalg.norm(spd @ x - b) / np.linalg.norm(b) <= 1e-10
@@ -215,13 +214,13 @@ class TestSparseSolve:
     def test_zero_rhs(self):
         mesh = build_unit_square_mesh(3)
         k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
-        x = sparse_solve(k, np.zeros(mesh.num_vertices))
+        x = SpdSolver(k).solve(np.zeros(mesh.num_vertices))
         assert np.all(x == 0.0)
 
     def test_singular_reported(self):
         singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
-            sparse_solve(singular, np.array([1.0, 2.0]))
+            SpdSolver(singular).solve(np.array([1.0, 2.0]))
 
     def test_deterministic_and_reusable(self):
         mesh = build_unit_square_mesh(4)

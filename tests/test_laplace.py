@@ -84,6 +84,24 @@ class TestComputeMap:
         result = compute_map(problem, prior)
         assert result.grad_norm <= max(1e-12, 1e-6 * g0)
 
+    def test_programming_error_in_line_search_propagates(self, linear_setup):
+        # Only model failures reject a trial point; any other error is a
+        # defect and must surface instead of stalling the line search.
+        prior, model, _, _, _, _ = linear_setup
+
+        class BrokenTrials:
+            def __init__(self):
+                self.calls = 0
+
+            def evaluate(self, m):
+                self.calls += 1
+                if self.calls > 1:
+                    raise TypeError("defect in the model code")
+                return model.evaluate(m)
+
+        with pytest.raises(TypeError):
+            compute_map(BrokenTrials(), prior)
+
     def test_nonconvergence_reported(self, poisson_setup):
         prior, problem = poisson_setup
         cfg = NewtonConfig(grad_rel_tol=1e-14, grad_abs_tol=1e-16,

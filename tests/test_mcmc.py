@@ -49,9 +49,9 @@ def make_proposal(name, prior, laplace):
         "pcn": lambda: mc.pcn(prior, 0.6),
         "mala": lambda: mc.mala(prior, 0.15),
         "inf-mala": lambda: mc.inf_mala(prior, 0.5),
-        "h-pcn": lambda: mc.h_pcn(laplace, 0.7),
-        "h-mala": lambda: mc.h_mala(laplace, 0.2),
-        "h-inf-mala": lambda: mc.h_inf_mala(laplace, 0.8),
+        "h-pcn": lambda: mc.pcn(laplace, 0.7),
+        "h-mala": lambda: mc.mala(laplace, 0.2),
+        "h-inf-mala": lambda: mc.inf_mala(laplace, 0.8, prior),
     }[name]()
 
 
@@ -75,7 +75,7 @@ class TestProposalDistributions:
 
     def test_hpcn_mean_at_map(self, gauss2d):
         target, _, laplace, mean, _ = gauss2d
-        prop = mc.h_pcn(laplace, 0.5)
+        prop = mc.pcn(laplace, 0.5)
         state = target.make_state(mean.copy())
         np.testing.assert_allclose(prop.mean(state), mean, atol=1e-12)
 
@@ -94,7 +94,7 @@ class TestProposalDistributions:
     def test_h_inf_mala_matches_stated_form(self, gauss2d):
         target, prior, laplace, _, _ = gauss2d
         h = 0.52
-        prop = mc.h_inf_mala(laplace, h)
+        prop = mc.inf_mala(laplace, h, prior)
         beta = 4 * math.sqrt(h) / (4 + h)
         state = target.make_state(np.array([-0.3, 0.7]))
         hinv = np.column_stack([laplace.apply_covariance(e) for e in np.eye(2)])
@@ -108,7 +108,7 @@ class TestProposalDistributions:
         # At the posterior mode the Langevin drift vanishes, so the proposal
         # density peaks exactly at the current point.
         target, _, laplace, mean, _ = gauss2d
-        prop = mc.h_mala(laplace, 0.3)
+        prop = mc.mala(laplace, 0.3)
         state = target.make_state(mean.copy())
         np.testing.assert_allclose(prop.mean(state), mean, atol=1e-10)
         at_mean = prop.log_density(state, mean)
@@ -134,8 +134,6 @@ class TestProposalDistributions:
         prior = DenseGaussian(np.zeros(2), np.eye(2))
         target = CallableTarget(lambda m: -0.5 * m @ m, dim=2)   # no gradient
         kernel = mc.MHKernel(mc.mala(prior, 0.1))
-        with pytest.raises(ValueError):
-            kernel.validate(target)
         with pytest.raises(ValueError):
             mc.run_chain(target, kernel, np.zeros(2), 5, seed=0)
 
@@ -322,7 +320,7 @@ class TestSteps:
 
     def test_fixed_seed_reproducible(self, gauss2d):
         target, prior, laplace, _, _ = gauss2d
-        kernel = mc.DRKernel([mc.h_pcn(laplace, 1.0), mc.h_mala(laplace, 0.2)])
+        kernel = mc.DRKernel([mc.pcn(laplace, 1.0), mc.mala(laplace, 0.2)])
         rec1 = mc.run_chain(target, kernel, np.zeros(2), 100, seed=7,
                             projector=lambda m: m.copy())
         rec2 = mc.run_chain(target, kernel, np.zeros(2), 100, seed=7,
@@ -335,7 +333,7 @@ class TestSteps:
 
     def test_dr_single_stage_equals_mh(self, gauss2d):
         target, prior, laplace, _, _ = gauss2d
-        prop = mc.h_pcn(laplace, 0.6)
+        prop = mc.pcn(laplace, 0.6)
         rec_mh = mc.run_chain(target, mc.MHKernel(prop), np.zeros(2), 150,
                               seed=9, projector=lambda m: m.copy())
         rec_dr = mc.run_chain(target, mc.DRKernel([prop]), np.zeros(2), 150,
@@ -356,9 +354,22 @@ class TestSteps:
             if not accepted_any[:i + 1].any():
                 np.testing.assert_array_equal(rec.coords[i], start)
 
+    def test_dr_failure_counts_only_attempted_stages(self):
+        # Every proposed point fails to evaluate, so stage 2 is never reached.
+        start = np.zeros(2)
+        failing = CallableTarget(
+            lambda m: 0.0 if np.array_equal(m, start) else math.nan, dim=2)
+        prior = DenseGaussian(np.zeros(2), np.eye(2))
+        kernel = mc.DRKernel([mc.random_walk(prior, 0.5),
+                              mc.random_walk(prior, 0.1)])
+        rec = mc.run_chain(failing, kernel, start, 10, seed=11)
+        assert rec.stage_attempts.tolist() == [10, 0]
+        assert rec.stage_accepts.tolist() == [0, 0]
+        assert not rec.accepted.any()
+
     def test_chain_mean_matches_posterior(self, gauss2d):
         target, prior, laplace, mean, cov = gauss2d
-        kernel = mc.MHKernel(mc.h_pcn(laplace, 0.9))
+        kernel = mc.MHKernel(mc.pcn(laplace, 0.9))
         recs = [mc.run_chain(target, kernel,
                              laplace.sample(np.random.default_rng(20 + i)),
                              4000, seed=30 + i, projector=lambda m: m.copy())
@@ -444,7 +455,7 @@ class TestHpcnAcceptanceRatioDense:
             @ (r_dense @ laplace.vecs).T
 
         beta = 0.55
-        prop = mc.h_pcn(laplace, beta)
+        prop = mc.pcn(laplace, beta)
         keep = np.sqrt(1 - beta**2)
 
         def dense_logq(frm, to):
