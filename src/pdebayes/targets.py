@@ -134,7 +134,11 @@ class DenseGaussian:
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise ValueError("covariance shape does not match the mean")
         self._chol = np.linalg.cholesky(self.cov)
-        self._cho_factor = scipy.linalg.cho_factor(self.cov, lower=True)
+        self._cho_lower, _ = scipy.linalg.cho_factor(self.cov, lower=True)
+        # Samplers call apply_precision on every step; LAPACK potrs directly
+        # gives cho_solve's result without its per-call wrapper overhead.
+        self._potrs, = scipy.linalg.lapack.get_lapack_funcs(
+            ("potrs",), (self._cho_lower,))
 
     @property
     def dim(self) -> int:
@@ -151,7 +155,15 @@ class DenseGaussian:
         return self.cov @ v
 
     def apply_precision(self, v: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._cho_factor, v)
+        v = np.asarray(v, dtype=float)
+        if v.shape[0] != self.dim:
+            raise ValueError("incompatible dimensions")
+        if not np.isfinite(v).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = self._potrs(self._cho_lower, v, lower=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
 
     def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
         return self._chol @ z
