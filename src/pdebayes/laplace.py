@@ -97,8 +97,9 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
 
     Uses the Gauss-Newton Hessian for the first cfg.gn_phase_iters
     iterations, Eisenstat-Walker forcing min(0.5, sqrt(|g|/|g0|)) for the
-    inner CG tolerance, and Armijo backtracking. Raises MapConvergenceError
-    if the gradient norm target is not reached.
+    inner CG tolerance, and Armijo backtracking with slack for the rounding
+    error of the cost. Raises MapConvergenceError if the gradient norm
+    target is not reached.
     """
     cfg = cfg or NewtonConfig()
     m = np.array(prior.mean if m0 is None else m0, dtype=float)
@@ -128,6 +129,10 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
             direction = -grad
             slope = -gnorm**2
 
+        # Near the minimizer the Armijo decrease falls below the rounding
+        # error of the cost itself; allow that much slack, as in the
+        # approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 2005).
+        cost_slack = 4.0 * np.finfo(float).eps * abs(cost)
         alpha = 1.0
         for _ in range(cfg.max_backtracks):
             try:
@@ -136,7 +141,7 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
             except MODEL_FAILURES:
                 trial_cost = np.inf
                 trial_state = None
-            if trial_cost <= cost + cfg.armijo_c * alpha * slope:
+            if trial_cost <= cost + cfg.armijo_c * alpha * slope + cost_slack:
                 break
             alpha *= cfg.backtrack_factor
         else:

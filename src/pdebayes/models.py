@@ -203,14 +203,10 @@ class PoissonProblem(ObservedProblem):
         self.dirichlet_values = np.zeros(mesh.num_vertices)
         self.dirichlet_values[mesh.boundary_vertices(["top"])] = 1.0
 
-        # Triangle adjacent to each bottom edge, for the flux integral.
-        edge_to_tri = {}
-        for t, tri in enumerate(mesh.triangles):
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                edge_to_tri[frozenset((tri[a], tri[b]))] = t
+        # Triangle adjacent to each bottom edge, for the flux integral: the
+        # bottom edge of cell ix is the first edge of its lower triangle 2*ix.
         bottom = mesh.boundary_edges["bottom"]
-        self.bottom_tris = np.array(
-            [edge_to_tri[frozenset(e)] for e in bottom], dtype=np.int64)
+        self.bottom_tris = 2 * np.arange(mesh.n, dtype=np.int64)
         self.bottom_lengths = np.linalg.norm(
             mesh.vertices[bottom[:, 1]] - mesh.vertices[bottom[:, 0]], axis=1)
 

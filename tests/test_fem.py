@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from pdebayes.fem import (BOUNDARY_TAGS, SpdSolver, assemble_boundary_mass,
-                          assemble_mass, assemble_stiffness,
-                          build_unit_square_mesh, point_observation_operator)
+from pdebayes.fem import (BOUNDARY_TAGS, SpdSolver, StiffnessAssembler,
+                          assemble_boundary_mass, assemble_mass,
+                          assemble_stiffness, build_unit_square_mesh,
+                          point_observation_operator)
+from pdebayes.models import DIRICHLET_TAGS
+from pdebayes.prior import BiLaplacianPrior
 
 from helpers import dense_boundary_mass, dense_mass, dense_stiffness
 
@@ -46,6 +50,22 @@ class TestMesh:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             build_unit_square_mesh(0)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_triangles_match_cell_loop(self, n):
+        # Reference: the cell-by-cell construction.
+        tris = np.empty((2 * n * n, 3), dtype=np.int64)
+        t = 0
+        for iy in range(n):
+            for ix in range(n):
+                v00 = iy * (n + 1) + ix
+                v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+                tris[t] = (v00, v10, v11)
+                tris[t + 1] = (v00, v11, v01)
+                t += 2
+        mesh = build_unit_square_mesh(n)
+        assert mesh.triangles.dtype == np.int64
+        assert np.array_equal(mesh.triangles, tris)
 
 
 class TestStiffness:
@@ -217,6 +237,32 @@ class TestSparseSolve:
         x = SpdSolver(k).solve(np.zeros(mesh.num_vertices))
         assert np.all(x == 0.0)
 
+    def test_indefinite_reported(self):
+        indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            SpdSolver(indefinite)
+
+    def test_block_solve_equals_column_solves(self):
+        mesh = build_unit_square_mesh(4)
+        k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
+        b = np.random.default_rng(12).standard_normal((mesh.num_vertices, 5))
+        solver = SpdSolver(k)
+        x = solver.solve(b)
+        assert x.shape == b.shape
+        for j in range(5):
+            np.testing.assert_array_equal(x[:, j], solver.solve(b[:, j]))
+
+    def test_eliminated_stiffness_matches_sparse_lu(self):
+        mesh = build_unit_square_mesh(16)
+        rng = np.random.default_rng(13)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        k = assembler.assemble(np.exp(rng.standard_normal(mesh.num_triangles)))
+        b = rng.standard_normal(mesh.num_vertices)
+        x = SpdSolver(k).solve(b)
+        x_lu = spla.splu(sp.csc_matrix(k)).solve(b)
+        assert np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu) <= 1e-12
+
     def test_singular_reported(self):
         singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
@@ -235,3 +281,23 @@ class TestSparseSolve:
         assert np.array_equal(x1a, x1b)
         assert np.array_equal(x1a, SpdSolver(k).solve(b1))
         assert np.linalg.norm(k @ x2 - b2) / np.linalg.norm(b2) <= 1e-10
+
+
+def half_bandwidth(matrix) -> int:
+    coo = sp.coo_matrix(matrix)
+    return int(np.abs(coo.row - coo.col).max())
+
+
+class TestBandwidth:
+    # SpdSolver factorizes in the natural vertex order; a renumbering of the
+    # mesh that widened the band would make every factorization denser.
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_operators_have_half_bandwidth_n_plus_2(self, n):
+        mesh = build_unit_square_mesh(n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        k = assembler.assemble(np.ones(mesh.num_triangles))
+        prior = BiLaplacianPrior(mesh, gamma=0.1, delta=0.5, theta1=2.0,
+                                 theta2=0.5, alpha=np.pi / 4)
+        assert half_bandwidth(k) == n + 2
+        assert half_bandwidth(prior.A) == n + 2

@@ -69,6 +69,17 @@ class TestComputeMap:
         assert rel <= 1e-8
         assert result.converged
 
+    def test_converges_next_to_minimizer(self, linear_setup):
+        # 1e-9 from the minimizer the Armijo decrease is below the rounding
+        # of the cost; the line search must still accept the Newton steps.
+        prior, model, _, _, mean_dense, _ = linear_setup
+        rng = np.random.default_rng(1)
+        m0 = mean_dense + 1e-9 * rng.standard_normal(mean_dense.size)
+        result = compute_map(model, prior, m0=m0, cfg=TIGHT)
+        rel = np.linalg.norm(result.m - mean_dense) / np.linalg.norm(mean_dense)
+        assert result.converged
+        assert rel <= 1e-8
+
     def test_cost_decreases(self, poisson_setup):
         prior, problem = poisson_setup
         result = compute_map(problem, prior)

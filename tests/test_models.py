@@ -270,6 +270,23 @@ class TestQoi:
             state.qoi()
 
 
+class TestBottomFluxTriangles:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_match_edge_lookup(self, n):
+        # Reference: the triangle found by looking up each bottom edge.
+        mesh = build_unit_square_mesh(n)
+        edge_to_tri = {}
+        for t, tri in enumerate(mesh.triangles):
+            for a, b in ((0, 1), (1, 2), (2, 0)):
+                edge_to_tri[frozenset((tri[a], tri[b]))] = t
+        expected = np.array([edge_to_tri[frozenset(e)]
+                             for e in mesh.boundary_edges["bottom"]],
+                            dtype=np.int64)
+        problem = PoissonProblem(mesh, [[0.5, 0.5]], sigma=0.1)
+        assert problem.bottom_tris.dtype == np.int64
+        assert np.array_equal(problem.bottom_tris, expected)
+
+
 class TestLinearizedModel:
     def test_forward_matrix_consistency(self):
         rng = np.random.default_rng(18)
