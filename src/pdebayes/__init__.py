@@ -12,13 +12,13 @@ from .diagnostics import (ChainEnsemble, DiagnosticsReport, acf_estimate, ess,
                           mpsrf, qoi_moments, summarize, vhat,
                           within_between_cov)
 from .fem import (Mesh, SpdSolver, assemble_boundary_mass, assemble_mass,
-                  assemble_stiffness, build_unit_square_mesh,
+                  assemble_stiffness, build_unit_square_mesh, lower_band,
                   point_observation_operator)
 from .laplace import (LaplaceApprox, MapConvergenceError, NewtonConfig,
                       compute_map, doublepass_randomized_eig, truncate_spectrum)
 from .mcmc import (ChainRecord, DiliKernel, DRKernel, MHKernel,
-                   SubspaceGibbsConfig, dr_accept_prob, inf_mala, mala,
-                   mh_accept_prob, pcn, random_walk, run_chain)
+                   SubspaceGibbsConfig, dr_accept_prob, inf_mala, mala, pcn,
+                   random_walk, run_chain)
 from .models import (LinearizedPoissonProblem, ModelEvaluationError,
                      NonPositiveFluxError, PoissonProblem,
                      generate_synthetic_data)

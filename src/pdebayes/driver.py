@@ -265,8 +265,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         kernel = build_kernel(cfg, prior, laplace)
         target = PosteriorTarget(problem, prior)
         k_proj = min(cfg.mcmc_project_dim, vecs.shape[1])
-        w_proj = np.column_stack(
-            [prior.apply_precision(vecs[:, j]) for j in range(k_proj)])
+        w_proj = prior.apply_precision(vecs[:, :k_proj])
 
         def projector(m):
             return w_proj.T @ m

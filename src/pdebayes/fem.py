@@ -1,7 +1,8 @@
 """Structured P1 finite elements on the unit square.
 
 Provides the mesh, sparse operator assembly (stiffness, mass, boundary
-mass), point observation operators, and a reusable banded Cholesky
+mass), repeated Dirichlet-eliminated stiffness assembly straight into LAPACK
+band storage, point observation operators, and a reusable banded Cholesky
 factorization for the SPD operators.
 All assembly is vectorized over triangles; the variable coefficient of the
 stiffness form is evaluated with one-point (centroid) quadrature so that
@@ -228,11 +229,32 @@ def point_observation_operator(mesh: Mesh, points) -> sp.csr_matrix:
                          shape=(k, mesh.num_vertices))
 
 
-class SpdSolver:
-    """Reusable band Cholesky factorization of a sparse SPD matrix.
+def lower_band(matrix: sp.spmatrix) -> np.ndarray:
+    """LAPACK lower band storage of a sparse symmetric matrix.
 
-    Factorized once at construction with LAPACK dpbtrf; solve() may be called
-    repeatedly with a vector or an (N, k) block of right-hand sides.
+    Returns the Fortran-ordered (kd+1, N) array with ab[i - j, j] = A[i, j]
+    for i >= j, where the half-bandwidth kd is read from the sparsity pattern.
+    """
+    csc = sp.csc_matrix(matrix)
+    csc.sum_duplicates()
+    n = matrix.shape[0]
+    rows = csc.indices
+    cols = np.repeat(np.arange(n), np.diff(csc.indptr))
+    lower = rows >= cols
+    offsets = rows[lower] - cols[lower]
+    kd = int(offsets.max(initial=0))
+    ab = np.zeros((kd + 1, n), order="F")
+    ab[offsets, cols[lower]] = csc.data[lower]
+    return ab
+
+
+class SpdSolver:
+    """Reusable band Cholesky factorization of an SPD matrix.
+
+    Consumes a matrix in LAPACK lower band storage, as returned by
+    StiffnessAssembler.assemble or lower_band: the band is factorized in
+    place with LAPACK dpbtrf and must not be used afterwards. solve() may be
+    called repeatedly with a vector or an (N, k) block of right-hand sides.
     Deterministic: equal inputs give bit-equal outputs.
 
     The matrix is factorized in its given order, without a fill-reducing
@@ -242,20 +264,8 @@ class SpdSolver:
     Cholesky costs O(N n^2) with no fill outside the band.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
-        self.shape = matrix.shape
-        csc = sp.csc_matrix(matrix)
-        csc.sum_duplicates()
-        n = self.shape[0]
-        rows = csc.indices
-        cols = np.repeat(np.arange(n), np.diff(csc.indptr))
-        lower = rows >= cols
-        offsets = rows[lower] - cols[lower]
-        kd = int(offsets.max(initial=0))
-        # LAPACK lower band storage: ab[i - j, j] = A[i, j] for i >= j.
-        ab = np.zeros((kd + 1, n), order="F")
-        ab[offsets, cols[lower]] = csc.data[lower]
-        self._factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    def __init__(self, band: np.ndarray):
+        self._factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"band Cholesky failed (LAPACK info {info}): "
@@ -265,7 +275,7 @@ class SpdSolver:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.shape[0]:
+        if b.shape[0] != self._factor.shape[1]:
             raise ValueError("right-hand side has wrong length")
         if b.ndim == 1 and not b.any():
             return np.zeros_like(b)
@@ -278,11 +288,12 @@ class SpdSolver:
 class StiffnessAssembler:
     """Fast repeated stiffness assembly with Dirichlet elimination.
 
-    Precomputes the geometric element blocks and the COO->CSC scatter map for
-    a fixed mesh and Dirichlet vertex set, so that assembling the operator for
-    a new per-triangle coefficient costs a few vectorized passes. Rows and
-    columns of Dirichlet vertices are eliminated symmetrically (unit diagonal)
-    to keep the factorization SPD.
+    Precomputes the geometric element blocks and the position of every
+    scattered lower-triangle entry in LAPACK lower band storage for a fixed
+    mesh and Dirichlet vertex set, so that assembling the operator for a new
+    per-triangle coefficient costs a few vectorized passes. Rows and columns
+    of Dirichlet vertices are eliminated symmetrically (unit diagonal) to
+    keep the factorization SPD.
     """
 
     def __init__(self, mesh: Mesh, dirichlet_vertices: np.ndarray):
@@ -299,32 +310,18 @@ class StiffnessAssembler:
         self._rows = np.repeat(tris, 3, axis=1).ravel()
         self._cols = np.tile(tris, (1, 3)).ravel()
 
-        # Canonical CSC ordering of the scattered entries, plus slot ids for
-        # accumulating duplicates.
-        order = np.lexsort((self._rows, self._cols))
-        r_sorted = self._rows[order]
-        c_sorted = self._cols[order]
-        new_slot = np.empty(order.size, dtype=bool)
-        new_slot[0] = True
-        new_slot[1:] = (r_sorted[1:] != r_sorted[:-1]) | (c_sorted[1:] != c_sorted[:-1])
-        slot_sorted = np.cumsum(new_slot) - 1
-        self._slot = np.empty(order.size, dtype=np.int64)
-        self._slot[order] = slot_sorted
-        self._nslots = slot_sorted[-1] + 1
-
-        slot_rows = r_sorted[new_slot]
-        slot_cols = c_sorted[new_slot]
-        indptr = np.zeros(nv + 1, dtype=np.int32)
-        np.add.at(indptr, slot_cols + 1, 1)
-        indptr = np.cumsum(indptr)
-        self._template = sp.csc_matrix(
-            (np.zeros(self._nslots), slot_rows.astype(np.int32), indptr.astype(np.int32)),
-            shape=(nv, nv))
-
-        touched = is_dir[slot_rows] | is_dir[slot_cols]
-        diag = slot_rows == slot_cols
-        self._zero_slots = np.flatnonzero(touched & ~diag)
-        self._unit_slots = np.flatnonzero(diag & is_dir[slot_rows])
+        # A[i, j] with i >= j sits at ab[i - j, j] of the Fortran-ordered
+        # (kd+1, N) band, flat position (i - j) + j*(kd + 1).
+        self._lower = self._rows >= self._cols
+        rows = self._rows[self._lower]
+        cols = self._cols[self._lower]
+        offsets = rows - cols
+        kd = int(offsets.max())
+        self._band_shape = (kd + 1, nv)
+        self._band_pos = offsets + cols * (kd + 1)
+        touched = (is_dir[rows] | is_dir[cols]) & (offsets > 0)
+        self._zero_pos = self._band_pos[touched]
+        self._unit_pos = np.flatnonzero(is_dir) * (kd + 1)
 
     def entry_values(self, coeff: np.ndarray) -> np.ndarray:
         """Raw scattered entries (before elimination) for a per-triangle coefficient."""
@@ -336,15 +333,15 @@ class StiffnessAssembler:
         return np.bincount(self._rows, weights=vals * x[self._cols],
                            minlength=self.mesh.num_vertices)
 
-    def assemble(self, coeff: np.ndarray) -> sp.csc_matrix:
-        """Eliminated stiffness matrix for a per-triangle coefficient."""
-        vals = self.entry_values(coeff)
-        data = np.bincount(self._slot, weights=vals, minlength=self._nslots)
-        data[self._zero_slots] = 0.0
-        data[self._unit_slots] = 1.0
-        out = self._template.copy()
-        out.data = data
-        return out
+    def assemble(self, coeff: np.ndarray) -> np.ndarray:
+        """Eliminated stiffness for a per-triangle coefficient, in LAPACK
+        lower band storage (a new array on every call)."""
+        vals = self.entry_values(coeff)[self._lower]
+        band = np.bincount(self._band_pos, weights=vals,
+                           minlength=self._band_shape[0] * self._band_shape[1])
+        band[self._zero_pos] = 0.0
+        band[self._unit_pos] = 1.0
+        return band.reshape(self._band_shape, order="F")
 
     def factorize(self, coeff: np.ndarray) -> SpdSolver:
         return SpdSolver(self.assemble(coeff))

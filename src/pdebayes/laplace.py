@@ -173,7 +173,7 @@ def _chol_qr(Y: np.ndarray, inner_apply) -> np.ndarray:
     """
     q, _ = np.linalg.qr(Y)
     for _ in range(2):
-        z = np.column_stack([inner_apply(q[:, j]) for j in range(q.shape[1])])
+        z = inner_apply(q)
         gram = q.T @ z
         gram = 0.5 * (gram + gram.T)
         try:
@@ -242,12 +242,8 @@ class LaplaceApprox:
         self._d = lam / (1.0 + lam)
         # W = C^{-1} V drives precision actions and subspace projections;
         # U = M^{-1/2} A V is the orthonormal block of the sampling factor.
-        self._w = np.column_stack(
-            [prior.apply_precision(vecs[:, j]) for j in range(self.rank)]
-        ) if self.rank else np.zeros((prior.dim, 0))
-        self._u = np.column_stack(
-            [prior.apply_cov_factor_inv(vecs[:, j]) for j in range(self.rank)]
-        ) if self.rank else np.zeros((prior.dim, 0))
+        self._w = prior.apply_precision(vecs)
+        self._u = prior.apply_cov_factor_inv(vecs)
 
     @classmethod
     def from_spectrum(cls, prior, m_map, lam, vecs, threshold: float = 1.0):

@@ -162,23 +162,11 @@ def inf_mala(reference, h: float, prior=None) -> DimensionRobustLangevinProposal
 # Metropolis-Hastings
 # ---------------------------------------------------------------------------
 
-def mh_accept_log_prob(proposal, current: ChainState, proposed: ChainState) -> float:
-    """log of min{1, posterior ratio times proposal density ratio}."""
-    log_gamma = (proposed.log_posterior - current.log_posterior
-                 + proposal.log_density(proposed, current.m)
-                 - proposal.log_density(current, proposed.m))
-    if math.isnan(log_gamma):
-        logger.warning("NaN acceptance ratio; rejecting the proposed point")
-        return -math.inf
-    return min(0.0, log_gamma)
-
-
-def mh_accept_prob(proposal, current: ChainState, proposed: ChainState) -> float:
-    return math.exp(mh_accept_log_prob(proposal, current, proposed))
-
-
 class MHKernel:
-    """Single-proposal Metropolis-Hastings transition kernel."""
+    """Single-proposal Metropolis-Hastings transition kernel.
+
+    Its acceptance rule is the delayed-rejection rule at stage 1.
+    """
 
     n_stages = 1
 
@@ -194,7 +182,7 @@ class MHKernel:
         attempted = np.ones(1, dtype=np.int64)
         try:
             proposed = target.make_state(self.proposal.sample(current, rng))
-            log_alpha = mh_accept_log_prob(self.proposal, current, proposed)
+            log_alpha = dr_accept_log_prob([self.proposal], current, [], proposed)
         except TargetEvaluationError as exc:
             logger.warning("model failure at proposed point: %s", exc)
             return current, 0, attempted, np.zeros(1, dtype=np.int64)
@@ -237,7 +225,7 @@ def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
             return -math.inf
         log_gamma += log_num - log_den
     if math.isnan(log_gamma):
-        logger.warning("NaN delayed-rejection ratio; rejecting the branch")
+        logger.warning("NaN acceptance ratio; rejecting the proposed point")
         return -math.inf
     return min(0.0, log_gamma)
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .fem import (BOUNDARY_TAGS, Mesh, SpdSolver, assemble_boundary_mass,
-                  assemble_mass, assemble_stiffness)
+                  assemble_mass, assemble_stiffness, lower_band)
 
 
 def anisotropy_tensor(theta1: float, theta2: float, alpha: float) -> np.ndarray:
@@ -70,7 +70,7 @@ class BiLaplacianPrior:
         if robin_beta > 0:
             self.A = (self.A + robin_beta
                       * assemble_boundary_mass(mesh, BOUNDARY_TAGS)).tocsr()
-        self._solver = SpdSolver(self.A)
+        self._solver = SpdSolver(lower_band(self.A))
 
         mean = np.asarray(mean, dtype=float)
         if mean.ndim == 0:
@@ -99,15 +99,16 @@ class BiLaplacianPrior:
         return self._solver.solve(self.lumped_mass * self._solver.solve(v))
 
     def apply_precision(self, v: np.ndarray) -> np.ndarray:
-        """C^{-1} v = A M_l^{-1} A v."""
-        return self.A @ (self._ml_inv * (self.A @ v))
+        """C^{-1} v = A M_l^{-1} A v, for a vector or an (N, b) block."""
+        return self.A @ (self._ml_inv * (self.A @ v).T).T
 
     def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
         """Square root factor S z = A^{-1} M_l^{1/2} z with S S^T = C."""
         return self._solver.solve(self._ml_sqrt * z)
 
     def apply_cov_factor_inv(self, v: np.ndarray) -> np.ndarray:
-        return self._ml_inv * self._ml_sqrt * (self.A @ v)
+        """S^{-1} v = M_l^{-1/2} A v, for a vector or an (N, b) block."""
+        return (self._ml_inv * self._ml_sqrt * (self.A @ v).T).T
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw mean + S z with z iid standard normal; deterministic per rng state."""

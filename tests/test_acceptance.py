@@ -192,7 +192,7 @@ def test_criterion_4a_exact_stationarity():
     for i in range(3):
         for j in range(3):
             if i != j:
-                t_mh[i, j] = table[i, j] * mc.mh_accept_prob(prop, cs[i], cs[j])
+                t_mh[i, j] = table[i, j] * mc.dr_accept_prob([prop], cs[i], [], cs[j])
         t_mh[i, i] = 1.0 - t_mh[i].sum()
     mh_err = np.abs(_three_state_stationary(t_mh) - target_pi).max()
     assert mh_err <= 1e-12

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from pdebayes.fem import (BOUNDARY_TAGS, SpdSolver, StiffnessAssembler,
                           assemble_boundary_mass, assemble_mass,
                           assemble_stiffness, build_unit_square_mesh,
-                          point_observation_operator)
+                          lower_band, point_observation_operator)
 from pdebayes.models import DIRICHLET_TAGS
 from pdebayes.prior import BiLaplacianPrior
 
@@ -218,7 +218,7 @@ class TestSparseSolve:
     def test_diagonal_system(self):
         diag = np.array([2.0, 4.0, 5.0])
         b = np.array([2.0, 8.0, 15.0])
-        x = SpdSolver(sp.diags(diag)).solve(b)
+        x = SpdSolver(lower_band(sp.diags(diag))).solve(b)
         np.testing.assert_allclose(x, b / diag)
 
     def test_random_spd_matches_dense(self):
@@ -226,7 +226,7 @@ class TestSparseSolve:
         a = rng.standard_normal((10, 10))
         spd = a @ a.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        x = SpdSolver(sp.csr_matrix(spd)).solve(b)
+        x = SpdSolver(lower_band(sp.csr_matrix(spd))).solve(b)
         x_dense = np.linalg.solve(spd, b)
         assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-10
         assert np.linalg.norm(spd @ x - b) / np.linalg.norm(b) <= 1e-10
@@ -234,19 +234,19 @@ class TestSparseSolve:
     def test_zero_rhs(self):
         mesh = build_unit_square_mesh(3)
         k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
-        x = SpdSolver(k).solve(np.zeros(mesh.num_vertices))
+        x = SpdSolver(lower_band(k)).solve(np.zeros(mesh.num_vertices))
         assert np.all(x == 0.0)
 
     def test_indefinite_reported(self):
         indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
-            SpdSolver(indefinite)
+            SpdSolver(lower_band(indefinite))
 
     def test_block_solve_equals_column_solves(self):
         mesh = build_unit_square_mesh(4)
         k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
         b = np.random.default_rng(12).standard_normal((mesh.num_vertices, 5))
-        solver = SpdSolver(k)
+        solver = SpdSolver(lower_band(k))
         x = solver.solve(b)
         assert x.shape == b.shape
         for j in range(5):
@@ -257,16 +257,16 @@ class TestSparseSolve:
         rng = np.random.default_rng(13)
         assembler = StiffnessAssembler(mesh,
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
-        k = assembler.assemble(np.exp(rng.standard_normal(mesh.num_triangles)))
+        coeff = np.exp(rng.standard_normal(mesh.num_triangles))
         b = rng.standard_normal(mesh.num_vertices)
-        x = SpdSolver(k).solve(b)
-        x_lu = spla.splu(sp.csc_matrix(k)).solve(b)
+        x = assembler.factorize(coeff).solve(b)
+        x_lu = spla.splu(eliminated_stiffness(assembler, coeff)).solve(b)
         assert np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu) <= 1e-12
 
     def test_singular_reported(self):
         singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
-            SpdSolver(singular).solve(np.array([1.0, 2.0]))
+            SpdSolver(lower_band(singular)).solve(np.array([1.0, 2.0]))
 
     def test_deterministic_and_reusable(self):
         mesh = build_unit_square_mesh(4)
@@ -274,18 +274,49 @@ class TestSparseSolve:
         rng = np.random.default_rng(11)
         b1 = rng.standard_normal(mesh.num_vertices)
         b2 = rng.standard_normal(mesh.num_vertices)
-        solver = SpdSolver(k)
+        solver = SpdSolver(lower_band(k))
         x1a = solver.solve(b1)
         x2 = solver.solve(b2)
         x1b = solver.solve(b1)
         assert np.array_equal(x1a, x1b)
-        assert np.array_equal(x1a, SpdSolver(k).solve(b1))
+        assert np.array_equal(x1a, SpdSolver(lower_band(k)).solve(b1))
         assert np.linalg.norm(k @ x2 - b2) / np.linalg.norm(b2) <= 1e-10
 
 
-def half_bandwidth(matrix) -> int:
-    coo = sp.coo_matrix(matrix)
-    return int(np.abs(coo.row - coo.col).max())
+def eliminated_stiffness(assembler, coeff) -> sp.csc_matrix:
+    """Reference for StiffnessAssembler.assemble: the sparse stiffness with
+    the Dirichlet rows and columns zeroed and a unit diagonal there."""
+    keep = sp.diags((~assembler.is_dirichlet).astype(float))
+    k = (keep @ assemble_stiffness(assembler.mesh, coeff) @ keep
+         + sp.diags(assembler.is_dirichlet.astype(float))).tocsc()
+    k.eliminate_zeros()
+    return k
+
+
+class TestBandStorage:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_assemble_matches_eliminated_reference(self, n):
+        # At n=1 every vertex is Dirichlet and the reference is the identity.
+        mesh = build_unit_square_mesh(n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
+        band = assembler.assemble(coeff)
+        ref = lower_band(eliminated_stiffness(assembler, coeff))
+        rows = ref.shape[0]
+        assert band.shape[1] == ref.shape[1] and band.shape[0] >= rows
+        err = np.abs(band[:rows] - ref).max()
+        assert err <= 1e-14 * np.abs(ref).max()
+        assert np.all(band[rows:] == 0.0)
+
+    def test_assemble_returns_fresh_arrays(self):
+        # SpdSolver factorizes its band in place.
+        mesh = build_unit_square_mesh(4)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        coeff = np.ones(mesh.num_triangles)
+        assert not np.shares_memory(assembler.assemble(coeff),
+                                    assembler.assemble(coeff))
 
 
 class TestBandwidth:
@@ -296,8 +327,8 @@ class TestBandwidth:
         mesh = build_unit_square_mesh(n)
         assembler = StiffnessAssembler(mesh,
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
-        k = assembler.assemble(np.ones(mesh.num_triangles))
+        band = assembler.assemble(np.ones(mesh.num_triangles))
         prior = BiLaplacianPrior(mesh, gamma=0.1, delta=0.5, theta1=2.0,
                                  theta2=0.5, alpha=np.pi / 4)
-        assert half_bandwidth(k) == n + 2
-        assert half_bandwidth(prior.A) == n + 2
+        assert band.shape[0] == n + 3
+        assert lower_band(prior.A).shape[0] == n + 3

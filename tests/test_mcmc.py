@@ -173,7 +173,7 @@ class TestAcceptProbability:
         prop = mc.random_walk(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.mh_accept_prob(prop, a, b) == pytest.approx(1.0)
+        assert mc.dr_accept_prob([prop], a, [], b) == pytest.approx(1.0)
 
     def test_half_posterior_ratio(self):
         prior = DenseGaussian(np.zeros(1), np.eye(1))
@@ -182,7 +182,7 @@ class TestAcceptProbability:
         prop = mc.random_walk(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.mh_accept_prob(prop, a, b) == pytest.approx(0.5, rel=1e-12)
+        assert mc.dr_accept_prob([prop], a, [], b) == pytest.approx(0.5, rel=1e-12)
 
     def test_standard_normal_unit_step(self):
         prior = DenseGaussian(np.zeros(1), np.eye(1))
@@ -190,7 +190,7 @@ class TestAcceptProbability:
         prop = mc.random_walk(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.mh_accept_prob(prop, a, b) == pytest.approx(
+        assert mc.dr_accept_prob([prop], a, [], b) == pytest.approx(
             math.exp(-0.5), rel=1e-12)
 
     def test_no_overflow_at_extreme_log_posteriors(self):
@@ -199,8 +199,8 @@ class TestAcceptProbability:
         prop = mc.random_walk(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.mh_accept_prob(prop, a, b) == 0.0
-        assert mc.mh_accept_prob(prop, b, a) == 1.0
+        assert mc.dr_accept_prob([prop], a, [], b) == 0.0
+        assert mc.dr_accept_prob([prop], b, [], a) == 1.0
 
     def test_detailed_balance_identity(self, gauss2d):
         # pi(a) q(b|a) alpha(a->b) = pi(b) q(a|b) alpha(b->a), every proposal.
@@ -212,9 +212,9 @@ class TestAcceptProbability:
                 a = target.make_state(rng.standard_normal(2))
                 b = target.make_state(rng.standard_normal(2))
                 lhs = (a.log_posterior + prop.log_density(a, b.m)
-                       + mc.mh_accept_log_prob(prop, a, b))
+                       + mc.dr_accept_log_prob([prop], a, [], b))
                 rhs = (b.log_posterior + prop.log_density(b, a.m)
-                       + mc.mh_accept_log_prob(prop, b, a))
+                       + mc.dr_accept_log_prob([prop], b, [], a))
                 assert lhs == pytest.approx(rhs, rel=1e-12), name
 
 
@@ -242,26 +242,11 @@ class TestThreeStateEnumeration:
             for j in range(3):
                 if i == j:
                     continue
-                alpha = mc.mh_accept_prob(prop, chain_states[i], chain_states[j])
+                alpha = mc.dr_accept_prob([prop], chain_states[i], [], chain_states[j])
                 t[i, j] = table[i, j] * alpha
             t[i, i] = 1.0 - t[i].sum()
         pi = self.stationary(t)
         np.testing.assert_allclose(pi, [0.5, 0.3, 0.2], atol=1e-12)
-
-    def test_dr_reduces_to_mh_at_stage_one(self):
-        target, states = three_state_target()
-        table = np.array([[0.2, 0.5, 0.3],
-                          [0.4, 0.1, 0.5],
-                          [0.25, 0.45, 0.3]])
-        prop = TableProposal(states, table)
-        chain_states = [target.make_state(np.array([s])) for s in states]
-        for i in range(3):
-            for j in range(3):
-                assert mc.dr_accept_prob(
-                    [prop], chain_states[i], [], chain_states[j]
-                ) == pytest.approx(
-                    mc.mh_accept_prob(prop, chain_states[i], chain_states[j]),
-                    rel=1e-14)
 
     def test_two_stage_dr_exact_stationary(self):
         target, states = three_state_target()
@@ -471,7 +456,7 @@ class TestHpcnAcceptanceRatioDense:
         for _ in range(5):
             a = target.make_state(prior.sample(rng))
             b = target.make_state(laplace.sample(rng))
-            ours = mc.mh_accept_log_prob(prop, a, b)
+            ours = mc.dr_accept_log_prob([prop], a, [], b)
             dense = min(0.0, dense_logpost(b.m) - dense_logpost(a.m)
                         + dense_logq(b.m, a.m) - dense_logq(a.m, b.m))
             assert ours == pytest.approx(dense, abs=1e-8)

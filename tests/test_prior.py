@@ -144,6 +144,15 @@ class TestOperatorActions:
         w = prior4.apply_cov_factor(prior4.apply_cov_factor_inv(v))
         assert np.linalg.norm(w - v) / np.linalg.norm(v) < 1e-10
 
+    @pytest.mark.parametrize("cols", [0, 1, 7])
+    def test_block_actions_equal_column_loop(self, prior4, cols):
+        block = np.random.default_rng(10).standard_normal((prior4.dim, cols))
+        for action in (prior4.apply_precision, prior4.apply_cov_factor_inv):
+            loop = np.zeros((prior4.dim, cols))
+            for j in range(cols):
+                loop[:, j] = action(block[:, j])
+            assert np.array_equal(action(block), loop)
+
 
 class TestSampling:
     def test_reproducible(self, prior4):
