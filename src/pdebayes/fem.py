@@ -48,10 +48,6 @@ class Mesh:
         idx = [self.boundary_edges[t].ravel() for t in sorted(set(tags))]
         return np.unique(np.concatenate(idx))
 
-    def centroid_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate a P1 nodal field at triangle centroids."""
-        return coeffs[self.triangles].mean(axis=1)
-
     def interpolate(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate a P1 nodal field at arbitrary points in [0,1]^2."""
         op = point_observation_operator(self, points)
@@ -288,33 +284,59 @@ class SpdSolver:
 class StiffnessAssembler:
     """Fast repeated stiffness assembly with Dirichlet elimination.
 
-    Precomputes the geometric element blocks and the position of every
-    scattered lower-triangle entry in LAPACK lower band storage for a fixed
-    mesh and Dirichlet vertex set, so that assembling the operator for a new
-    per-triangle coefficient costs a few vectorized passes. Rows and columns
-    of Dirichlet vertices are eliminated symmetrically (unit diagonal) to
-    keep the factorization SPD.
+    Precomputes, for a fixed mesh and Dirichlet vertex set, the geometric
+    lower-triangle element entries with their positions in LAPACK lower band
+    storage, so that assembling the operator for a new per-triangle
+    coefficient costs a few vectorized passes. Rows and columns of Dirichlet
+    vertices are eliminated symmetrically (unit diagonal) to keep the
+    factorization SPD.
+
+    Also holds the fixed sparse (CSR) operators of the P1 space, on which
+    the stiffness action and the derivative forms of the Poisson model are
+    a few sparse products:
+      G   (2T, N)  gradient: row t is d/dx on triangle t, row T+t is d/dy;
+      GT  (N, 2T)  its transpose;
+      P   (N, T)   vertex scatter with area_t/3 at the three vertices of t;
+      C   (T, N)   ones at the three vertices of t (centroid_values is C x / 3).
     """
 
     def __init__(self, mesh: Mesh, dirichlet_vertices: np.ndarray):
         self.mesh = mesh
         nv = mesh.num_vertices
+        nt = mesh.num_triangles
         self.dirichlet = np.asarray(dirichlet_vertices, dtype=np.int64)
         is_dir = np.zeros(nv, dtype=bool)
         is_dir[self.dirichlet] = True
         self.is_dirichlet = is_dir
 
         tris = mesh.triangles
-        self._geo = np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
-        self._geo *= mesh.areas[:, None, None]
-        self._rows = np.repeat(tris, 3, axis=1).ravel()
-        self._cols = np.tile(tris, (1, 3)).ravel()
+        flat = tris.ravel()
+        ptr3 = np.arange(0, 3 * nt + 1, 3)          # three entries per triangle
+        self.G = sp.csr_matrix(
+            (np.concatenate([mesh.grads[:, :, 0].ravel(),
+                             mesh.grads[:, :, 1].ravel()]),
+             np.concatenate([flat, flat]), np.arange(0, 6 * nt + 1, 3)),
+            shape=(2 * nt, nv))
+        self.GT = self.G.T.tocsr()
+        self.P = sp.csc_matrix((np.repeat(mesh.areas / 3.0, 3), flat, ptr3),
+                               shape=(nv, nt)).tocsr()
+        self.C = sp.csr_matrix((np.ones(3 * nt), flat, ptr3), shape=(nt, nv))
+        self._areas2 = np.concatenate([mesh.areas, mesh.areas])
+
+        # Lower-triangle entries (i >= j) of the element blocks, with the
+        # triangle each belongs to.
+        geo = np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
+        geo *= mesh.areas[:, None, None]
+        rows = np.repeat(tris, 3, axis=1).ravel()
+        cols = np.tile(tris, (1, 3)).ravel()
+        lower = rows >= cols
+        self._geo_lower = geo.ravel()[lower]
+        self._tri_lower = np.repeat(np.arange(nt), 9)[lower]
+        rows = rows[lower]
+        cols = cols[lower]
 
         # A[i, j] with i >= j sits at ab[i - j, j] of the Fortran-ordered
         # (kd+1, N) band, flat position (i - j) + j*(kd + 1).
-        self._lower = self._rows >= self._cols
-        rows = self._rows[self._lower]
-        cols = self._cols[self._lower]
         offsets = rows - cols
         kd = int(offsets.max())
         self._band_shape = (kd + 1, nv)
@@ -323,20 +345,26 @@ class StiffnessAssembler:
         self._zero_pos = self._band_pos[touched]
         self._unit_pos = np.flatnonzero(is_dir) * (kd + 1)
 
-    def entry_values(self, coeff: np.ndarray) -> np.ndarray:
-        """Raw scattered entries (before elimination) for a per-triangle coefficient."""
-        return (self._geo * coeff[:, None, None]).ravel()
+    def centroid_values(self, coeffs: np.ndarray) -> np.ndarray:
+        """Evaluate a P1 nodal field at triangle centroids.
+
+        Sums the three vertex values in triangle order, then divides by 3,
+        so the result equals coeffs[triangles].mean(axis=1) bit for bit.
+        """
+        return (self.C @ coeffs) / 3.0
+
+    def gradient_weights(self, coeff: np.ndarray) -> np.ndarray:
+        """area * coeff per triangle, stacked twice to match the rows of G."""
+        return self._areas2 * np.concatenate([coeff, coeff])
 
     def matvec_full(self, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Action of the uneliminated stiffness matrix on x."""
-        vals = self.entry_values(coeff)
-        return np.bincount(self._rows, weights=vals * x[self._cols],
-                           minlength=self.mesh.num_vertices)
+        """Action of the uneliminated stiffness matrix on x: G^T (w * G x)."""
+        return self.GT @ (self.gradient_weights(coeff) * (self.G @ x))
 
     def assemble(self, coeff: np.ndarray) -> np.ndarray:
         """Eliminated stiffness for a per-triangle coefficient, in LAPACK
         lower band storage (a new array on every call)."""
-        vals = self.entry_values(coeff)[self._lower]
+        vals = self._geo_lower * coeff[self._tri_lower]
         band = np.bincount(self._band_pos, weights=vals,
                            minlength=self._band_shape[0] * self._band_shape[1])
         band[self._zero_pos] = 0.0

@@ -71,6 +71,9 @@ class ObservedProblem:
         self.sigma = float(sigma)
         self.obs_points = np.atleast_2d(np.asarray(obs_points, dtype=float))
         self.obs_op = point_observation_operator(mesh, self.obs_points)
+        # Every adjoint and incremental right-hand side applies the transpose;
+        # kept as CSR so that no call builds a transposed view.
+        self.obs_op_t = self.obs_op.T.tocsr()
         self.assembler = StiffnessAssembler(
             mesh, mesh.boundary_vertices(DIRICHLET_TAGS))
         self.counter = SolveCounter()
@@ -107,11 +110,21 @@ class ObservedProblem:
         return self.evaluate(m).gradient()
 
 
+def _triangle_dot(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """Per-triangle dot product of two gradients stacked as the rows of G."""
+    prod = ga * gb
+    nt = prod.size // 2
+    return prod[:nt] + prod[nt:]
+
+
 class PoissonState:
     """Model evaluation at a fixed parameter: forward solution and caches.
 
     Owns the factorization of the stiffness operator at this parameter, so
-    the adjoint and all Hessian actions at the same point reuse it.
+    the adjoint and all Hessian actions at the same point reuse it. The
+    per-triangle gradients G u and G p of the state and the adjoint are
+    formed on first use and kept; sampling steps that only need the cost
+    never form them.
     """
 
     def __init__(self, problem: "PoissonProblem", m: np.ndarray):
@@ -121,7 +134,7 @@ class PoissonState:
             raise ValueError("parameter field has wrong length")
         if not np.all(np.isfinite(self.m)):
             raise ModelEvaluationError("parameter field contains non-finite entries")
-        self.coeff = np.exp(problem.mesh.centroid_values(self.m))
+        self.coeff = np.exp(problem.assembler.centroid_values(self.m))
         if not np.all(np.isfinite(self.coeff)):
             raise ModelEvaluationError("exp(m) overflowed at a quadrature point")
         try:
@@ -142,17 +155,25 @@ class PoissonState:
     @property
     def adjoint(self) -> np.ndarray:
         if self._p is None:
-            rhs = -(self.problem.obs_op.T @ (self.residual / self.problem.sigma**2))
+            rhs = -(self.problem.obs_op_t @ (self.residual / self.problem.sigma**2))
             rhs[self.problem.assembler.is_dirichlet] = 0.0
             self._p = self.solver.solve(rhs)
             self.problem.counter.adjoint += 1
         return self._p
 
+    @cached_property
+    def grad_u(self) -> np.ndarray:
+        return self.problem.assembler.G @ self.u
+
+    @cached_property
+    def grad_p(self) -> np.ndarray:
+        return self.problem.assembler.G @ self.adjoint
+
     def gradient(self) -> np.ndarray:
         """Misfit gradient: entries <phi_j e^m grad u . grad p>."""
         if self._grad is None:
-            self._grad = self.problem.weighted_gradient_form(
-                self.coeff, self.u, self.adjoint)
+            self._grad = self.problem.assembler.P @ (
+                self.coeff * _triangle_dot(self.grad_u, self.grad_p))
         return self._grad
 
     # -- Hessian action ---------------------------------------------------
@@ -160,35 +181,34 @@ class PoissonState:
     def hessian_action(self, mhat: np.ndarray, gauss_newton: bool = False) -> np.ndarray:
         """Data-misfit Hessian (or its Gauss-Newton part) applied to mhat."""
         pr = self.problem
-        mhat_c = pr.mesh.centroid_values(np.asarray(mhat, dtype=float))
-        cm = self.coeff * mhat_c
+        asm = pr.assembler
+        mhat_c = asm.centroid_values(np.asarray(mhat, dtype=float))
+        w = asm.gradient_weights(self.coeff * mhat_c)
 
-        rhs = -pr.assembler.matvec_full(cm, self.u)
-        rhs[pr.assembler.is_dirichlet] = 0.0
+        rhs = -(asm.GT @ (w * self.grad_u))
+        rhs[asm.is_dirichlet] = 0.0
         uhat = self.solver.solve(rhs)
 
-        rhs = -(pr.obs_op.T @ (pr.observe(uhat) / pr.sigma**2))
+        rhs = -(pr.obs_op_t @ (pr.observe(uhat) / pr.sigma**2))
         if not gauss_newton:
-            rhs -= pr.assembler.matvec_full(cm, self.adjoint)
-        rhs[pr.assembler.is_dirichlet] = 0.0
+            rhs -= asm.GT @ (w * self.grad_p)
+        rhs[asm.is_dirichlet] = 0.0
         phat = self.solver.solve(rhs)
         pr.counter.incremental += 2
 
-        out = pr.weighted_gradient_form(self.coeff, self.u, phat)
+        per_tri = _triangle_dot(self.grad_u, asm.G @ phat)
         if not gauss_newton:
-            out += pr.weighted_gradient_form(self.coeff, uhat, self.adjoint)
-            out += pr.weighted_gradient_form(self.coeff * mhat_c, self.u, self.adjoint)
-        return out
+            per_tri += _triangle_dot(asm.G @ uhat, self.grad_p)
+            per_tri += mhat_c * _triangle_dot(self.grad_u, self.grad_p)
+        return asm.P @ (self.coeff * per_tri)
 
     # -- quantity of interest ---------------------------------------------
 
     def qoi(self) -> float:
         """Log of the outward flux magnitude through the bottom boundary."""
         pr = self.problem
-        gu = np.einsum("ei,eid->ed", self.u[pr.mesh.triangles[pr.bottom_tris]],
-                       pr.mesh.grads[pr.bottom_tris])
         flux = float(np.sum(pr.bottom_lengths * self.coeff[pr.bottom_tris]
-                            * (-gu[:, 1])))
+                            * (-(pr.bottom_grad_y @ self.u))))
         if -flux <= 0.0:
             raise NonPositiveFluxError(f"bottom flux {flux:g} has no log")
         return float(np.log(-flux))
@@ -207,18 +227,9 @@ class PoissonProblem(ObservedProblem):
         # bottom edge of cell ix is the first edge of its lower triangle 2*ix.
         bottom = mesh.boundary_edges["bottom"]
         self.bottom_tris = 2 * np.arange(mesh.n, dtype=np.int64)
+        self.bottom_grad_y = self.assembler.G[mesh.num_triangles + self.bottom_tris]
         self.bottom_lengths = np.linalg.norm(
             mesh.vertices[bottom[:, 1]] - mesh.vertices[bottom[:, 0]], axis=1)
-
-    def weighted_gradient_form(self, coeff, u, p) -> np.ndarray:
-        """Assemble the vector with entries <phi_j coeff grad u . grad p>."""
-        mesh = self.mesh
-        gu = np.einsum("ti,tid->td", u[mesh.triangles], mesh.grads)
-        gp = np.einsum("ti,tid->td", p[mesh.triangles], mesh.grads)
-        per_tri = (mesh.areas / 3.0) * coeff * np.sum(gu * gp, axis=1)
-        out = np.zeros(mesh.num_vertices)
-        np.add.at(out, mesh.triangles.ravel(), np.repeat(per_tri, 3))
-        return out
 
     # -- model interface ---------------------------------------------------
 
@@ -229,7 +240,7 @@ class PoissonProblem(ObservedProblem):
 
     def solve_forward(self, m: np.ndarray) -> np.ndarray:
         """Forward solution only; usable before data is attached."""
-        coeff = np.exp(self.mesh.centroid_values(np.asarray(m, dtype=float)))
+        coeff = np.exp(self.assembler.centroid_values(np.asarray(m, dtype=float)))
         solver = self.assembler.factorize(coeff)
         rhs = self.assembler.lifted_rhs(coeff, self.dirichlet_values)
         self.counter.forward += 1
@@ -272,7 +283,7 @@ class LinearizedState:
     def gradient(self) -> np.ndarray:
         if self._grad is None:
             pr = self.problem
-            rhs = pr.obs_op.T @ (self.residual / pr.sigma**2)
+            rhs = pr.obs_op_t @ (self.residual / pr.sigma**2)
             rhs[pr.assembler.is_dirichlet] = 0.0
             w = pr.solver.solve(rhs)
             pr.counter.adjoint += 1
@@ -282,7 +293,7 @@ class LinearizedState:
     def hessian_action(self, mhat: np.ndarray, gauss_newton: bool = False) -> np.ndarray:
         pr = self.problem
         uhat = pr.solve_forward(np.asarray(mhat, dtype=float), count="incremental")
-        rhs = pr.obs_op.T @ (pr.observe(uhat) / pr.sigma**2)
+        rhs = pr.obs_op_t @ (pr.observe(uhat) / pr.sigma**2)
         rhs[pr.assembler.is_dirichlet] = 0.0
         what = pr.solver.solve(rhs)
         pr.counter.incremental += 1

@@ -133,10 +133,14 @@ class DenseGaussian:
         self.cov = np.asarray(cov, dtype=float)
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise ValueError("covariance shape does not match the mean")
+        if not np.isfinite(self.cov).all():
+            raise ValueError("array must not contain infs or NaNs")
         self._chol = np.linalg.cholesky(self.cov)
-        self._cho_lower, _ = scipy.linalg.cho_factor(self.cov, lower=True)
         # Samplers call apply_precision on every step; LAPACK potrs directly
-        # gives cho_solve's result without its per-call wrapper overhead.
+        # gives cho_solve's result without its per-call wrapper overhead. It
+        # reads only the lower triangle, and takes a Fortran-ordered factor
+        # without copying it.
+        self._cho_lower = np.asfortranarray(self._chol)
         self._potrs, = scipy.linalg.lapack.get_lapack_funcs(
             ("potrs",), (self._cho_lower,))
 

@@ -2,10 +2,14 @@
 
 Deliberately independent of the library code paths: plain loops over
 elements instead of vectorized scatter, numpy.linalg instead of sparse
-factorizations, and direct transcriptions of the diagnostic formulas.
+factorizations, and direct transcriptions of the diagnostic formulas. The
+Poisson derivative forms are checked against element gathers and the
+assembled sparse stiffness (itself checked against the loop assembly).
 """
 
 import numpy as np
+
+from pdebayes.fem import assemble_stiffness
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,47 @@ def dense_poisson_solve(mesh, m, dirichlet_values, dirichlet_idx):
     rhs = -k[np.ix_(free, dirichlet_idx)] @ u[dirichlet_idx]
     u[free] = np.linalg.solve(k[np.ix_(free, free)], rhs)
     return u
+
+
+# ---------------------------------------------------------------------------
+# Element-gather references for the Poisson derivative forms
+# ---------------------------------------------------------------------------
+
+def weighted_gradient_form(mesh, coeff, u, p):
+    """Vector with entries <phi_j coeff grad u . grad p>: per-triangle
+    gradients gathered with einsum, scattered with np.add.at."""
+    gu = np.einsum("ti,tid->td", u[mesh.triangles], mesh.grads)
+    gp = np.einsum("ti,tid->td", p[mesh.triangles], mesh.grads)
+    per_tri = (mesh.areas / 3.0) * coeff * np.sum(gu * gp, axis=1)
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.triangles.ravel(), np.repeat(per_tri, 3))
+    return out
+
+
+def reference_hessian_action(state, mhat, gauss_newton=False):
+    """Poisson misfit Hessian action from the element-gather forms and the
+    assembled sparse stiffness, reusing the state's factorization."""
+    pr = state.problem
+    mesh = pr.mesh
+    is_dir = pr.assembler.is_dirichlet
+    mhat_c = mhat[mesh.triangles].mean(axis=1)
+    cm = state.coeff * mhat_c
+    k_cm = assemble_stiffness(mesh, cm)
+
+    rhs = -(k_cm @ state.u)
+    rhs[is_dir] = 0.0
+    uhat = state.solver.solve(rhs)
+    rhs = -(pr.obs_op.T @ (pr.observe(uhat) / pr.sigma**2))
+    if not gauss_newton:
+        rhs -= k_cm @ state.adjoint
+    rhs[is_dir] = 0.0
+    phat = state.solver.solve(rhs)
+
+    out = weighted_gradient_form(mesh, state.coeff, state.u, phat)
+    if not gauss_newton:
+        out += weighted_gradient_form(mesh, state.coeff, uhat, state.adjoint)
+        out += weighted_gradient_form(mesh, cm, state.u, state.adjoint)
+    return out
 
 
 # ---------------------------------------------------------------------------

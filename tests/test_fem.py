@@ -309,6 +309,30 @@ class TestBandStorage:
         assert err <= 1e-14 * np.abs(ref).max()
         assert np.all(band[rows:] == 0.0)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_assemble_equals_full_product_band(self, n):
+        # Reference: all 9 entries of every element block formed as
+        # _geo * coeff, then the lower triangle scattered into the band.
+        mesh = build_unit_square_mesh(n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
+        geo = np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
+        geo *= mesh.areas[:, None, None]
+        rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+        cols = np.tile(mesh.triangles, (1, 3)).ravel()
+        lower = rows >= cols
+        vals = (geo * coeff[:, None, None]).ravel()[lower]
+        rows, cols = rows[lower], cols[lower]
+        band = np.zeros(assembler.assemble(coeff).shape, order="F")
+        np.add.at(band, (rows - cols, cols), vals)
+        is_dir = assembler.is_dirichlet
+        band[:, is_dir] = 0.0
+        band[0, is_dir] = 1.0
+        off = (is_dir[rows] & (rows > cols))
+        band[(rows - cols)[off], cols[off]] = 0.0
+        assert np.array_equal(assembler.assemble(coeff), band)
+
     def test_assemble_returns_fresh_arrays(self):
         # SpdSolver factorizes its band in place.
         mesh = build_unit_square_mesh(4)
@@ -317,6 +341,29 @@ class TestBandStorage:
         coeff = np.ones(mesh.num_triangles)
         assert not np.shares_memory(assembler.assemble(coeff),
                                     assembler.assemble(coeff))
+
+
+class TestSparseOperators:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_matvec_full_matches_assembled_stiffness(self, n):
+        mesh = build_unit_square_mesh(n)
+        rng = np.random.default_rng(40 + n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        coeff = np.exp(rng.standard_normal(mesh.num_triangles))
+        x = rng.standard_normal(mesh.num_vertices)
+        ref = assemble_stiffness(mesh, coeff) @ x
+        err = np.linalg.norm(assembler.matvec_full(coeff, x) - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_centroid_values_equal_vertex_mean(self, n):
+        mesh = build_unit_square_mesh(n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        coeffs = np.random.default_rng(50 + n).standard_normal(mesh.num_vertices)
+        assert np.array_equal(assembler.centroid_values(coeffs),
+                              coeffs[mesh.triangles].mean(axis=1))
 
 
 class TestBandwidth:

@@ -8,7 +8,8 @@ from pdebayes.models import (DIRICHLET_TAGS, LinearizedPoissonProblem,
                              NonPositiveFluxError, PoissonProblem,
                              generate_synthetic_data)
 
-from helpers import dense_poisson_solve, dense_stiffness
+from helpers import (dense_poisson_solve, dense_stiffness,
+                     reference_hessian_action, weighted_gradient_form)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,56 @@ class TestDerivatives:
         g = state.gradient()
         step = 1e-3 / np.linalg.norm(g)
         assert problem.misfit_cost(m0 - step * g) < state.cost
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestSparseDerivativeForms:
+    """The sparse-operator gradient and Hessian actions against the
+    element-gather references."""
+
+    @pytest.fixture(params=[1, 3, 8])
+    def state_and_dir(self, request):
+        n = request.param
+        rng = np.random.default_rng(30 + n)
+        mesh = build_unit_square_mesh(n)
+        pts = rng.uniform(0.05, 0.95, size=(12, 2))
+        problem = PoissonProblem(mesh, pts, sigma=0.05)
+        m = 0.5 * rng.standard_normal(problem.dim)
+        u = problem.solve_forward(m)
+        problem.set_data(problem.observe(u)
+                         + 0.05 * rng.standard_normal(pts.shape[0]))
+        return problem.evaluate(m), rng.standard_normal(problem.dim)
+
+    def test_gradient_matches_reference(self, state_and_dir):
+        state, _ = state_and_dir
+        ref = weighted_gradient_form(state.problem.mesh, state.coeff,
+                                     state.u, state.adjoint)
+        assert rel_err(state.gradient(), ref) <= 1e-12
+
+    @pytest.mark.parametrize("gauss_newton", [False, True])
+    def test_action_matches_reference(self, state_and_dir, gauss_newton):
+        state, v = state_and_dir
+        ref = reference_hessian_action(state, v, gauss_newton)
+        assert rel_err(state.hessian_action(v, gauss_newton), ref) <= 1e-12
+
+    def test_repeated_actions_are_identical(self, state_and_dir):
+        # The cached state gradients must never be modified by an action.
+        state, v = state_and_dir
+        fresh = state.problem.evaluate(state.m)
+        full0 = fresh.hessian_action(v)
+        gn0 = fresh.hessian_action(v, gauss_newton=True)
+        gn = state.hessian_action(v, gauss_newton=True)
+        grad_u, grad_p = state.grad_u.copy(), state.grad_p.copy()
+        full1 = state.hessian_action(v)
+        full2 = state.hessian_action(v)
+        assert np.array_equal(gn, gn0)
+        assert np.array_equal(full1, full0)
+        assert np.array_equal(full2, full0)
+        assert np.array_equal(state.grad_u, grad_u)
+        assert np.array_equal(state.grad_p, grad_p)
 
 
 class TestSyntheticData:

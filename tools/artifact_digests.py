@@ -1,0 +1,79 @@
+"""Artifact digests of a small fixed config matrix, for comparing commits.
+
+Runs pdebayes.driver.run_experiment for every MCMC method under both model
+kinds at mesh n=8, 30 observations, eig.k 20 + 10 oversampling, 2 chains of
+80 samples and 6 projected coordinates, each in a temporary directory. Prints
+one line per config:
+
+    <model.kind> <mcmc.method> <sha256>
+
+where the digest covers the name and bytes of every artifact except
+config_used.txt (which names the output directory). A config that raises
+prints its exception type instead of a digest, and its traceback to stderr.
+Run it on two checkouts and diff the outputs:
+
+    python3 tools/artifact_digests.py > a.txt
+    python3 tools/artifact_digests.py --src /path/to/other/src > b.txt
+    diff a.txt b.txt
+
+Set OPENBLAS_NUM_THREADS=1 (or the thread count of the other run): a
+different BLAS thread count can change the last digits of reported floats.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+import traceback
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SETTINGS = {
+    "mesh_n": 8,
+    "data_count": 30,
+    "eig_k": 20,
+    "eig_oversampling": 10,
+    "mcmc_chains": 2,
+    "mcmc_samples": 80,
+    "mcmc_project_dim": 6,
+}
+
+
+def digest(art_dir: str) -> str:
+    sha = hashlib.sha256()
+    for name in sorted(set(os.listdir(art_dir)) - {"config_used.txt"}):
+        sha.update(name.encode() + b"\0")
+        with open(os.path.join(art_dir, name), "rb") as fh:
+            sha.update(fh.read())
+    return sha.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
+                        help="directory that holds the pdebayes package "
+                             "(default: src/ of this checkout)")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from pdebayes.config import METHODS, MODEL_KINDS, ExperimentConfig
+    from pdebayes.driver import run_experiment
+
+    for kind in MODEL_KINDS:
+        for method in METHODS:
+            cfg = ExperimentConfig(model_kind=kind, mcmc_method=method, **SETTINGS)
+            with tempfile.TemporaryDirectory() as out_dir:
+                try:
+                    run_experiment(cfg, out_dir)
+                    result = digest(out_dir)
+                except Exception as exc:
+                    # One failing config must not hide the others' digests.
+                    traceback.print_exc()
+                    result = f"error:{type(exc).__name__}"
+            print(f"{kind} {method} {result}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
