@@ -42,6 +42,12 @@ def _fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
+def _write_lines(path: str, lines) -> None:
+    """Write an artifact: each line of the iterable ends with a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def build_prior_for(cfg: ExperimentConfig, mesh) -> BiLaplacianPrior:
     return BiLaplacianPrior(
         mesh, cfg.prior_gamma, cfg.prior_delta,
@@ -108,14 +114,13 @@ def write_chain_csv(record: mcmc.ChainRecord, path: str) -> None:
     k = record.coords.shape[1]
     cols = ["iter", "accepted", "log_posterior", "qoi"] + [
         f"c_{j + 1}" for j in range(k)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed={record.seed}, kernel={record.kernel_name}\n")
-        fh.write(",".join(cols) + "\n")
-        for i in range(record.n_steps):
-            row = [str(i), str(int(record.accepted[i])),
-                   _fmt(record.log_posterior[i]), _fmt(record.qoi[i])]
-            row.extend(_fmt(v) for v in record.coords[i])
-            fh.write(",".join(row) + "\n")
+    lines = [f"# seed={record.seed}, kernel={record.kernel_name}", ",".join(cols)]
+    for i in range(record.n_steps):
+        row = [str(i), str(int(record.accepted[i])),
+               _fmt(record.log_posterior[i]), _fmt(record.qoi[i])]
+        row.extend(_fmt(v) for v in record.coords[i])
+        lines.append(",".join(row))
+    _write_lines(path, lines)
 
 
 def read_chain_csv(path: str):
@@ -129,12 +134,8 @@ def read_chain_csv(path: str):
 
 def write_report(entries: dict, path: str) -> None:
     """Report as `key = value` lines with stable ordering."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in entries.items():
-            if isinstance(value, float):
-                fh.write(f"{key} = {_fmt(value)}\n")
-            else:
-                fh.write(f"{key} = {value}\n")
+    _write_lines(path, (f"{key} = {_fmt(value) if isinstance(value, float) else value}"
+                        for key, value in entries.items()))
 
 
 def read_report(path: str) -> dict:
@@ -148,40 +149,32 @@ def read_report(path: str) -> dict:
 
 
 def _write_field(path: str, values: np.ndarray, header: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {header}\n")
-        for v in values:
-            fh.write(_fmt(v) + "\n")
+    _write_lines(path, [f"# {header}"] + [_fmt(v) for v in values])
 
 
 def _write_qoi_tables(out_dir: str, ensemble: ChainEnsemble, max_lag: int = 500):
     qoi = ensemble.qoi
     finite = np.isfinite(qoi)
-    acf_path = os.path.join(out_dir, "acf_qoi.txt")
+    acf = ["# lag rho"]
     if finite.all():
         shaped = qoi[:, :, None]
         w, b = within_between_cov(shaped)
         vh = float(vhat(w, b, qoi.shape[1], qoi.shape[0])[0, 0])
-        lags = range(0, min(max_lag, qoi.shape[1] - 1) + 1)
-        with open(acf_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# lag rho\n")
-            for t in lags:
-                if vh > 0:
-                    fh.write(f"{t} {_fmt(acf_estimate(shaped, 0, t, vhat_ii=vh))}\n")
+        if vh > 0:
+            acf += [f"{t} {_fmt(acf_estimate(shaped, 0, t, vhat_ii=vh))}"
+                    for t in range(0, min(max_lag, qoi.shape[1] - 1) + 1)]
     else:
-        with open(acf_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# lag rho\n# skipped: QoI contains failed samples\n")
+        acf.append("# skipped: QoI contains failed samples")
+    _write_lines(os.path.join(out_dir, "acf_qoi.txt"), acf)
 
-    hist_path = os.path.join(out_dir, "hist_qoi.txt")
+    hist = ["# bin_lo bin_hi count density"]
     values = qoi[finite]
-    with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# bin_lo bin_hi count density\n")
-        if values.size:
-            counts, edges = np.histogram(values, bins=50, density=False)
-            width = edges[1] - edges[0]
-            total = values.size
-            for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-                fh.write(f"{_fmt(lo)} {_fmt(hi)} {c} {_fmt(c / (total * width))}\n")
+    if values.size:
+        counts, edges = np.histogram(values, bins=50, density=False)
+        width = edges[1] - edges[0]
+        hist += [f"{_fmt(lo)} {_fmt(hi)} {c} {_fmt(c / (values.size * width))}"
+                 for c, lo, hi in zip(counts, edges[:-1], edges[1:])]
+    _write_lines(os.path.join(out_dir, "hist_qoi.txt"), hist)
 
 
 def _oracle_check(problem, prior, laplace, map_m, rng) -> dict:
@@ -212,9 +205,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_used.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(cfg))
+    _write_lines(os.path.join(out_dir, "config_used.txt"),
+                 serialize(cfg).splitlines())
 
     stage = "setup"
     try:
@@ -227,11 +219,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         problem = PROBLEMS[cfg.model_kind](mesh, points, cfg.data_sigma, data)
         _write_field(os.path.join(out_dir, "truth.txt"), m_true,
                      f"truth field, mesh n={n_truth}")
-        with open(os.path.join(out_dir, "data.txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("# x y value\n")
-            for (x, y), v in zip(points, data):
-                fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(v)}\n")
+        _write_lines(os.path.join(out_dir, "data.txt"), ["# x y value"] + [
+            f"{_fmt(x)} {_fmt(y)} {_fmt(v)}" for (x, y), v in zip(points, data)])
 
         stage = "map"
         newton_cfg = NewtonConfig(
@@ -252,11 +241,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             lambda v: map_state.hessian_action(v, gauss_newton=False),
             prior, k=cfg.eig_k, p=cfg.eig_oversampling,
             rng=np.random.default_rng(cfg.eig_seed))
-        with open(os.path.join(out_dir, "eigenvalues.txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("# index eigenvalue\n")
-            for i, lv in enumerate(lam, start=1):
-                fh.write(f"{i} {_fmt(lv)}\n")
+        _write_lines(os.path.join(out_dir, "eigenvalues.txt"),
+                     ["# index eigenvalue"] + [
+                         f"{i} {_fmt(lv)}" for i, lv in enumerate(lam, start=1)])
         laplace = LaplaceApprox.from_spectrum(prior, map_result.m, lam, vecs,
                                               threshold=cfg.eig_threshold)
 

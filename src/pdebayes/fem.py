@@ -357,10 +357,6 @@ class StiffnessAssembler:
         """area * coeff per triangle, stacked twice to match the rows of G."""
         return self._areas2 * np.concatenate([coeff, coeff])
 
-    def matvec_full(self, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Action of the uneliminated stiffness matrix on x: G^T (w * G x)."""
-        return self.GT @ (self.gradient_weights(coeff) * (self.G @ x))
-
     def assemble(self, coeff: np.ndarray) -> np.ndarray:
         """Eliminated stiffness for a per-triangle coefficient, in LAPACK
         lower band storage (a new array on every call)."""
@@ -373,14 +369,3 @@ class StiffnessAssembler:
 
     def factorize(self, coeff: np.ndarray) -> SpdSolver:
         return SpdSolver(self.assemble(coeff))
-
-    def lifted_rhs(self, coeff: np.ndarray, dirichlet_values: np.ndarray) -> np.ndarray:
-        """Right-hand side with Dirichlet lifting.
-
-        dirichlet_values is a full-length vector that is nonzero only where
-        the solution is prescribed; the returned rhs solves the eliminated
-        system so that x equals the prescribed values on Dirichlet vertices.
-        """
-        b = -self.matvec_full(coeff, dirichlet_values)
-        b[self.is_dirichlet] = dirichlet_values[self.is_dirichlet]
-        return b

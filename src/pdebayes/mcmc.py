@@ -159,40 +159,7 @@ def inf_mala(reference, h: float, prior=None) -> DimensionRobustLangevinProposal
 
 
 # ---------------------------------------------------------------------------
-# Metropolis-Hastings
-# ---------------------------------------------------------------------------
-
-class MHKernel:
-    """Single-proposal Metropolis-Hastings transition kernel.
-
-    Its acceptance rule is the delayed-rejection rule at stage 1.
-    """
-
-    n_stages = 1
-
-    def __init__(self, proposal):
-        self.proposals = [proposal]
-
-    @property
-    def proposal(self):
-        return self.proposals[0]
-
-    def step(self, target, current: ChainState, rng: np.random.Generator):
-        """One transition: (state, CSV code, attempted, accepted); see run_chain."""
-        attempted = np.ones(1, dtype=np.int64)
-        try:
-            proposed = target.make_state(self.proposal.sample(current, rng))
-            log_alpha = dr_accept_log_prob([self.proposal], current, [], proposed)
-        except TargetEvaluationError as exc:
-            logger.warning("model failure at proposed point: %s", exc)
-            return current, 0, attempted, np.zeros(1, dtype=np.int64)
-        if math.log(max(rng.random(), 1e-300)) < log_alpha:
-            return proposed, 1, attempted, np.ones(1, dtype=np.int64)
-        return current, 0, attempted, np.zeros(1, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Delayed rejection
+# Delayed rejection, and Metropolis-Hastings as its one-stage case
 # ---------------------------------------------------------------------------
 
 def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
@@ -234,6 +201,17 @@ def dr_accept_prob(proposals, current, rejected, proposed) -> float:
     return math.exp(dr_accept_log_prob(proposals, current, rejected, proposed))
 
 
+def _accept(rng: np.random.Generator, log_alpha: float) -> bool:
+    """The Metropolis test: accept with probability exp(min(0, log_alpha)).
+
+    A NaN ratio rejects without drawing from rng, with a warning.
+    """
+    if math.isnan(log_alpha):
+        logger.warning("NaN acceptance ratio; rejecting the proposed point")
+        return False
+    return math.log(max(rng.random(), 1e-300)) < log_alpha
+
+
 class DRKernel:
     """Delayed rejection through an ordered sequence of proposals."""
 
@@ -261,11 +239,22 @@ class DRKernel:
             except TargetEvaluationError as exc:
                 logger.warning("model failure at stage-%d point: %s", j + 1, exc)
                 return current, 0, attempted, accepted
-            if math.log(max(rng.random(), 1e-300)) < log_alpha:
+            if _accept(rng, log_alpha):
                 accepted[j] = 1
                 return proposed, j + 1, attempted, accepted
             rejected.append(proposed)
         return current, 0, attempted, accepted
+
+
+class MHKernel(DRKernel):
+    """Single-proposal Metropolis-Hastings: delayed rejection with one stage."""
+
+    def __init__(self, proposal):
+        super().__init__([proposal])
+
+    # An attribute of its own, so that each kernel class can be wrapped
+    # separately from outside.
+    step = DRKernel.step
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,7 @@ class DiliKernel:
             log_alpha = (candidate.log_posterior - current.log_posterior
                          + self._lis_log_density(r_prop, r)
                          - self._lis_log_density(r, r_prop))
-            if not math.isnan(log_alpha) and math.log(max(rng.random(), 1e-300)) < log_alpha:
+            if _accept(rng, log_alpha):
                 mid, lis_accepted = candidate, 1
                 r = r_prop
         except TargetEvaluationError as exc:
@@ -374,7 +363,7 @@ class DiliKernel:
                 float(d_bwd @ self.prior.apply_precision(d_bwd))
                 - float(d_fwd @ self.prior.apply_precision(d_fwd)))
             log_alpha = candidate.log_posterior - mid.log_posterior + corr
-            if not math.isnan(log_alpha) and math.log(max(rng.random(), 1e-300)) < log_alpha:
+            if _accept(rng, log_alpha):
                 return candidate, 1, attempted, np.array([lis_accepted, 1])
         except TargetEvaluationError as exc:
             logger.warning("model failure in complement move: %s", exc)

@@ -129,21 +129,7 @@ class PoissonState:
 
     def __init__(self, problem: "PoissonProblem", m: np.ndarray):
         self.problem = problem
-        self.m = np.asarray(m, dtype=float)
-        if self.m.shape != (problem.mesh.num_vertices,):
-            raise ValueError("parameter field has wrong length")
-        if not np.all(np.isfinite(self.m)):
-            raise ModelEvaluationError("parameter field contains non-finite entries")
-        self.coeff = np.exp(problem.assembler.centroid_values(self.m))
-        if not np.all(np.isfinite(self.coeff)):
-            raise ModelEvaluationError("exp(m) overflowed at a quadrature point")
-        try:
-            self.solver = problem.assembler.factorize(self.coeff)
-        except np.linalg.LinAlgError as exc:
-            raise ModelEvaluationError(str(exc)) from exc
-        rhs = problem.assembler.lifted_rhs(self.coeff, problem.dirichlet_values)
-        self.u = self.solver.solve(rhs)
-        problem.counter.forward += 1
+        self.m, self.coeff, self.solver, self.u = problem._forward(m)
         self.residual, self.cost = problem.residual_and_cost(self.u)
         if not np.isfinite(self.cost):
             raise ModelEvaluationError("misfit cost is not finite")
@@ -222,6 +208,9 @@ class PoissonProblem(ObservedProblem):
         super().__init__(mesh, obs_points, sigma, data)
         self.dirichlet_values = np.zeros(mesh.num_vertices)
         self.dirichlet_values[mesh.boundary_vertices(["top"])] = 1.0
+        # Gradient of the Dirichlet lift, fixed per problem: the forward
+        # right-hand side is -G^T (w * G u_D) off the Dirichlet vertices.
+        self.grad_lift = self.assembler.G @ self.dirichlet_values
 
         # Triangle adjacent to each bottom edge, for the flux integral: the
         # bottom edge of cell ix is the first edge of its lower triangle 2*ix.
@@ -240,11 +229,31 @@ class PoissonProblem(ObservedProblem):
 
     def solve_forward(self, m: np.ndarray) -> np.ndarray:
         """Forward solution only; usable before data is attached."""
-        coeff = np.exp(self.assembler.centroid_values(np.asarray(m, dtype=float)))
-        solver = self.assembler.factorize(coeff)
-        rhs = self.assembler.lifted_rhs(coeff, self.dirichlet_values)
+        return self._forward(m)[3]
+
+    def _forward(self, m: np.ndarray):
+        """Checked forward solve: (m, coefficient, factorization, solution).
+
+        A point where the model cannot be evaluated raises
+        ModelEvaluationError.
+        """
+        m = np.asarray(m, dtype=float)
+        if m.shape != (self.dim,):
+            raise ValueError("parameter field has wrong length")
+        if not np.all(np.isfinite(m)):
+            raise ModelEvaluationError("parameter field contains non-finite entries")
+        asm = self.assembler
+        coeff = np.exp(asm.centroid_values(m))
+        if not np.all(np.isfinite(coeff)):
+            raise ModelEvaluationError("exp(m) overflowed at a quadrature point")
+        try:
+            solver = asm.factorize(coeff)
+        except np.linalg.LinAlgError as exc:
+            raise ModelEvaluationError(str(exc)) from exc
+        rhs = -(asm.GT @ (asm.gradient_weights(coeff) * self.grad_lift))
+        rhs[asm.is_dirichlet] = self.dirichlet_values[asm.is_dirichlet]
         self.counter.forward += 1
-        return solver.solve(rhs)
+        return m, coeff, solver, solver.solve(rhs)
 
 
 def generate_synthetic_data(problem: ObservedProblem, m_true: np.ndarray,

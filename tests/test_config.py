@@ -1,5 +1,6 @@
 """Configuration grammar: defaults, validation, and round-trips."""
 
+import dataclasses
 import math
 
 import pytest
@@ -103,3 +104,46 @@ class TestRoundTrip:
     def test_full_precision_floats(self):
         cfg = ExperimentConfig(data_sigma=1 / 3)
         assert parse_config(serialize(cfg)).data_sigma == cfg.data_sigma
+
+
+# A text that no key of the field's parse type accepts, by the default's type;
+# free-text keys (str without a list of allowed values) accept any text.
+WRONG_TYPE = {int: "1.5", float: "x", bool: "yes", type(None): "x", str: "1.5"}
+# Candidates for an out-of-range value; every range check rejects one of them.
+OUT_OF_RANGE = ["-1", "0", "1.5", "1", "3"]
+
+
+@pytest.mark.parametrize(
+    "index, f", list(enumerate(dataclasses.fields(ExperimentConfig))),
+    ids=lambda v: getattr(v, "name", str(v)))
+class TestEveryKey:
+    def key(self, f):
+        return f.name.replace("_", ".", 1)
+
+    def test_serialized_in_field_order(self, index, f):
+        lines = serialize(ExperimentConfig()).splitlines()
+        assert len(lines) == len(dataclasses.fields(ExperimentConfig))
+        assert lines[index].partition(" = ")[0] == self.key(f)
+
+    def test_wrong_type_rejected_naming_key(self, index, f):
+        check = f.metadata["check"]
+        raw = WRONG_TYPE[type(f.default)]
+        if type(f.default) is str and not isinstance(check, tuple):
+            assert getattr(parse_config(f"{self.key(f)} = {raw}\n"), f.name) == raw
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# line 1\n{self.key(f)} = {raw}\n")
+        assert err.value.line == 2
+        assert self.key(f) in str(err.value)
+
+    def test_out_of_range_rejected(self, index, f):
+        check = f.metadata["check"]
+        if check is None or isinstance(check, tuple):
+            pytest.skip("no range check")
+        bad = [raw for raw in OUT_OF_RANGE if not check(float(raw))
+               and (type(f.default) is not int or float(raw).is_integer())]
+        assert bad, "no candidate lies outside the range"
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# line 1\n{self.key(f)} = {bad[0]}\n")
+        assert err.value.line == 2
+        assert "out of range" in str(err.value) and self.key(f) in str(err.value)

@@ -1,5 +1,6 @@
 """Kernel and proposal checks: exact enumeration, detailed balance, counting."""
 
+import logging
 import math
 
 import numpy as np
@@ -567,6 +568,21 @@ class TestDiliKernel:
         allc = np.concatenate([r.coords for r in recs])
         se = np.sqrt(np.diag(cov)) / np.sqrt(len(allc) / 15.0)
         assert np.abs(allc.mean(axis=0) - mean).max() <= 4 * np.abs(se).max()
+
+    def test_nan_ratio_rejects_and_is_logged(self, dili_setup, caplog):
+        # A log density of +inf everywhere gives inf - inf in both moves.
+        _, _, _, kernel = dili_setup
+        target = CallableTarget(lambda m: math.inf, dim=2)
+        current = target.make_state(np.zeros(2))
+        with caplog.at_level(logging.WARNING, logger=mc.__name__):
+            state, code, attempted, accepted = kernel.step(
+                target, current, np.random.default_rng(18))
+        nan_warnings = [r for r in caplog.records if r.getMessage()
+                        == "NaN acceptance ratio; rejecting the proposed point"]
+        assert len(nan_warnings) == 2
+        assert state is current and code == 0
+        assert attempted.tolist() == [1, 1]
+        assert accepted.tolist() == [0, 0]
 
     def test_single_step_chain(self, dili_setup):
         target, _, _, kernel = dili_setup

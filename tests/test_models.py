@@ -5,7 +5,8 @@ import pytest
 
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.models import (DIRICHLET_TAGS, LinearizedPoissonProblem,
-                             NonPositiveFluxError, PoissonProblem,
+                             ModelEvaluationError, NonPositiveFluxError,
+                             PoissonProblem, PoissonState,
                              generate_synthetic_data)
 
 from helpers import (dense_poisson_solve, dense_stiffness,
@@ -52,6 +53,16 @@ class TestForward:
         m[3] = np.inf
         with pytest.raises(RuntimeError):
             problem4.evaluate(m)
+
+    def test_solve_forward_fails_like_evaluate(self, problem4):
+        # exp(1000) overflows: a rejected point, not a bare LinAlgError.
+        with np.errstate(over="ignore"), pytest.raises(ModelEvaluationError):
+            problem4.solve_forward(np.full(problem4.dim, 1000.0))
+
+    def test_state_solution_equals_solve_forward(self, problem4):
+        m = 0.5 * np.random.default_rng(4).standard_normal(problem4.dim)
+        assert np.array_equal(PoissonState(problem4, m).u,
+                              problem4.solve_forward(m))
 
 
 class TestAdjointAndCost:

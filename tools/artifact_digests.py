@@ -2,14 +2,18 @@
 
 Runs pdebayes.driver.run_experiment for every MCMC method under both model
 kinds at mesh n=8, 30 observations, eig.k 20 + 10 oversampling, 2 chains of
-80 samples and 6 projected coordinates, each in a temporary directory. Prints
-one line per config:
+80 samples and 6 projected coordinates, each in a temporary directory. Under
+both model kinds it also runs the paths that matrix leaves out: chains
+started from a prior sample or the MAP, data from a truth mesh of n=16,
+delayed rejection with an H-inf-MALA second stage, and DILI centred at the
+current state or the prior mean. Prints one line per config:
 
-    <model.kind> <mcmc.method> <sha256>
+    <model.kind> <mcmc.method> <override or -> <artifacts sha256> <config sha256>
 
-where the digest covers the name and bytes of every artifact except
-config_used.txt (which names the output directory). A config that raises
-prints its exception type instead of a digest, and its traceback to stderr.
+where the artifact digest covers the name and bytes of every artifact except
+config_used.txt (which names the output directory), and the config digest is
+that of pdebayes.config.serialize(cfg). A config that raises prints its
+exception type instead of the artifact digest, and its traceback to stderr.
 Run it on two checkouts and diff the outputs:
 
     python3 tools/artifact_digests.py > a.txt
@@ -39,6 +43,16 @@ SETTINGS = {
     "mcmc_samples": 80,
     "mcmc_project_dim": 6,
 }
+# (method, field, value): one non-default setting per extra config, run
+# under both model kinds.
+OVERRIDES = [
+    ("h-pcn", "mcmc_start", "prior_sample"),
+    ("h-pcn", "mcmc_start", "map"),
+    ("h-pcn", "data_truth_mesh", 16),
+    ("dr", "mcmc_dr_stage2", "h-inf-mala"),
+    ("dili", "mcmc_dili_center", "current"),
+    ("dili", "mcmc_dili_center", "prior"),
+]
 
 
 def digest(art_dir: str) -> str:
@@ -57,21 +71,27 @@ def main() -> int:
                              "(default: src/ of this checkout)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from pdebayes.config import METHODS, MODEL_KINDS, ExperimentConfig
+    from pdebayes.config import METHODS, MODEL_KINDS, ExperimentConfig, serialize
     from pdebayes.driver import run_experiment
 
-    for kind in MODEL_KINDS:
-        for method in METHODS:
-            cfg = ExperimentConfig(model_kind=kind, mcmc_method=method, **SETTINGS)
-            with tempfile.TemporaryDirectory() as out_dir:
-                try:
-                    run_experiment(cfg, out_dir)
-                    result = digest(out_dir)
-                except Exception as exc:
-                    # One failing config must not hide the others' digests.
-                    traceback.print_exc()
-                    result = f"error:{type(exc).__name__}"
-            print(f"{kind} {method} {result}", flush=True)
+    runs = [(kind, method, {}) for kind in MODEL_KINDS for method in METHODS]
+    runs += [(kind, method, {name: value}) for kind in MODEL_KINDS
+             for method, name, value in OVERRIDES]
+    for kind, method, extra in runs:
+        cfg = ExperimentConfig(model_kind=kind, mcmc_method=method,
+                               **SETTINGS, **extra)
+        label = " ".join(f"{name.replace('_', '.', 1)}={value}"
+                         for name, value in extra.items()) or "-"
+        config_sha = hashlib.sha256(serialize(cfg).encode()).hexdigest()
+        with tempfile.TemporaryDirectory() as out_dir:
+            try:
+                run_experiment(cfg, out_dir)
+                result = digest(out_dir)
+            except Exception as exc:
+                # One failing config must not hide the others' digests.
+                traceback.print_exc()
+                result = f"error:{type(exc).__name__}"
+        print(f"{kind} {method} {label} {result} {config_sha}", flush=True)
     return 0
 
 
