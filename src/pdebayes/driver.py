@@ -284,6 +284,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             "mesh_n": cfg.mesh_n,
             "parameter_dim": prior.dim,
             "map_iterations": map_result.iterations,
+            "map_cg_iterations": map_result.cg_iterations,
             "map_grad_norm": map_result.grad_norm,
             "eig_rank_retained": laplace.rank,
             "project_dim": k_proj,

@@ -1,11 +1,12 @@
 """MAP estimation and the low-rank Gaussian approximation of the posterior.
 
-compute_map runs an inexact Newton-CG iteration on the negative log-posterior
-(misfit plus prior quadratic). The curvature of the misfit at the MAP point is
-then compressed by a double-pass randomized solver for the generalized
-eigenproblem  H_misfit v = lam C^{-1} v,  and the retained pairs define a
-Gaussian N(m_map, H^{-1}) whose covariance actions use the low-rank
-Sherman-Morrison-Woodbury form  H^{-1} = C - V diag(lam/(1+lam)) V^T.
+compute_map runs an inexact Newton-CG iteration, preconditioned by the prior
+covariance, on the negative log-posterior (misfit plus prior quadratic). The
+curvature of the misfit at the MAP point is then compressed by a double-pass
+randomized solver for the generalized eigenproblem  H_misfit v = lam C^{-1} v,
+and the retained pairs define a Gaussian N(m_map, H^{-1}) whose covariance
+actions use the low-rank Sherman-Morrison-Woodbury form
+H^{-1} = C - V diag(lam/(1+lam)) V^T.
 """
 
 from __future__ import annotations
@@ -62,44 +63,57 @@ class MapResult:
     iterations: int
     converged: bool
     cost_history: list = field(default_factory=list)
+    cg_iterations: int = 0
     reason: str = "gradient"
 
 
-def _cg_newton_direction(hess_apply, grad, tol, max_iters):
-    """Truncated CG on H d = -g with negative-curvature exit."""
+def _cg_newton_direction(hess_apply, grad, forcing, max_iters, precond):
+    """Steihaug preconditioned CG on H d = -g with negative-curvature exit.
+
+    precond applies the preconditioner P ~ H^{-1}. Stops when the
+    P-norm of the residual, sqrt(r^T P r), falls to forcing * sqrt(g^T P g).
+    Returns (d, iterations); on negative curvature at the first iteration d
+    is the preconditioned steepest descent -P g.
+    """
     d = np.zeros_like(grad)
     r = -grad
-    p = r.copy()
-    rr = r @ r
+    z = precond(r)
+    p = z
+    rz = r @ z
+    tol = forcing * math.sqrt(rz)
     for j in range(max_iters):
         hp = hess_apply(p)
         php = p @ hp
         if php <= 0:
-            # Negative curvature: fall back to the last iterate, or steepest
-            # descent if it happens immediately.
+            # Negative curvature: fall back to the last iterate, or
+            # preconditioned steepest descent if it happens immediately.
             if j == 0:
-                return -grad, j + 1
+                return p, j + 1
             return d, j + 1
-        alpha = rr / php
+        alpha = rz / php
         d += alpha * p
         r -= alpha * hp
-        rr_new = r @ r
-        if math.sqrt(rr_new) <= tol:
+        z = precond(r)
+        rz_new = r @ z
+        if math.sqrt(rz_new) <= tol:
             return d, j + 1
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return d, max_iters
 
 
 def compute_map(model, prior, m0: np.ndarray | None = None,
                 cfg: NewtonConfig | None = None) -> MapResult:
-    """Minimize misfit(m) + prior.cost(m) by inexact Newton-CG.
+    """Minimize misfit(m) + prior.cost(m) by inexact Newton-PCG.
 
-    Uses the Gauss-Newton Hessian for the first cfg.gn_phase_iters
-    iterations, Eisenstat-Walker forcing min(0.5, sqrt(|g|/|g0|)) for the
-    inner CG tolerance, and Armijo backtracking with slack for the rounding
-    error of the cost. Raises MapConvergenceError if the gradient norm
-    target is not reached.
+    CG is preconditioned by the prior covariance C, as in hIPPYlib, so its
+    iteration count is bounded by the number of data-informed directions
+    rather than by the mesh size. Uses the Gauss-Newton Hessian for the
+    first cfg.gn_phase_iters iterations, Eisenstat-Walker forcing
+    min(0.5, sqrt(|g|/|g0|)) on the C-norm of the inner residual, and Armijo
+    backtracking with slack for the rounding error of the cost. The outer
+    stopping test is on the Euclidean |g|. Raises MapConvergenceError if the
+    gradient norm target is not reached.
     """
     cfg = cfg or NewtonConfig()
     m = np.array(prior.mean if m0 is None else m0, dtype=float)
@@ -110,11 +124,12 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
     gnorm0 = float(np.linalg.norm(grad))
     tol = max(cfg.grad_abs_tol, cfg.grad_rel_tol * gnorm0)
     history = [cost]
+    cg_total = 0
 
     for it in range(cfg.max_newton_iters):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            return MapResult(m, cost, gnorm, it, True, history)
+            return MapResult(m, cost, gnorm, it, True, history, cg_total)
 
         gauss_newton = it < cfg.gn_phase_iters
         forcing = min(0.5, math.sqrt(gnorm / gnorm0))
@@ -122,12 +137,13 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
         def hess_apply(v, _state=state, _gn=gauss_newton):
             return _state.hessian_action(v, gauss_newton=_gn) + prior.apply_precision(v)
 
-        direction, _ = _cg_newton_direction(hess_apply, grad, forcing * gnorm,
-                                            cfg.max_cg_iters)
+        direction, cg_iters = _cg_newton_direction(
+            hess_apply, grad, forcing, cfg.max_cg_iters, prior.apply_covariance)
+        cg_total += cg_iters
         slope = float(grad @ direction)
         if slope >= 0:
-            direction = -grad
-            slope = -gnorm**2
+            direction = -prior.apply_covariance(grad)
+            slope = float(grad @ direction)
 
         # Near the minimizer the Armijo decrease falls below the rounding
         # error of the cost itself; allow that much slack, as in the
@@ -149,7 +165,7 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
             # the best point rather than looping without progress.
             logger.warning("line search stalled at iteration %d, |grad| = %.3e",
                            it, gnorm)
-            return MapResult(m, cost, gnorm, it, False, history,
+            return MapResult(m, cost, gnorm, it, False, history, cg_total,
                              reason="line_search_stall")
 
         m = m + alpha * direction
@@ -160,7 +176,8 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
 
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= tol:
-        return MapResult(m, cost, gnorm, cfg.max_newton_iters, True, history)
+        return MapResult(m, cost, gnorm, cfg.max_newton_iters, True, history,
+                         cg_total)
     raise MapConvergenceError(gnorm, cfg.max_newton_iters, m)
 
 

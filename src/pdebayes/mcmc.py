@@ -169,7 +169,8 @@ def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
     rejected holds the states turned down at stages 1..j-1; proposed is the
     stage-j candidate. A unit acceptance probability in a denominator forces
     rejection of the branch (the event has probability zero in the continuous
-    setting, so stationarity is unaffected).
+    setting, so stationarity is unaffected). A NaN ratio is returned as NaN,
+    for _accept to reject.
     """
     j = len(rejected) + 1
     qj = proposals[j - 1]
@@ -192,8 +193,7 @@ def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
             return -math.inf
         log_gamma += log_num - log_den
     if math.isnan(log_gamma):
-        logger.warning("NaN acceptance ratio; rejecting the proposed point")
-        return -math.inf
+        return log_gamma   # min(0.0, nan) would be 0.0
     return min(0.0, log_gamma)
 
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pdebayes import driver
+from pdebayes.config import ExperimentConfig
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.laplace import (EigensolverBreakdown, LaplaceApprox,
-                              MapConvergenceError, NewtonConfig, compute_map,
+                              MapConvergenceError, NewtonConfig,
+                              _cg_newton_direction, compute_map,
                               doublepass_randomized_eig, truncate_spectrum)
 from pdebayes.models import (LinearizedPoissonProblem, PoissonProblem,
                              generate_synthetic_data)
@@ -120,6 +123,57 @@ class TestComputeMap:
         with pytest.raises(MapConvergenceError) as err:
             compute_map(problem, prior, cfg=cfg)
         assert err.value.grad_norm > 0
+
+
+def random_spd(rng, n, cond=1e3):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.geomspace(1.0, cond, n)) @ q.T
+
+
+class TestPreconditionedCG:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(21)
+        h = random_spd(rng, 30)
+        precond = random_spd(rng, 30, cond=10.0)
+        g = rng.standard_normal(30)
+        d, iters = _cg_newton_direction(lambda v: h @ v, g, 1e-15, 200,
+                                        lambda r: precond @ r)
+        x = np.linalg.solve(h, -g)
+        assert np.linalg.norm(d - x) <= 1e-10 * np.linalg.norm(x)
+        assert iters < 200
+
+    def test_negative_curvature_first_step_is_preconditioned_descent(self):
+        rng = np.random.default_rng(22)
+        precond = random_spd(rng, 10, cond=10.0)
+        g = rng.standard_normal(10)
+        d, iters = _cg_newton_direction(lambda v: -v, g, 0.5, 200,
+                                        lambda r: precond @ r)
+        np.testing.assert_allclose(d, -precond @ g, rtol=1e-14)
+        assert iters == 1
+
+    def test_default_config_converges_independently_of_mesh(self):
+        # The NewtonConfig defaults are the config's newton.* defaults.
+        cfg = ExperimentConfig()
+        assert NewtonConfig() == NewtonConfig(
+            grad_rel_tol=cfg.newton_grad_rel_tol,
+            grad_abs_tol=cfg.newton_grad_abs_tol,
+            max_newton_iters=cfg.newton_max_iters,
+            max_cg_iters=cfg.newton_max_cg_iters,
+            armijo_c=cfg.newton_armijo_c,
+            backtrack_factor=cfg.newton_backtrack,
+            gn_phase_iters=cfg.newton_gn_iters)
+        cg_totals = {}
+        for n in (16, 32, 64):
+            cfg = ExperimentConfig(mesh_n=n)
+            mesh = build_unit_square_mesh(n)
+            prior = driver.build_prior_for(cfg, mesh)
+            points = driver.draw_observation_points(cfg)
+            _, _, data = driver.synthesize_data(cfg, points)
+            problem = PoissonProblem(mesh, points, cfg.data_sigma, data)
+            result = compute_map(problem, prior)
+            assert result.converged, n
+            cg_totals[n] = result.cg_iterations
+        assert cg_totals[64] <= 2 * cg_totals[16], cg_totals
 
 
 class TestDoublePassEig:

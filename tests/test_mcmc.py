@@ -353,6 +353,29 @@ class TestSteps:
         assert rec.stage_accepts.tolist() == [0, 0]
         assert not rec.accepted.any()
 
+    def test_dr_nan_ratio_rejects_without_drawing(self, caplog):
+        # The NaN is rejected by _accept alone: no uniform is drawn after the
+        # proposal's sample, and one warning is logged.
+        class NanDensityWalk(mc.RandomWalkProposal):
+            def log_density(self, from_state, to):
+                return math.nan
+
+        prior = DenseGaussian(np.zeros(2), np.eye(2))
+        target = CallableTarget(lambda m: 0.0, dim=2)
+        current = target.make_state(np.zeros(2))
+        kernel = mc.DRKernel([NanDensityWalk(prior, 0.5)])
+        rng = np.random.default_rng(12)
+        with caplog.at_level(logging.WARNING, logger=mc.__name__):
+            state, code, attempted, accepted = kernel.step(target, current, rng)
+        reference = np.random.default_rng(12)
+        reference.standard_normal(2)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        nan_warnings = [r for r in caplog.records if r.getMessage()
+                        == "NaN acceptance ratio; rejecting the proposed point"]
+        assert len(nan_warnings) == 1
+        assert state is current and code == 0
+        assert attempted.tolist() == [1] and accepted.tolist() == [0]
+
     def test_chain_mean_matches_posterior(self, gauss2d):
         target, prior, laplace, mean, cov = gauss2d
         kernel = mc.MHKernel(mc.pcn(laplace, 0.9))
