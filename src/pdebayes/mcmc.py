@@ -224,8 +224,10 @@ class DRKernel:
     def step(self, target, current: ChainState, rng: np.random.Generator):
         """One transition: (state, CSV code, attempted, accepted); see run_chain.
 
-        A model failure at stage j ends the step, so later stages count as
-        not attempted.
+        A model failure or a NaN acceptance ratio at stage j ends the step,
+        so later stages count as not attempted. Every later stage's ratio
+        contains the stage-j one (through 1 - alpha_j), so after a NaN it
+        would be NaN too: stopping saves its sample and model evaluation.
         """
         attempted = np.zeros(self.n_stages, dtype=np.int64)
         accepted = np.zeros(self.n_stages, dtype=np.int64)
@@ -242,6 +244,8 @@ class DRKernel:
             if _accept(rng, log_alpha):
                 accepted[j] = 1
                 return proposed, j + 1, attempted, accepted
+            if math.isnan(log_alpha):
+                return current, 0, attempted, accepted
             rejected.append(proposed)
         return current, 0, attempted, accepted
 

@@ -376,6 +376,44 @@ class TestSteps:
         assert state is current and code == 0
         assert attempted.tolist() == [1] and accepted.tolist() == [0]
 
+    def test_dr_nan_ratio_ends_the_step(self, caplog):
+        # A NaN at stage 1 makes every later stage's ratio NaN (it enters
+        # through 1 - alpha_1), so the step ends there: stage 2 is neither
+        # sampled nor evaluated, and one warning is logged.
+        class NanDensityWalk(mc.RandomWalkProposal):
+            def log_density(self, from_state, to):
+                return math.nan
+
+        class CountedWalk(mc.RandomWalkProposal):
+            samples = 0
+
+            def sample(self, state, rng):
+                CountedWalk.samples += 1
+                return super().sample(state, rng)
+
+        evaluations = []
+        prior = DenseGaussian(np.zeros(2), np.eye(2))
+        target = CallableTarget(lambda m: evaluations.append(m) or 0.0, dim=2)
+        current = target.make_state(np.zeros(2))
+        proposals = [NanDensityWalk(prior, 0.5), CountedWalk(prior, 0.1)]
+        kernel = mc.DRKernel(proposals)
+        rng = np.random.default_rng(13)
+        with caplog.at_level(logging.WARNING, logger=mc.__name__):
+            state, code, attempted, accepted = kernel.step(target, current, rng)
+        reference = np.random.default_rng(13)
+        reference.standard_normal(2)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert CountedWalk.samples == 0 and len(evaluations) == 2
+        nan_warnings = [r for r in caplog.records if r.getMessage()
+                        == "NaN acceptance ratio; rejecting the proposed point"]
+        assert len(nan_warnings) == 1
+        assert state is current and code == 0
+        assert attempted.tolist() == [1, 0] and accepted.tolist() == [0, 0]
+        # The stage-2 ratio the step skipped would have been NaN.
+        y1 = target.make_state(np.ones(2))
+        y2 = target.make_state(np.full(2, 0.5))
+        assert math.isnan(mc.dr_accept_log_prob(proposals, current, [y1], y2))
+
     def test_chain_mean_matches_posterior(self, gauss2d):
         target, prior, laplace, mean, cov = gauss2d
         kernel = mc.MHKernel(mc.pcn(laplace, 0.9))

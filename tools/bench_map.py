@@ -4,7 +4,7 @@ For each model kind (Poisson, linearized) and mesh n in {16, 32, 64} this
 builds the default experiment's prior, observation points and synthetic data
 (pdebayes.driver), then runs pdebayes.laplace.compute_map with its default
 NewtonConfig, which matches the config's newton.* defaults: one warm-up run,
-then --repeats timed runs, of which it records the median and every value.
+then REPEATS = 3 timed runs, of which it records the median and every value.
 For each case it also records the Newton iterations, the total CG iterations
 (MapResult.cg_iterations, null where MapResult has no such field), the number
 of model Hessian actions (one per CG iteration), the final gradient norm and
@@ -38,6 +38,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIZES = (16, 32, 64)
+REPEATS = 3
 KINDS = ("poisson", "linearized")
 
 
@@ -100,12 +101,12 @@ def run_map(pb, problem, prior) -> dict:
             "grad_norm": res.grad_norm}
 
 
-def bench_case(pb, counter, kind: str, n: int, repeats: int) -> dict:
+def bench_case(pb, counter, kind: str, n: int) -> dict:
     problem, prior = build_case(pb, kind, n)
     counter.calls = 0
     record = run_map(pb, problem, prior)
     record["hessian_actions"] = counter.calls
-    times = [run_map(pb, problem, prior)["time_s"] for _ in range(repeats)]
+    times = [run_map(pb, problem, prior)["time_s"] for _ in range(REPEATS)]
     record.pop("time_s")
     record.update({"kind": kind, "n": n, "dim": prior.dim,
                    "median_s": statistics.median(times), "times_s": times})
@@ -120,11 +121,7 @@ def main() -> int:
     parser.add_argument("--label", required=True,
                         help="key under which the record is stored in --out")
     parser.add_argument("--out", required=True, help="JSON file to update")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
     # Before numpy is imported, so that BLAS starts with one thread.
     for var in BLAS_THREAD_VARS:
@@ -137,8 +134,8 @@ def main() -> int:
     counter = HessianActionCounter(pb.models)
     cases = []
     for kind in KINDS:
-        for n in args.sizes:
-            case = bench_case(pb, counter, kind, n, args.repeats)
+        for n in SIZES:
+            case = bench_case(pb, counter, kind, n)
             print(json.dumps(case), flush=True)
             cases.append(case)
 
@@ -146,7 +143,7 @@ def main() -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             results = json.load(fh)
-    results[args.label] = {"machine": machine_record(), "repeats": args.repeats,
+    results[args.label] = {"machine": machine_record(), "repeats": REPEATS,
                            "cases": cases}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
