@@ -14,11 +14,10 @@ from .diagnostics import (ChainEnsemble, DiagnosticsReport, acf_estimate, ess,
 from .fem import (Mesh, SpdSolver, assemble_boundary_mass, assemble_mass,
                   assemble_stiffness, build_unit_square_mesh, lower_band,
                   point_observation_operator)
-from .laplace import (LaplaceApprox, MapConvergenceError, NewtonConfig,
-                      compute_map, doublepass_randomized_eig, truncate_spectrum)
-from .mcmc import (ChainRecord, DiliKernel, DRKernel, MHKernel,
-                   SubspaceGibbsConfig, dr_accept_prob, inf_mala, mala, pcn,
-                   random_walk, run_chain)
+from .laplace import (LaplaceApprox, MapConvergenceError, compute_map,
+                      doublepass_randomized_eig, truncate_spectrum)
+from .mcmc import (ChainRecord, DiliKernel, DRKernel, MHKernel, dr_accept_prob,
+                   inf_mala, mala, pcn, random_walk, run_chain)
 from .models import (LinearizedPoissonProblem, ModelEvaluationError,
                      NonPositiveFluxError, PoissonProblem,
                      generate_synthetic_data)

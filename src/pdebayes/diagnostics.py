@@ -10,7 +10,7 @@ quantity of interest. All functions are pure in the ensemble.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,18 +34,6 @@ class ChainEnsemble:
             raise ValueError("coords must have shape (chains, samples, coords)")
         if np.isnan(self.coords).any():
             raise ValueError("projected coordinates must not contain NaN")
-
-    @property
-    def num_chains(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.coords.shape[1]
-
-    @property
-    def num_coords(self) -> int:
-        return self.coords.shape[2]
 
     @classmethod
     def from_records(cls, records) -> "ChainEnsemble":
@@ -193,7 +181,6 @@ class DiagnosticsReport:
     nps_per_es: float
     qoi_moments: np.ndarray | None = None       # (M, 3)
     qoi_missing: np.ndarray | None = None       # per-chain missing counts
-    extra: dict = field(default_factory=dict)
 
 
 def qoi_moments(qoi: np.ndarray, orders=(1, 2, 3)):

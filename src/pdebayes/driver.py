@@ -15,10 +15,10 @@ import os
 import numpy as np
 
 from . import mcmc
-from .config import ExperimentConfig, serialize
+from .config import ExperimentConfig, serialize, validate
 from .diagnostics import ChainEnsemble, acf_estimate, summarize, vhat, within_between_cov
 from .fem import build_unit_square_mesh
-from .laplace import LaplaceApprox, NewtonConfig, compute_map, doublepass_randomized_eig
+from .laplace import LaplaceApprox, compute_map, doublepass_randomized_eig
 from .models import (LinearizedPoissonProblem, PoissonProblem,
                      generate_synthetic_data)
 from .prior import BiLaplacianPrior
@@ -102,10 +102,8 @@ def build_kernel(cfg: ExperimentConfig, prior, laplace):
             stage2 = mcmc.mala(laplace, cfg.mcmc_tau)
         return mcmc.DRKernel([stage1, stage2])
     if method == "dili":
-        spec = mcmc.SubspaceGibbsConfig(lis_step=cfg.mcmc_dili_tau,
-                                        cs_beta=cfg.mcmc_dili_beta,
-                                        lis_center=cfg.mcmc_dili_center)
-        return mcmc.DiliKernel(laplace, spec)
+        return mcmc.DiliKernel(laplace, cfg.mcmc_dili_tau, cfg.mcmc_dili_beta,
+                               cfg.mcmc_dili_center)
     raise ValueError(f"unknown method '{method}'")
 
 
@@ -177,32 +175,15 @@ def _write_qoi_tables(out_dir: str, ensemble: ChainEnsemble, max_lag: int = 500)
     _write_lines(os.path.join(out_dir, "hist_qoi.txt"), hist)
 
 
-def _oracle_check(problem, prior, laplace, map_m, rng) -> dict:
-    """Dense Gaussian-posterior comparison for the linearized model."""
-    f_mat = problem.dense_forward_matrix()
-    a_dense = prior.A.toarray()
-    r_dense = a_dense @ ((1.0 / prior.lumped_mass)[:, None] * a_dense)
-    h_dense = f_mat.T @ f_mat / problem.sigma**2 + r_dense
-    mean_dense = np.linalg.solve(
-        h_dense, f_mat.T @ problem.data / problem.sigma**2 + r_dense @ prior.mean)
-    map_err = float(np.linalg.norm(map_m - mean_dense)
-                    / np.linalg.norm(mean_dense))
-    v = rng.standard_normal(prior.dim)
-    hinv_dense = np.linalg.solve(h_dense, v)
-    hinv_err = float(np.linalg.norm(laplace.apply_covariance(v) - hinv_dense)
-                     / np.linalg.norm(hinv_dense))
-    passed = map_err <= 1e-6 and hinv_err <= 1e-6
-    return {"oracle_map_rel_err": map_err, "oracle_hinv_rel_err": hinv_err,
-            "oracle_pass": "true" if passed else "false"}
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Execute data -> MAP -> low-rank posterior -> chains -> diagnostics.
 
-    Returns the report dictionary; writes all artifacts under out_dir.
-    Failures are re-raised as StageError with the failing stage name;
-    artifacts produced before the failure are left in place.
+    Returns the report dictionary; writes all artifacts under out_dir. An
+    invalid config raises ConfigError before any work. Later failures are
+    re-raised as StageError with the failing stage name; artifacts produced
+    before the failure are left in place.
     """
+    validate(cfg)
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     _write_lines(os.path.join(out_dir, "config_used.txt"),
@@ -223,15 +204,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             f"{_fmt(x)} {_fmt(y)} {_fmt(v)}" for (x, y), v in zip(points, data)])
 
         stage = "map"
-        newton_cfg = NewtonConfig(
-            grad_rel_tol=cfg.newton_grad_rel_tol,
-            grad_abs_tol=cfg.newton_grad_abs_tol,
-            max_newton_iters=cfg.newton_max_iters,
-            max_cg_iters=cfg.newton_max_cg_iters,
-            armijo_c=cfg.newton_armijo_c,
-            backtrack_factor=cfg.newton_backtrack,
-            gn_phase_iters=cfg.newton_gn_iters)
-        map_result = compute_map(problem, prior, cfg=newton_cfg)
+        map_result = compute_map(problem, prior, cfg=cfg)
         _write_field(os.path.join(out_dir, "map.txt"), map_result.m,
                      f"MAP field, mesh n={cfg.mesh_n}")
 
@@ -306,9 +279,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                     _fmt(v) for v in (g1, g2, g3))
                 entries[f"qoi_missing_chain_{j:02d}"] = int(
                     report_data.qoi_missing[j])
-        if cfg.model_kind == "linearized":
-            entries.update(_oracle_check(problem, prior, laplace, map_result.m,
-                                         np.random.default_rng(cfg.eig_seed + 1)))
         write_report(entries, os.path.join(out_dir, "report.txt"))
         return entries
     except Exception as exc:

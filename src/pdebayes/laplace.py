@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .config import ExperimentConfig, validate
 from .models import MODEL_FAILURES
 
 logger = logging.getLogger(__name__)
+
+MAX_BACKTRACKS = 30    # backtracking steps before the line search counts as stalled
 
 
 class MapConvergenceError(RuntimeError):
@@ -35,24 +38,6 @@ class MapConvergenceError(RuntimeError):
 
 class EigensolverBreakdown(RuntimeError):
     """The randomized sketch lost rank during orthonormalization."""
-
-
-@dataclass
-class NewtonConfig:
-    grad_rel_tol: float = 1e-6
-    grad_abs_tol: float = 1e-12
-    max_newton_iters: int = 50
-    max_cg_iters: int = 200
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    gn_phase_iters: int = 5
-    max_backtracks: int = 30
-
-    def __post_init__(self):
-        if min(self.grad_rel_tol, self.grad_abs_tol, self.armijo_c) <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtracking factor must lie in (0,1)")
 
 
 @dataclass
@@ -103,42 +88,44 @@ def _cg_newton_direction(hess_apply, grad, forcing, max_iters, precond):
 
 
 def compute_map(model, prior, m0: np.ndarray | None = None,
-                cfg: NewtonConfig | None = None) -> MapResult:
+                cfg: ExperimentConfig | None = None) -> MapResult:
     """Minimize misfit(m) + prior.cost(m) by inexact Newton-PCG.
 
     CG is preconditioned by the prior covariance C, as in hIPPYlib, so its
     iteration count is bounded by the number of data-informed directions
-    rather than by the mesh size. Uses the Gauss-Newton Hessian for the
-    first cfg.gn_phase_iters iterations, Eisenstat-Walker forcing
-    min(0.5, sqrt(|g|/|g0|)) on the C-norm of the inner residual, and Armijo
-    backtracking with slack for the rounding error of the cost. The outer
-    stopping test is on the Euclidean |g|. Raises MapConvergenceError if the
-    gradient norm target is not reached.
+    rather than by the mesh size. The settings are cfg's newton.* keys
+    (default ExperimentConfig()), validated first. Uses the Gauss-Newton
+    Hessian for the first cfg.newton_gn_iters iterations, Eisenstat-Walker
+    forcing min(0.5, sqrt(|g|/|g0|)) on the C-norm of the inner residual, and
+    Armijo backtracking with slack for the rounding error of the cost. The
+    outer stopping test is on the Euclidean |g|. Raises MapConvergenceError if
+    the gradient norm target is not reached.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or ExperimentConfig()
+    validate(cfg)
     m = np.array(prior.mean if m0 is None else m0, dtype=float)
 
     state = model.evaluate(m)
     cost = state.cost + prior.cost(m)
     grad = state.gradient() + prior.grad(m)
     gnorm0 = float(np.linalg.norm(grad))
-    tol = max(cfg.grad_abs_tol, cfg.grad_rel_tol * gnorm0)
+    tol = max(cfg.newton_grad_abs_tol, cfg.newton_grad_rel_tol * gnorm0)
     history = [cost]
     cg_total = 0
 
-    for it in range(cfg.max_newton_iters):
+    for it in range(cfg.newton_max_iters):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             return MapResult(m, cost, gnorm, it, True, history, cg_total)
 
-        gauss_newton = it < cfg.gn_phase_iters
+        gauss_newton = it < cfg.newton_gn_iters
         forcing = min(0.5, math.sqrt(gnorm / gnorm0))
 
         def hess_apply(v, _state=state, _gn=gauss_newton):
             return _state.hessian_action(v, gauss_newton=_gn) + prior.apply_precision(v)
 
         direction, cg_iters = _cg_newton_direction(
-            hess_apply, grad, forcing, cfg.max_cg_iters, prior.apply_covariance)
+            hess_apply, grad, forcing, cfg.newton_max_cg_iters, prior.apply_covariance)
         cg_total += cg_iters
         slope = float(grad @ direction)
         if slope >= 0:
@@ -150,16 +137,16 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
         # approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 2005).
         cost_slack = 4.0 * np.finfo(float).eps * abs(cost)
         alpha = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             try:
                 trial_state = model.evaluate(m + alpha * direction)
                 trial_cost = trial_state.cost + prior.cost(m + alpha * direction)
             except MODEL_FAILURES:
                 trial_cost = np.inf
                 trial_state = None
-            if trial_cost <= cost + cfg.armijo_c * alpha * slope + cost_slack:
+            if trial_cost <= cost + cfg.newton_armijo_c * alpha * slope + cost_slack:
                 break
-            alpha *= cfg.backtrack_factor
+            alpha *= cfg.newton_backtrack
         else:
             # Sufficient decrease is unattainable at this precision; stop at
             # the best point rather than looping without progress.
@@ -176,9 +163,9 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
 
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= tol:
-        return MapResult(m, cost, gnorm, cfg.max_newton_iters, True, history,
+        return MapResult(m, cost, gnorm, cfg.newton_max_iters, True, history,
                          cg_total)
-    raise MapConvergenceError(gnorm, cfg.max_newton_iters, m)
+    raise MapConvergenceError(gnorm, cfg.newton_max_iters, m)
 
 
 def _chol_qr(Y: np.ndarray, inner_apply) -> np.ndarray:

@@ -265,23 +265,6 @@ class MHKernel(DRKernel):
 # Subspace Metropolis-within-Gibbs over the informed directions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubspaceGibbsConfig:
-    lis_step: float = 0.1        # tau: scale of the informed-subspace move
-    cs_beta: float = 0.8         # pCN parameter of the complement move
-    lis_center: str = "map"      # map | current | prior
-
-    def __post_init__(self):
-        if not 0 < self.cs_beta <= 1:
-            raise ValueError("complement-space beta must be in (0, 1]")
-        if self.lis_step <= 0:
-            raise ValueError("subspace step must be positive")
-        if self.lis_center == "map" and not 0 < self.lis_step <= 1:
-            raise ValueError("map-centered subspace step must be in (0, 1]")
-        if self.lis_center not in ("map", "current", "prior"):
-            raise ValueError(f"unknown subspace centering '{self.lis_center}'")
-
-
 class DiliKernel:
     """Gibbs scan: informed-subspace move, then pCN in the complement.
 
@@ -289,24 +272,35 @@ class DiliKernel:
     retained curvature directions (C^{-1}-orthonormal) and c the oblique
     complement. The r move is Metropolis with a Gaussian proposal whose
     covariance is the subspace posterior Gaussian (1+lam)^{-1} scaled by the
-    step, centered per configuration; the c move is pCN against the prior
-    restricted to the complement. Both acceptances evaluate the full
-    posterior at the recombined point.
+    step lis_step, centered at lis_center (map, current or prior); the c move
+    is pCN with parameter cs_beta against the prior restricted to the
+    complement. Both acceptances evaluate the full posterior at the
+    recombined point.
     """
 
     n_stages = 2
     proposals = ()      # neither move uses gradients
 
-    def __init__(self, laplace, config: SubspaceGibbsConfig | None = None):
+    def __init__(self, laplace, lis_step: float, cs_beta: float, lis_center: str):
         if laplace.rank < 1:
             raise ValueError("subspace kernel needs at least one retained direction")
+        if not 0 < cs_beta <= 1:
+            raise ValueError("complement-space beta must be in (0, 1]")
+        if lis_step <= 0:
+            raise ValueError("subspace step must be positive")
+        if lis_center == "map" and not 0 < lis_step <= 1:
+            raise ValueError("map-centered subspace step must be in (0, 1]")
+        if lis_center not in ("map", "current", "prior"):
+            raise ValueError(f"unknown subspace centering '{lis_center}'")
         self.laplace = laplace
         self.prior = laplace.prior
-        self.config = config or SubspaceGibbsConfig()
+        self.lis_step = lis_step
+        self.cs_beta = cs_beta
+        self.lis_center = lis_center
         self.vecs = laplace.vecs
         lam = laplace.lam
-        self._lis_sd = np.sqrt(self.config.lis_step / (1.0 + lam))
-        self._lis_prec = (1.0 + lam) / self.config.lis_step
+        self._lis_sd = np.sqrt(lis_step / (1.0 + lam))
+        self._lis_prec = (1.0 + lam) / lis_step
         self._r_map = laplace.project(laplace.m_map)
         self._r_prior = laplace.project(self.prior.mean)
         self._c_prior = self.prior.mean - self.vecs @ self._r_prior
@@ -316,11 +310,10 @@ class DiliKernel:
         return r, m - self.vecs @ r
 
     def _lis_mean(self, r: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if cfg.lis_center == "map":
-            return self._r_map + math.sqrt(1.0 - cfg.lis_step) * (r - self._r_map)
-        if cfg.lis_center == "prior":
-            return self._r_prior + math.sqrt(max(0.0, 1.0 - cfg.lis_step)) * (r - self._r_prior)
+        if self.lis_center == "map":
+            return self._r_map + math.sqrt(1.0 - self.lis_step) * (r - self._r_map)
+        if self.lis_center == "prior":
+            return self._r_prior + math.sqrt(max(0.0, 1.0 - self.lis_step)) * (r - self._r_prior)
         return r
 
     def _lis_log_density(self, r_from: np.ndarray, r_to: np.ndarray) -> float:
@@ -333,7 +326,7 @@ class DiliKernel:
         Both moves are attempted on every scan; the code is 1 when either
         moved the chain.
         """
-        cfg = self.config
+        beta = self.cs_beta
         attempted = np.ones(2, dtype=np.int64)
         r, c = self.split(current.m)
 
@@ -355,15 +348,15 @@ class DiliKernel:
         # Complement move at r fixed: pCN against the prior restricted to
         # the complement; the prior quadratic form splits exactly across the
         # two components, so the correction uses the full prior precision.
-        keep = math.sqrt(1.0 - cfg.cs_beta**2)
+        keep = math.sqrt(1.0 - beta**2)
         noise = self.prior.apply_cov_factor(rng.standard_normal(self.prior.dim))
         noise = noise - self.vecs @ self.laplace.project(noise)
-        c_prop = (self._c_prior + keep * (c - self._c_prior) + cfg.cs_beta * noise)
+        c_prop = (self._c_prior + keep * (c - self._c_prior) + beta * noise)
         try:
             candidate = target.make_state(mid.m + (c_prop - c))
             d_fwd = c_prop - self._c_prior - keep * (c - self._c_prior)
             d_bwd = c - self._c_prior - keep * (c_prop - self._c_prior)
-            corr = -0.5 / cfg.cs_beta**2 * (
+            corr = -0.5 / beta**2 * (
                 float(d_bwd @ self.prior.apply_precision(d_bwd))
                 - float(d_fwd @ self.prior.apply_precision(d_fwd)))
             log_alpha = candidate.log_posterior - mid.log_posterior + corr

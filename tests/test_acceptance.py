@@ -13,12 +13,11 @@ import pytest
 import scipy.linalg
 
 import pdebayes.mcmc as mc
-from pdebayes.config import parse_config
+from pdebayes.config import ExperimentConfig, parse_config
 from pdebayes.diagnostics import ChainEnsemble, ess, mpsrf, summarize, vhat, within_between_cov
 from pdebayes.driver import run_experiment
 from pdebayes.fem import build_unit_square_mesh
-from pdebayes.laplace import (LaplaceApprox, NewtonConfig, compute_map,
-                              doublepass_randomized_eig)
+from pdebayes.laplace import LaplaceApprox, compute_map, doublepass_randomized_eig
 from pdebayes.models import PoissonProblem, LinearizedPoissonProblem, generate_synthetic_data
 from pdebayes.prior import BiLaplacianPrior
 from pdebayes.targets import CallableTarget, DenseGaussian, PosteriorTarget
@@ -28,7 +27,7 @@ from helpers import (DenseLinearModel, TableProposal, ar1_chains,
                      ref_mpsrf, ref_vhat, ref_within_between)
 
 PRIOR_PARAMS = dict(gamma=0.1, delta=0.5, theta1=2.0, theta2=0.5, alpha=np.pi / 4)
-TIGHT = NewtonConfig(grad_rel_tol=1e-10, grad_abs_tol=1e-10)
+TIGHT = ExperimentConfig(newton_grad_rel_tol=1e-10, newton_grad_abs_tol=1e-10)
 
 
 def announce(num, detail):
@@ -244,8 +243,8 @@ def test_criterion_4b_all_kernels_gaussian_target():
         "mh/h-inf-mala": mc.MHKernel(mc.inf_mala(truncated, 1.2, prior)),
         "dr": mc.DRKernel([mc.pcn(truncated, 1.0),
                            mc.mala(truncated, 0.25)]),
-        "dili": mc.DiliKernel(truncated,
-                              mc.SubspaceGibbsConfig(lis_step=0.5, cs_beta=0.8)),
+        "dili": mc.DiliKernel(truncated, lis_step=0.5, cs_beta=0.8,
+                              lis_center="map"),
     }
     worst = {}
     for name, kernel in kernels.items():

@@ -4,12 +4,17 @@ import filecmp
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pdebayes.cli import main as cli_main
-from pdebayes.config import METHODS, MODEL_KINDS, parse_config
-from pdebayes.driver import (StageError, read_chain_csv, read_report,
-                             run_experiment, write_chain_csv)
+from pdebayes.config import METHODS, MODEL_KINDS, ConfigError, parse_config
+from pdebayes.driver import (StageError, build_prior_for, read_chain_csv,
+                             read_report, run_experiment, write_chain_csv)
+from pdebayes.fem import build_unit_square_mesh
 from pdebayes.mcmc import ChainRecord
+from pdebayes.models import LinearizedPoissonProblem
+
+from helpers import dense_gaussian_posterior, dense_prior_matrices
 
 FAST_POISSON = """
 mesh.n = 6
@@ -114,11 +119,27 @@ class TestDeterminism:
 
 class TestOracleMode:
     def test_laplace_vs_dense_check_passes(self, tmp_path):
+        # The linearized posterior is Gaussian: the MAP is its mean, and the
+        # spectrum is that of the pencil (F^T F / sigma^2, R), R the prior
+        # precision. Both are computed densely from the run's own data.
         cfg = parse_config(ORACLE_LINEARIZED)
         entries = run_experiment(cfg, str(tmp_path))
-        assert entries["oracle_pass"] == "true"
-        assert entries["oracle_map_rel_err"] <= 1e-6
-        assert entries["oracle_hinv_rel_err"] <= 1e-6
+        mesh = build_unit_square_mesh(cfg.mesh_n)
+        prior = build_prior_for(cfg, mesh)
+        table = np.loadtxt(tmp_path / "data.txt", ndmin=2)
+        problem = LinearizedPoissonProblem(mesh, table[:, :2], cfg.data_sigma,
+                                           table[:, 2])
+        f = problem.dense_forward_matrix()
+        _, r, c = dense_prior_matrices(prior)
+        mean, _ = dense_gaussian_posterior(f, problem.data, cfg.data_sigma,
+                                           prior.mean, c)
+        map_m = np.loadtxt(tmp_path / "map.txt")
+        assert np.linalg.norm(map_m - mean) <= 1e-6 * np.linalg.norm(mean)
+
+        lam_dense = scipy.linalg.eigh(f.T @ f / cfg.data_sigma**2, r,
+                                      eigvals_only=True)[::-1][:10]
+        lam = np.loadtxt(tmp_path / "eigenvalues.txt")[:10, 1]
+        np.testing.assert_allclose(lam, lam_dense, rtol=1e-6)
         # the linearized model defines no flux; every QoI sample is missing
         assert entries["qoi_missing_chain_00"] == cfg.mcmc_samples
 
@@ -189,13 +210,23 @@ class TestWriteChainCsv:
 
 class TestStageErrors:
     def test_failure_is_stage_tagged(self, tmp_path):
-        cfg = parse_config(FAST_POISSON)
-        cfg.eig_k = 60        # exceeds n=6 dimension at runtime
+        # one Newton step cannot reach this tolerance
+        cfg = parse_config(FAST_POISSON + "newton.max_iters = 1\n"
+                           + "newton.grad_rel_tol = 1e-300\n"
+                           + "newton.grad_abs_tol = 1e-300\n")
         with pytest.raises(StageError) as err:
             run_experiment(cfg, str(tmp_path))
-        assert err.value.stage == "eig"
+        assert err.value.stage == "map"
         # earlier artifacts retained
-        assert (tmp_path / "map.txt").exists()
+        assert (tmp_path / "truth.txt").exists()
+
+    def test_invalid_config_rejected_before_any_work(self, tmp_path):
+        # a config built in code skips parse_config's validation
+        cfg = parse_config(FAST_POISSON)
+        cfg.mcmc_chains = 1
+        with pytest.raises(ConfigError):
+            run_experiment(cfg, str(tmp_path))
+        assert not (tmp_path / "chain_00.csv").exists()
 
 
 class TestCli:

@@ -5,12 +5,12 @@ import pytest
 import scipy.linalg
 
 from pdebayes import driver
-from pdebayes.config import ExperimentConfig
+from pdebayes.config import ConfigError, ExperimentConfig
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.laplace import (EigensolverBreakdown, LaplaceApprox,
-                              MapConvergenceError, NewtonConfig,
-                              _cg_newton_direction, compute_map,
-                              doublepass_randomized_eig, truncate_spectrum)
+                              MapConvergenceError, _cg_newton_direction,
+                              compute_map, doublepass_randomized_eig,
+                              truncate_spectrum)
 from pdebayes.models import (LinearizedPoissonProblem, PoissonProblem,
                              generate_synthetic_data)
 from pdebayes.prior import BiLaplacianPrior
@@ -19,7 +19,7 @@ from pdebayes.targets import DenseGaussian
 from helpers import dense_gaussian_posterior, dense_prior_matrices
 
 PRIOR_PARAMS = dict(gamma=0.1, delta=0.5, theta1=2.0, theta2=0.5, alpha=np.pi / 4)
-TIGHT = NewtonConfig(grad_rel_tol=1e-10, grad_abs_tol=1e-10)
+TIGHT = ExperimentConfig(newton_grad_rel_tol=1e-10, newton_grad_abs_tol=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +116,21 @@ class TestComputeMap:
         with pytest.raises(TypeError):
             compute_map(BrokenTrials(), prior)
 
+    def test_out_of_range_setting_rejected_before_any_evaluation(self, linear_setup):
+        prior = linear_setup[0]
+
+        class NoEvaluations:
+            def evaluate(self, m):
+                raise AssertionError("model evaluated")
+
+        with pytest.raises(ConfigError, match="newton.backtrack"):
+            compute_map(NoEvaluations(), prior,
+                        cfg=ExperimentConfig(newton_backtrack=1.5))
+
     def test_nonconvergence_reported(self, poisson_setup):
         prior, problem = poisson_setup
-        cfg = NewtonConfig(grad_rel_tol=1e-14, grad_abs_tol=1e-16,
-                           max_newton_iters=1)
+        cfg = ExperimentConfig(newton_grad_rel_tol=1e-14,
+                               newton_grad_abs_tol=1e-16, newton_max_iters=1)
         with pytest.raises(MapConvergenceError) as err:
             compute_map(problem, prior, cfg=cfg)
         assert err.value.grad_norm > 0
@@ -152,16 +163,6 @@ class TestPreconditionedCG:
         assert iters == 1
 
     def test_default_config_converges_independently_of_mesh(self):
-        # The NewtonConfig defaults are the config's newton.* defaults.
-        cfg = ExperimentConfig()
-        assert NewtonConfig() == NewtonConfig(
-            grad_rel_tol=cfg.newton_grad_rel_tol,
-            grad_abs_tol=cfg.newton_grad_abs_tol,
-            max_newton_iters=cfg.newton_max_iters,
-            max_cg_iters=cfg.newton_max_cg_iters,
-            armijo_c=cfg.newton_armijo_c,
-            backtrack_factor=cfg.newton_backtrack,
-            gn_phase_iters=cfg.newton_gn_iters)
         cg_totals = {}
         for n in (16, 32, 64):
             cfg = ExperimentConfig(mesh_n=n)
@@ -362,8 +363,8 @@ class TestLowRankPosterior:
             mesh = build_unit_square_mesh(n)
             prior = BiLaplacianPrior(mesh, **PRIOR_PARAMS)
             problem = PoissonProblem(mesh, pts, sigma=0.05, data=d)
-            result = compute_map(problem, prior,
-                                 cfg=NewtonConfig(grad_rel_tol=1e-8))
+            result = compute_map(
+                problem, prior, cfg=ExperimentConfig(newton_grad_rel_tol=1e-8))
             state = problem.evaluate(result.m)
             lam, _ = doublepass_randomized_eig(
                 lambda x: state.hessian_action(x), prior, k=15, p=15,

@@ -557,8 +557,7 @@ class TestSolveCounting:
 @pytest.fixture(scope="module")
 def dili_setup(gauss2d):
     target, prior, laplace, mean, cov = gauss2d
-    kernel = mc.DiliKernel(
-        laplace, mc.SubspaceGibbsConfig(lis_step=0.4, cs_beta=0.7))
+    kernel = mc.DiliKernel(laplace, lis_step=0.4, cs_beta=0.7, lis_center="map")
     return target, prior, laplace, kernel
 
 
@@ -595,13 +594,20 @@ class TestDiliKernel:
         empty = LaplaceApprox(prior, prior.mean, np.zeros(0),
                               np.zeros((prior.dim, 0)))
         with pytest.raises(ValueError):
-            mc.DiliKernel(empty)
+            mc.DiliKernel(empty, lis_step=0.1, cs_beta=0.8, lis_center="map")
+
+    @pytest.mark.parametrize("step, beta, center", [
+        (0.1, 0.0, "map"), (0.1, 1.5, "map"), (0.0, 0.8, "current"),
+        (1.5, 0.8, "map"), (0.1, 0.8, "mode")])
+    def test_rejects_out_of_range_settings(self, gauss2d, step, beta, center):
+        laplace = gauss2d[2]
+        with pytest.raises(ValueError):
+            mc.DiliKernel(laplace, lis_step=step, cs_beta=beta, lis_center=center)
 
     def test_gaussian_target_mean(self, gauss2d):
         target, prior, laplace, = gauss2d[0], gauss2d[1], gauss2d[2]
         mean, cov = gauss2d[3], gauss2d[4]
-        kernel = mc.DiliKernel(
-            laplace, mc.SubspaceGibbsConfig(lis_step=0.5, cs_beta=0.8))
+        kernel = mc.DiliKernel(laplace, lis_step=0.5, cs_beta=0.8, lis_center="map")
         recs = [mc.run_chain(target, kernel,
                              laplace.sample(np.random.default_rng(40 + i)),
                              5000, seed=50 + i, projector=lambda m: m.copy())
@@ -619,9 +625,8 @@ class TestDiliKernel:
     @pytest.mark.parametrize("center", ["current", "prior"])
     def test_alternative_centerings_stay_on_target(self, gauss2d, center):
         target, prior, laplace, mean, cov = gauss2d
-        kernel = mc.DiliKernel(
-            laplace, mc.SubspaceGibbsConfig(lis_step=0.3, cs_beta=0.7,
-                                            lis_center=center))
+        kernel = mc.DiliKernel(laplace, lis_step=0.3, cs_beta=0.7,
+                               lis_center=center)
         recs = [mc.run_chain(target, kernel,
                              laplace.sample(np.random.default_rng(60 + i)),
                              4000, seed=70 + i, projector=lambda m: m.copy())

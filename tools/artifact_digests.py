@@ -6,15 +6,18 @@ kinds at mesh n=8, 30 observations, eig.k 20 + 10 oversampling, 2 chains of
 both model kinds it also runs the paths that matrix leaves out: chains
 started from a prior sample or the MAP, data from a truth mesh of n=16,
 delayed rejection with an H-inf-MALA second stage, and DILI centred at the
-current state or the prior mean. Prints one line per config:
+current state or the prior mean. Prints one line per artifact of each config,
+in name order, then one line for the config itself:
 
-    <model.kind> <mcmc.method> <override or -> <artifacts sha256> <config sha256>
+    <model.kind> <mcmc.method> <override or -> <artifact name> <sha256>
+    <model.kind> <mcmc.method> <override or -> config <sha256>
 
-where the artifact digest covers the name and bytes of every artifact except
-config_used.txt (which names the output directory), and the config digest is
-that of pdebayes.config.serialize(cfg). A config that raises prints its
-exception type instead of the artifact digest, and its traceback to stderr.
-Run it on two checkouts and diff the outputs:
+Every artifact except config_used.txt (which names the output directory) is
+listed; the config digest is that of pdebayes.config.serialize(cfg). A config
+that raises lists the artifacts it wrote, then an `error <exception type>`
+line, and prints its traceback to stderr. One digest per artifact means that
+a change to one artifact leaves every other line of a diff unchanged. Run it
+on two checkouts and diff the outputs:
 
     python3 tools/artifact_digests.py > a.txt
     python3 tools/artifact_digests.py --src /path/to/other/src > b.txt
@@ -55,13 +58,13 @@ OVERRIDES = [
 ]
 
 
-def digest(art_dir: str) -> str:
-    sha = hashlib.sha256()
+def digests(art_dir: str) -> list:
+    """(name, sha256) of every artifact but config_used.txt, by name."""
+    out = []
     for name in sorted(set(os.listdir(art_dir)) - {"config_used.txt"}):
-        sha.update(name.encode() + b"\0")
         with open(os.path.join(art_dir, name), "rb") as fh:
-            sha.update(fh.read())
-    return sha.hexdigest()
+            out.append((name, hashlib.sha256(fh.read()).hexdigest()))
+    return out
 
 
 def main() -> int:
@@ -83,15 +86,20 @@ def main() -> int:
         label = " ".join(f"{name.replace('_', '.', 1)}={value}"
                          for name, value in extra.items()) or "-"
         config_sha = hashlib.sha256(serialize(cfg).encode()).hexdigest()
+        error = None
         with tempfile.TemporaryDirectory() as out_dir:
             try:
                 run_experiment(cfg, out_dir)
-                result = digest(out_dir)
             except Exception as exc:
                 # One failing config must not hide the others' digests.
                 traceback.print_exc()
-                result = f"error:{type(exc).__name__}"
-        print(f"{kind} {method} {label} {result} {config_sha}", flush=True)
+                error = type(exc).__name__
+            lines = digests(out_dir)
+        if error:
+            lines.append(("error", error))
+        lines.append(("config", config_sha))
+        for name, value in lines:
+            print(f"{kind} {method} {label} {name} {value}", flush=True)
     return 0
 
 

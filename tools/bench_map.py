@@ -2,9 +2,9 @@
 
 For each model kind (Poisson, linearized) and mesh n in {16, 32, 64} this
 builds the default experiment's prior, observation points and synthetic data
-(pdebayes.driver), then runs pdebayes.laplace.compute_map with its default
-NewtonConfig, which matches the config's newton.* defaults: one warm-up run,
-then REPEATS = 3 timed runs, of which it records the median and every value.
+(pdebayes.driver), then runs pdebayes.laplace.compute_map with the config's
+default newton.* settings: one warm-up run, then REPEATS = 3 timed runs, of
+which it records the median and every value.
 For each case it also records the Newton iterations, the total CG iterations
 (MapResult.cg_iterations, null where MapResult has no such field), the number
 of model Hessian actions (one per CG iteration), the final gradient norm and
