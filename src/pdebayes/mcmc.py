@@ -34,11 +34,18 @@ def _log1m_exp(log_p: float) -> float:
     return math.log(-math.expm1(log_p))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class GaussianProposal:
     """Gaussian proposal with covariance scale^2 times a reference covariance.
 
-    Subclasses define the state-dependent mean. Log densities are reported up
-    to the (state-independent) normalizing constant, evaluated through the
+    Subclasses define the state-dependent mean; a mean that costs operator
+    actions is computed once per state and kept, read-only, in state.means
+    under its proposal. Log densities are reported up to the
+    (state-independent) normalizing constant, evaluated through the
     reference precision.
     """
 
@@ -105,8 +112,12 @@ class LangevinProposal(GaussianProposal):
         self.tau = tau
 
     def mean(self, state: ChainState) -> np.ndarray:
-        return state.m + self.tau * self.reference.apply_covariance(
-            state.grad_log_posterior)
+        mu = state.means.get(self)
+        if mu is None:
+            mu = state.means[self] = _read_only(
+                state.m + self.tau * self.reference.apply_covariance(
+                    state.grad_log_posterior))
+        return mu
 
 
 class DimensionRobustLangevinProposal(GaussianProposal):
@@ -132,13 +143,18 @@ class DimensionRobustLangevinProposal(GaussianProposal):
         self._prior = prior   # set for the curvature-informed variant
 
     def mean(self, state: ChainState) -> np.ndarray:
+        mu = state.means.get(self)
+        if mu is not None:
+            return mu
         ref = self.reference
         if self._prior is None:
             drift = ref.mean - ref.apply_covariance(state.grad_misfit)
         else:
             pull = self._prior.apply_precision(state.m - self._prior.mean)
             drift = state.m - ref.apply_covariance(pull + state.grad_misfit)
-        return self._keep * state.m + 0.5 * self.beta * math.sqrt(self.h) * drift
+        mu = state.means[self] = _read_only(
+            self._keep * state.m + 0.5 * self.beta * math.sqrt(self.h) * drift)
+        return mu
 
 
 def random_walk(reference, step: float = 1.0) -> RandomWalkProposal:
@@ -163,30 +179,34 @@ def inf_mala(reference, h: float, prior=None) -> DimensionRobustLangevinProposal
 # ---------------------------------------------------------------------------
 
 def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
-                       proposed: ChainState) -> float:
+                       proposed: ChainState, log_q=None) -> float:
     """Recursive stage acceptance probability of the delayed rejection rule.
 
     rejected holds the states turned down at stages 1..j-1; proposed is the
-    stage-j candidate. A unit acceptance probability in a denominator forces
-    rejection of the branch (the event has probability zero in the continuous
-    setting, so stationarity is unaffected). A NaN ratio is returned as NaN,
-    for _accept to reject.
+    stage-j candidate. log_q(k, a, b) is the stage-(k+1) proposal log density
+    from state a to state b; by default it is evaluated on every call, and
+    DRKernel.step passes a memo of the step, since the recursion asks for the
+    same densities many times. A unit acceptance probability in a denominator
+    forces rejection of the branch (the event has probability zero in the
+    continuous setting, so stationarity is unaffected). A NaN ratio is
+    returned as NaN, for _accept to reject.
     """
+    if log_q is None:
+        def log_q(k, a, b):
+            return proposals[k].log_density(a, b.m)
     j = len(rejected) + 1
-    qj = proposals[j - 1]
     log_gamma = (proposed.log_posterior - current.log_posterior
-                 + qj.log_density(proposed, current.m)
-                 - qj.log_density(current, proposed.m))
+                 + log_q(j - 1, proposed, current)
+                 - log_q(j - 1, current, proposed))
     for k in range(1, j):
-        qk = proposals[k - 1]
-        log_gamma += (qk.log_density(proposed, rejected[j - k - 1].m)
-                      - qk.log_density(current, rejected[k - 1].m))
+        log_gamma += (log_q(k - 1, proposed, rejected[j - k - 1])
+                      - log_q(k - 1, current, rejected[k - 1]))
         # Reversed path: from the stage-j candidate back through the
         # rejected states in reverse order.
-        fwd = dr_accept_log_prob(proposals, proposed,
-                                 rejected[j - k:][::-1], rejected[j - k - 1])
-        bwd = dr_accept_log_prob(proposals, current,
-                                 rejected[:k - 1], rejected[k - 1])
+        fwd = dr_accept_log_prob(proposals, proposed, rejected[j - k:][::-1],
+                                 rejected[j - k - 1], log_q)
+        bwd = dr_accept_log_prob(proposals, current, rejected[:k - 1],
+                                 rejected[k - 1], log_q)
         log_num = _log1m_exp(fwd)
         log_den = _log1m_exp(bwd)
         if log_den == -math.inf:
@@ -232,12 +252,23 @@ class DRKernel:
         attempted = np.zeros(self.n_stages, dtype=np.int64)
         accepted = np.zeros(self.n_stages, dtype=np.int64)
         rejected = []
+        # Proposal log densities of this step, keyed by stage and state
+        # identity; every keyed state lives until the step returns.
+        memo = {}
+
+        def log_q(k, a, b):
+            key = (k, id(a), id(b))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = self.proposals[k].log_density(a, b.m)
+            return value
+
         for j, proposal in enumerate(self.proposals):
             attempted[j] = 1
             try:
                 proposed = target.make_state(proposal.sample(current, rng))
                 log_alpha = dr_accept_log_prob(self.proposals, current,
-                                               rejected, proposed)
+                                               rejected, proposed, log_q)
             except TargetEvaluationError as exc:
                 logger.warning("model failure at stage-%d point: %s", j + 1, exc)
                 return current, 0, attempted, accepted
@@ -422,13 +453,20 @@ def run_chain(target, kernel, start: np.ndarray, n_steps: int, seed: int,
     stage_accepts = np.zeros(kernel.n_stages, dtype=np.int64)
 
     solves0 = target.solve_total
+    previous = None
     for i in range(n_steps):
         state, accepted[i], attempted, stage_accepted = kernel.step(target, state, rng)
         stage_attempts += attempted
         stage_accepts += stage_accepted
-        if k:
-            coords[i] = projector(state.m)
-        qoi[i] = state.qoi()
+        if state is previous:
+            # A kept state repeats the previous row's QoI and projection.
+            coords[i] = coords[i - 1]
+            qoi[i] = qoi[i - 1]
+        else:
+            if k:
+                coords[i] = projector(state.m)
+            qoi[i] = state.qoi()
+            previous = state
         logpost[i] = state.log_posterior
 
     return ChainRecord(coords=coords, qoi=qoi, log_posterior=logpost,

@@ -21,18 +21,25 @@ class TargetEvaluationError(RuntimeError):
 
 
 class ChainState:
-    """One evaluated point of a target, with lazy gradient caches."""
+    """One evaluated point of a target, with lazy gradient caches.
+
+    means holds the state-dependent proposal means computed at this point,
+    keyed by proposal (see pdebayes.mcmc).
+    """
 
     __slots__ = ("target", "m", "log_posterior", "_grad_phi", "_grad_logpost",
-                 "model_state")
+                 "_grad_prior", "model_state", "means")
 
-    def __init__(self, target, m, log_posterior, model_state=None):
+    def __init__(self, target, m, log_posterior, model_state=None,
+                 grad_prior=None):
         self.target = target
         self.m = m
         self.log_posterior = log_posterior
         self.model_state = model_state
         self._grad_phi = None
         self._grad_logpost = None
+        self._grad_prior = grad_prior
+        self.means = {}
 
     @property
     def grad_log_posterior(self) -> np.ndarray:
@@ -68,14 +75,18 @@ class PosteriorTarget:
             model_state = self.model.evaluate(m)
         except MODEL_FAILURES as exc:
             raise TargetEvaluationError(str(exc)) from exc
-        log_post = -model_state.cost - self.prior.cost(m)
+        # The prior cost 0.5 (m - mean)^T C^{-1} (m - mean), through the prior
+        # gradient that fill_gradient reuses: one precision action per state.
+        grad_prior = self.prior.grad(m)
+        log_post = -model_state.cost - 0.5 * float((m - self.prior.mean) @ grad_prior)
         if not np.isfinite(log_post):
             raise TargetEvaluationError(f"log posterior {log_post} at evaluated point")
-        return ChainState(self, np.asarray(m, dtype=float), log_post, model_state)
+        return ChainState(self, np.asarray(m, dtype=float), log_post, model_state,
+                          grad_prior)
 
     def fill_gradient(self, state: ChainState) -> None:
         state._grad_phi = state.model_state.gradient()
-        state._grad_logpost = -state._grad_phi - self.prior.grad(state.m)
+        state._grad_logpost = -state._grad_phi - state._grad_prior
 
     def qoi(self, state: ChainState) -> float:
         try:

@@ -554,6 +554,175 @@ class TestSolveCounting:
         assert model.counter.incremental == 0
 
 
+# ---------------------------------------------------------------------------
+# Per-step and per-state memos: each density and mean is computed once
+# ---------------------------------------------------------------------------
+
+def gaussian_callable_target():
+    """CallableTarget N(mean, cov) with its gradient, and the DenseGaussian."""
+    gauss = DenseGaussian(np.array([0.5, -0.4]),
+                          np.array([[0.6, -0.2], [-0.2, 0.9]]))
+    return CallableTarget(lambda m: -gauss.cost(m),
+                          lambda m: -gauss.grad(m), dim=2), gauss
+
+
+def dr_stage_proposals(kind, n_stages, gauss2d):
+    """Target, start and DR proposals wide enough to reach every stage often."""
+    if kind == "dense":
+        target, prior, reference, _, _ = gauss2d
+        stages = [mc.random_walk(prior, 3.0), mc.mala(reference, 0.8),
+                  mc.inf_mala(reference, 2.0, prior)]
+    else:
+        target, reference = gaussian_callable_target()
+        stages = [mc.random_walk(reference, 2.5), mc.mala(reference, 0.5),
+                  mc.inf_mala(reference, 1.5)]
+    return target, reference.mean, stages[:n_stages]
+
+
+def plain_dr_step(proposals, target, current, rng):
+    """DRKernel.step without its memo: every density evaluated on each call."""
+    rejected = []
+    for j, proposal in enumerate(proposals):
+        proposed = target.make_state(proposal.sample(current, rng))
+        log_alpha = mc.dr_accept_log_prob(proposals, current, rejected, proposed)
+        if mc._accept(rng, log_alpha):
+            return proposed, j + 1
+        rejected.append(proposed)
+    return current, 0
+
+
+def count_calls(monkeypatch, obj, name):
+    """Wrap obj.name (an instance attribute, undone after the test); returns
+    the list of the first positional argument of every call."""
+    seen = []
+    method = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args[0] if args else None)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return seen
+
+
+class TestStepMemo:
+    @pytest.mark.parametrize("kind", ["dense", "callable"])
+    @pytest.mark.parametrize("n_stages", [2, 3])
+    def test_memoized_acceptance_equals_plain_recursion(self, gauss2d, kind,
+                                                        n_stages):
+        # One memo shared across the stages of a step, as in DRKernel.step.
+        target, start, proposals = dr_stage_proposals(kind, n_stages, gauss2d)
+        rng = np.random.default_rng(21)
+        current = target.make_state(start)
+        for _ in range(40):
+            memo = {}
+
+            def log_q(k, a, b):
+                key = (k, id(a), id(b))
+                if key not in memo:
+                    memo[key] = proposals[k].log_density(a, b.m)
+                return memo[key]
+
+            rejected = []
+            for proposal in proposals:
+                proposed = target.make_state(proposal.sample(current, rng))
+                plain = mc.dr_accept_log_prob(proposals, current, rejected, proposed)
+                memoized = mc.dr_accept_log_prob(proposals, current, rejected,
+                                                 proposed, log_q)
+                assert memoized == plain
+                rejected.append(proposed)
+            current = rejected[0]
+
+    @pytest.mark.parametrize("kind", ["dense", "callable"])
+    @pytest.mark.parametrize("n_stages", [2, 3])
+    def test_kernel_chain_equals_plain_steps(self, gauss2d, kind, n_stages):
+        target, start, proposals = dr_stage_proposals(kind, n_stages, gauss2d)
+        kernel = mc.DRKernel(proposals)
+        ours = target.make_state(start)
+        plain = target.make_state(start)
+        rng_ours = np.random.default_rng(22)
+        rng_plain = np.random.default_rng(22)
+        codes = []
+        for _ in range(150):
+            ours, code, _, _ = kernel.step(target, ours, rng_ours)
+            plain, plain_code = plain_dr_step(proposals, target, plain, rng_plain)
+            assert code == plain_code
+            assert np.array_equal(ours.m, plain.m)
+            assert ours.log_posterior == plain.log_posterior
+            codes.append(code)
+        assert set(codes) == set(range(n_stages + 1))
+
+    def test_stage_two_evaluates_four_new_densities(self, gauss2d, monkeypatch):
+        # Stage 1 evaluates q1(x->y1) and q1(y1->x); stage 2 adds q2(y2->x),
+        # q2(x->y2), q1(y2->y1) and q1(y1->y2), and looks the rest up.
+        target, prior, laplace, _, _ = gauss2d
+        proposals = [mc.pcn(prior, 1.0), mc.mala(laplace, 0.2)]
+        calls = [count_calls(monkeypatch, p, "log_density") for p in proposals]
+        n = 200
+        rec = mc.run_chain(target, mc.DRKernel(proposals), laplace.mean, n, seed=23)
+        reached = int(rec.stage_attempts[1])
+        assert 0 < reached < n
+        assert len(calls[0]) == 2 * n + 2 * reached
+        assert len(calls[1]) == 2 * reached
+
+    @pytest.mark.parametrize("name", ["mala", "inf-mala", "h-mala", "h-inf-mala"])
+    def test_langevin_mean_computed_once_per_state(self, gauss2d, monkeypatch, name):
+        target, prior, laplace, _, _ = gauss2d
+        prop = make_proposal(name, prior, laplace)
+        # Every computation of a Langevin mean is one covariance action.
+        computed = count_calls(monkeypatch, prop.reference, "apply_covariance")
+        asked = count_calls(monkeypatch, prop, "mean")   # keeps states alive
+        n = 100
+        mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=24)
+        assert len(asked) == 3 * n
+        assert len(computed) == len({id(state) for state in asked})
+        assert len(computed) < 2 * n
+        assert not prop.mean(asked[-1]).flags.writeable
+
+    def test_autoregressive_mh_step_keeps_every_call(self, gauss2d, monkeypatch):
+        # The pCN mean is not cached: an MH step still makes two log_density
+        # and three mean calls.
+        target, prior, laplace, _, _ = gauss2d
+        prop = mc.pcn(laplace, 0.7)
+        densities = count_calls(monkeypatch, prop, "log_density")
+        means = count_calls(monkeypatch, prop, "mean")
+        n = 50
+        mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=25)
+        assert len(densities) == 2 * n
+        assert len(means) == 3 * n
+
+    def test_prior_gradient_reused_by_the_posterior_gradient(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        mesh = build_unit_square_mesh(4)
+        prior = BiLaplacianPrior(mesh, 0.1, 0.5, theta1=2.0, theta2=0.5,
+                                 alpha=np.pi / 4)
+        pts = rng.uniform(0.1, 0.9, size=(10, 2))
+        model = LinearizedPoissonProblem(mesh, pts, sigma=0.5)
+        model.set_data(rng.standard_normal(10))
+        target = PosteriorTarget(model, prior)
+        m = prior.sample(rng)
+        actions = count_calls(monkeypatch, prior, "apply_precision")
+        state = target.make_state(m)
+        g = state.grad_log_posterior
+        assert len(actions) == 1
+        monkeypatch.undo()
+        assert state.log_posterior == -model.evaluate(m).cost - prior.cost(m)
+        assert np.array_equal(g, -model.evaluate(m).gradient() - prior.grad(m))
+
+    def test_kept_state_repeats_previous_row(self):
+        qoi_calls = []
+        target, gauss = gaussian_callable_target()
+        target._qoi = lambda m: qoi_calls.append(m) or float(m[0] - 2.0 * m[1])
+        kernel = mc.MHKernel(mc.random_walk(gauss, 2.0))
+        rec = mc.run_chain(target, kernel, np.zeros(2), 200, seed=27,
+                           projector=lambda m: m.copy())
+        moves = int(np.count_nonzero(rec.accepted[1:]))
+        assert 0 < moves < 150
+        assert len(qoi_calls) == 1 + moves
+        expected = [float(c[0] - 2.0 * c[1]) for c in rec.coords]
+        assert rec.qoi.tolist() == expected
+
+
 @pytest.fixture(scope="module")
 def dili_setup(gauss2d):
     target, prior, laplace, mean, cov = gauss2d

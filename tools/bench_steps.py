@@ -1,0 +1,170 @@
+"""Time one MCMC step of every kernel on the default experiment at n = 32.
+
+For each model kind (Poisson, linearized) this builds the default
+experiment's prior, synthetic data, MAP, low-rank Laplace approximation and
+chain projector at mesh n = 32 the way pdebayes.driver.run_experiment does,
+then for each of the 9 methods (pdebayes.config.METHODS, with the config's
+default step sizes) builds the kernel with pdebayes.driver.build_kernel and
+runs chains of STEPS steps from the MAP with pdebayes.mcmc.run_chain.
+
+One counted chain records, per step: PDE solves (ChainRecord.solves),
+proposal log_density calls and proposal mean calls (counting wrappers on
+GaussianProposal.log_density and on the mean of each proposal class, as the
+benchmark's trace wraps them), and the acceptance rate of each stage. The
+counts repeat exactly, since a chain is deterministic for its seed. The
+wrappers are then removed, and REPEATS timed chains of the same seed give the
+median microseconds per step and every value.
+
+The record, with the machine, Python, numpy, scipy and BLAS versions and the
+BLAS thread count, is stored under --label in the JSON file --out (other
+labels already in the file are kept), so one file can hold the numbers of two
+checkouts:
+
+    python3 tools/bench_steps.py --src /path/to/parent/src --label parent --out BENCH.json
+    python3 tools/bench_steps.py --label change --out BENCH.json
+
+BLAS runs one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set before the run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import statistics
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+
+from bench_map import BLAS_THREAD_VARS, KINDS, machine_record  # noqa: E402
+
+MESH_N = 32
+STEPS = 300
+REPEATS = 3
+CHAIN_SEED = 1
+
+
+class CallCounter:
+    """Counts proposal log_density and mean calls while installed."""
+
+    def __init__(self, mcmc):
+        self.calls = {"log_density": 0, "mean": 0}
+        owners = [(mcmc.GaussianProposal, "log_density")] + [
+            (cls, "mean") for cls in (mcmc.RandomWalkProposal,
+                                      mcmc.AutoregressiveProposal,
+                                      mcmc.LangevinProposal,
+                                      mcmc.DimensionRobustLangevinProposal)]
+        self._originals = [(cls, attr, cls.__dict__[attr]) for cls, attr in owners]
+
+    def install(self):
+        for cls, attr, method in self._originals:
+            def counted(*args, _method=method, _attr=attr, **kwargs):
+                self.calls[_attr] += 1
+                return _method(*args, **kwargs)
+
+            setattr(cls, attr, counted)
+
+    def remove(self):
+        for cls, attr, method in self._originals:
+            setattr(cls, attr, method)
+
+
+def build_setup(pb, kind: str):
+    """(prior, problem, laplace, projector) of the default experiment."""
+    import numpy as np
+
+    driver = pb.driver
+    cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=MESH_N)
+    mesh = pb.fem.build_unit_square_mesh(MESH_N)
+    prior = driver.build_prior_for(cfg, mesh)
+    points = driver.draw_observation_points(cfg)
+    _, _, data = driver.synthesize_data(cfg, points)
+    problem = driver.PROBLEMS[kind](mesh, points, cfg.data_sigma, data)
+    m_map = pb.laplace.compute_map(problem, prior, cfg=cfg).m
+    map_state = problem.evaluate(m_map)
+    lam, vecs = pb.laplace.doublepass_randomized_eig(
+        lambda v: map_state.hessian_action(v, gauss_newton=False),
+        prior, k=cfg.eig_k, p=cfg.eig_oversampling,
+        rng=np.random.default_rng(cfg.eig_seed))
+    laplace = pb.laplace.LaplaceApprox.from_spectrum(
+        prior, m_map, lam, vecs, threshold=cfg.eig_threshold)
+    w_proj = prior.apply_precision(vecs[:, :min(cfg.mcmc_project_dim, vecs.shape[1])])
+    return prior, problem, laplace, lambda m: w_proj.T @ m
+
+
+def bench_method(pb, counter, setup, kind: str, method: str) -> dict:
+    prior, problem, laplace, projector = setup
+    cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=MESH_N,
+                                     mcmc_method=method)
+    kernel = pb.driver.build_kernel(cfg, prior, laplace)
+    target = pb.targets.PosteriorTarget(problem, prior)
+
+    def chain():
+        return pb.mcmc.run_chain(target, kernel, laplace.m_map, STEPS,
+                                 seed=CHAIN_SEED, projector=projector)
+
+    counter.calls = dict.fromkeys(counter.calls, 0)
+    counter.install()
+    try:
+        record = chain()
+    finally:
+        counter.remove()
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        chain()
+        times.append(time.perf_counter() - t0)
+    return {"kind": kind, "method": method, "n": MESH_N, "steps": STEPS,
+            "us_per_step": statistics.median(times) / STEPS * 1e6,
+            "times_s": times,
+            "solves_per_step": record.solves / STEPS,
+            "log_density_per_step": counter.calls["log_density"] / STEPS,
+            "mean_per_step": counter.calls["mean"] / STEPS,
+            "acceptance": record.acceptance_rates().tolist()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
+                        help="directory that holds the pdebayes package "
+                             "(default: src/ of this checkout)")
+    parser.add_argument("--label", required=True,
+                        help="key under which the record is stored in --out")
+    parser.add_argument("--out", required=True, help="JSON file to update")
+    args = parser.parse_args()
+
+    # Before numpy is imported, so that BLAS starts with one thread.
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, os.path.abspath(args.src))
+    pb = importlib.import_module("pdebayes")
+    for layer in ("config", "driver", "fem", "laplace", "mcmc", "targets"):
+        importlib.import_module(f"pdebayes.{layer}")
+
+    counter = CallCounter(pb.mcmc)
+    cases = []
+    for kind in KINDS:
+        setup = build_setup(pb, kind)
+        for method in pb.config.METHODS:
+            case = bench_method(pb, counter, setup, kind, method)
+            print(json.dumps(case), flush=True)
+            cases.append(case)
+
+    results = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            results = json.load(fh)
+    results[args.label] = {"machine": machine_record(), "repeats": REPEATS,
+                           "cases": cases}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(results, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
