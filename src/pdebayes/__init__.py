@@ -16,13 +16,14 @@ from .fem import (Mesh, SpdSolver, assemble_boundary_mass, assemble_mass,
                   point_observation_operator)
 from .laplace import (LaplaceApprox, MapConvergenceError, compute_map,
                       doublepass_randomized_eig, truncate_spectrum)
-from .mcmc import (ChainRecord, DiliKernel, DRKernel, MHKernel, dr_accept_prob,
-                   inf_mala, mala, pcn, random_walk, run_chain)
+from .mcmc import (AutoregressiveProposal, ChainRecord, DiliKernel,
+                   DimensionRobustLangevinProposal, DRKernel, LangevinProposal,
+                   MHKernel, RandomWalkProposal, run_chain)
 from .models import (LinearizedPoissonProblem, ModelEvaluationError,
                      NonPositiveFluxError, PoissonProblem,
                      generate_synthetic_data)
 from .prior import BiLaplacianPrior, anisotropy_tensor
-from .targets import CallableTarget, ChainState, DenseGaussian, PosteriorTarget
+from .targets import ChainState, PosteriorTarget
 
 __version__ = "0.1.0"
 

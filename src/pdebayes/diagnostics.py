@@ -23,10 +23,10 @@ class ChainEnsemble:
     """M chains by N samples of k projected coordinates plus per-sample QoI."""
 
     coords: np.ndarray            # (M, N, k)
-    qoi: np.ndarray | None = None       # (M, N), NaN marks failed samples
-    solves: np.ndarray | None = None    # per-chain PDE solve counts
-    stage_attempts: np.ndarray | None = None
-    stage_accepts: np.ndarray | None = None
+    qoi: np.ndarray               # (M, N), NaN marks failed samples
+    solves: np.ndarray            # per-chain PDE solve counts
+    stage_attempts: np.ndarray    # (M, stages)
+    stage_accepts: np.ndarray     # (M, stages)
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
@@ -179,8 +179,8 @@ class DiagnosticsReport:
     acceptance_rates: np.ndarray
     total_solves: int
     nps_per_es: float
-    qoi_moments: np.ndarray | None = None       # (M, 3)
-    qoi_missing: np.ndarray | None = None       # per-chain missing counts
+    qoi_moments: np.ndarray       # (M, 3)
+    qoi_missing: np.ndarray       # per-chain missing counts
 
 
 def qoi_moments(qoi: np.ndarray, orders=(1, 2, 3)):
@@ -215,18 +215,12 @@ def summarize(ensemble: ChainEnsemble) -> DiagnosticsReport:
     imin = int(np.argmin(ess_vals))
     imax = int(np.argmax(ess_vals))
 
-    if ensemble.stage_attempts is not None:
-        att = np.maximum(ensemble.stage_attempts.sum(axis=0), 1)
-        rates = ensemble.stage_accepts.sum(axis=0) / att
-    else:
-        rates = np.array([])
-    total_solves = int(ensemble.solves.sum()) if ensemble.solves is not None else 0
+    att = np.maximum(ensemble.stage_attempts.sum(axis=0), 1)
+    rates = ensemble.stage_accepts.sum(axis=0) / att
+    total_solves = int(ensemble.solves.sum())
     avg = float(ess_vals.mean())
     nps = total_solves / avg if avg > 0 else float("inf")
-
-    moments = missing = None
-    if ensemble.qoi is not None:
-        moments, missing = qoi_moments(ensemble.qoi)
+    moments, missing = qoi_moments(ensemble.qoi)
 
     return DiagnosticsReport(
         mpsrf=scale, ess_values=ess_vals,

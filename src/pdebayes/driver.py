@@ -78,33 +78,32 @@ def synthesize_data(cfg: ExperimentConfig, points: np.ndarray):
     return n_truth, m_true, d
 
 
+def build_proposal(name: str, cfg: ExperimentConfig, prior, laplace):
+    """The proposal of an MH method name; an `h-` name uses the Laplace reference."""
+    informed = name.startswith("h-")
+    reference = laplace if informed else prior
+    base = name.removeprefix("h-")
+    if base == "rw":
+        return mcmc.RandomWalkProposal(reference, cfg.mcmc_step)
+    if base == "pcn":
+        return mcmc.AutoregressiveProposal(reference, cfg.mcmc_beta)
+    if base == "mala":
+        return mcmc.LangevinProposal(reference, cfg.mcmc_tau)
+    if base == "inf-mala":
+        return mcmc.DimensionRobustLangevinProposal(reference, cfg.mcmc_h, informed)
+    raise ValueError(f"unknown method '{name}'")
+
+
 def build_kernel(cfg: ExperimentConfig, prior, laplace):
     method = cfg.mcmc_method
-    if method == "rw":
-        return mcmc.MHKernel(mcmc.random_walk(prior, cfg.mcmc_step))
-    if method == "pcn":
-        return mcmc.MHKernel(mcmc.pcn(prior, cfg.mcmc_beta))
-    if method == "mala":
-        return mcmc.MHKernel(mcmc.mala(prior, cfg.mcmc_tau))
-    if method == "inf-mala":
-        return mcmc.MHKernel(mcmc.inf_mala(prior, cfg.mcmc_h))
-    if method == "h-pcn":
-        return mcmc.MHKernel(mcmc.pcn(laplace, cfg.mcmc_beta))
-    if method == "h-mala":
-        return mcmc.MHKernel(mcmc.mala(laplace, cfg.mcmc_tau))
-    if method == "h-inf-mala":
-        return mcmc.MHKernel(mcmc.inf_mala(laplace, cfg.mcmc_h, prior))
     if method == "dr":
-        stage1 = mcmc.pcn(laplace, cfg.mcmc_dr_beta)
-        if cfg.mcmc_dr_stage2 == "h-inf-mala":
-            stage2 = mcmc.inf_mala(laplace, cfg.mcmc_h, prior)
-        else:
-            stage2 = mcmc.mala(laplace, cfg.mcmc_tau)
-        return mcmc.DRKernel([stage1, stage2])
+        return mcmc.DRKernel([
+            mcmc.AutoregressiveProposal(laplace, cfg.mcmc_dr_beta),
+            build_proposal(cfg.mcmc_dr_stage2, cfg, prior, laplace)])
     if method == "dili":
         return mcmc.DiliKernel(laplace, cfg.mcmc_dili_tau, cfg.mcmc_dili_beta,
                                cfg.mcmc_dili_center)
-    raise ValueError(f"unknown method '{method}'")
+    return mcmc.MHKernel(build_proposal(method, cfg, prior, laplace))
 
 
 def write_chain_csv(record: mcmc.ChainRecord, path: str) -> None:
@@ -119,15 +118,6 @@ def write_chain_csv(record: mcmc.ChainRecord, path: str) -> None:
         row.extend(_fmt(v) for v in record.coords[i])
         lines.append(",".join(row))
     _write_lines(path, lines)
-
-
-def read_chain_csv(path: str):
-    """Read back a chain CSV; returns (header comment, column names, array)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        comment = fh.readline().strip()
-        names = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return comment, names, data
 
 
 def write_report(entries: dict, path: str) -> None:
@@ -272,13 +262,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             "sampling_solves": report_data.total_solves,
             "nps_per_es": report_data.nps_per_es,
         }
-        if report_data.qoi_moments is not None:
-            for j in range(report_data.qoi_moments.shape[0]):
-                g1, g2, g3 = report_data.qoi_moments[j]
-                entries[f"qoi_moments_chain_{j:02d}"] = ",".join(
-                    _fmt(v) for v in (g1, g2, g3))
-                entries[f"qoi_missing_chain_{j:02d}"] = int(
-                    report_data.qoi_missing[j])
+        for j, (moments, missing) in enumerate(zip(report_data.qoi_moments,
+                                                   report_data.qoi_missing)):
+            entries[f"qoi_moments_chain_{j:02d}"] = ",".join(_fmt(v) for v in moments)
+            entries[f"qoi_missing_chain_{j:02d}"] = int(missing)
         write_report(entries, os.path.join(out_dir, "report.txt"))
         return entries
     except Exception as exc:

@@ -48,11 +48,6 @@ class Mesh:
         idx = [self.boundary_edges[t].ravel() for t in sorted(set(tags))]
         return np.unique(np.concatenate(idx))
 
-    def interpolate(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate a P1 nodal field at arbitrary points in [0,1]^2."""
-        op = point_observation_operator(self, points)
-        return op @ coeffs
-
 
 def build_unit_square_mesh(n: int) -> Mesh:
     """Build the structured triangular mesh with n cells per side."""

@@ -103,12 +103,6 @@ class ObservedProblem:
         residual = self.observe(u) - self.data
         return residual, 0.5 * float(residual @ residual) / self.sigma**2
 
-    def misfit_cost(self, m: np.ndarray) -> float:
-        return self.evaluate(m).cost
-
-    def misfit_gradient(self, m: np.ndarray) -> np.ndarray:
-        return self.evaluate(m).gradient()
-
 
 def _triangle_dot(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
     """Per-triangle dot product of two gradients stacked as the rows of G."""

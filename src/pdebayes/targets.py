@@ -2,16 +2,12 @@
 
 A target turns parameter vectors into ChainStates carrying the cached
 log-posterior and (lazily) the gradients that gradient-based proposals
-need. PosteriorTarget composes a forward model
-with a Gaussian prior; DenseGaussian provides the same operator interface
-as the field prior for small dense problems, which makes linear-Gaussian
-oracle targets and low-dimensional sampler tests cheap to build.
+need. PosteriorTarget composes a forward model with a Gaussian prior.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .models import MODEL_FAILURES
 
@@ -98,93 +94,3 @@ class PosteriorTarget:
     def solve_total(self) -> int:
         counter = getattr(self.model, "counter", None)
         return counter.total if counter is not None else 0
-
-
-class CallableTarget:
-    """Target wrapping a plain log-density function (test and demo use)."""
-
-    def __init__(self, log_density, grad_log_density=None, dim=None, qoi=None):
-        self._logpdf = log_density
-        self._grad = grad_log_density
-        self._qoi = qoi
-        self.dim = dim
-        self.supports_gradient = grad_log_density is not None
-        self.solve_total = 0
-
-    def make_state(self, m) -> ChainState:
-        m = np.asarray(m, dtype=float)
-        lp = float(self._logpdf(m))
-        if np.isnan(lp):
-            raise TargetEvaluationError("log density is NaN")
-        return ChainState(self, m, lp)
-
-    def fill_gradient(self, state: ChainState) -> None:
-        if self._grad is None:
-            raise TargetEvaluationError("target has no gradient")
-        g = np.asarray(self._grad(state.m), dtype=float)
-        state._grad_logpost = g
-        state._grad_phi = -g
-
-    def qoi(self, state: ChainState) -> float:
-        if self._qoi is None:
-            return float("nan")
-        return float(self._qoi(state.m))
-
-
-class DenseGaussian:
-    """Dense N(mean, cov) exposing the field-prior operator interface.
-
-    Suitable as the reference measure of proposals on small problems and as
-    the prior of dense oracle targets. The square-root factor is the lower
-    Cholesky factor of the covariance.
-    """
-
-    def __init__(self, mean: np.ndarray, cov: np.ndarray):
-        self.mean = np.asarray(mean, dtype=float)
-        self.cov = np.asarray(cov, dtype=float)
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise ValueError("covariance shape does not match the mean")
-        if not np.isfinite(self.cov).all():
-            raise ValueError("array must not contain infs or NaNs")
-        self._chol = np.linalg.cholesky(self.cov)
-        # Samplers call apply_precision on every step; LAPACK potrs directly
-        # gives cho_solve's result without its per-call wrapper overhead. It
-        # reads only the lower triangle, and takes a Fortran-ordered factor
-        # without copying it.
-        self._cho_lower = np.asfortranarray(self._chol)
-        self._potrs, = scipy.linalg.lapack.get_lapack_funcs(
-            ("potrs",), (self._cho_lower,))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def cost(self, m: np.ndarray) -> float:
-        d = m - self.mean
-        return 0.5 * float(d @ self.apply_precision(d))
-
-    def grad(self, m: np.ndarray) -> np.ndarray:
-        return self.apply_precision(m - self.mean)
-
-    def apply_covariance(self, v: np.ndarray) -> np.ndarray:
-        return self.cov @ v
-
-    def apply_precision(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.dim:
-            raise ValueError("incompatible dimensions")
-        if not np.isfinite(v).all():
-            raise ValueError("array must not contain infs or NaNs")
-        x, info = self._potrs(self._cho_lower, v, lower=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return x
-
-    def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
-        return self._chol @ z
-
-    def apply_cov_factor_inv(self, v: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self._chol, v, lower=True)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.mean + self._chol @ rng.standard_normal(self.dim)

@@ -5,11 +5,20 @@ elements instead of vectorized scatter, numpy.linalg instead of sparse
 factorizations, and direct transcriptions of the diagnostic formulas. The
 Poisson derivative forms are checked against element gathers and the
 assembled sparse stiffness (itself checked against the loop assembly).
+It also holds what only the tests use of the sampler interface: a target
+over a plain log-density function, a dense Gaussian with the field prior's
+operator interface, the delayed-rejection acceptance probability, and a
+reader of the chain CSVs.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from pdebayes.fem import assemble_stiffness
+from pdebayes.mcmc import dr_accept_log_prob
+from pdebayes.targets import ChainState, TargetEvaluationError
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +178,100 @@ def dense_gaussian_posterior(F, d, sigma, prior_mean, prior_cov):
 
 
 # ---------------------------------------------------------------------------
+# Targets and Gaussians for small dense problems
+# ---------------------------------------------------------------------------
+
+class CallableTarget:
+    """Target wrapping a plain log-density function (test and demo use)."""
+
+    def __init__(self, log_density, grad_log_density=None, dim=None, qoi=None):
+        self._logpdf = log_density
+        self._grad = grad_log_density
+        self._qoi = qoi
+        self.dim = dim
+        self.supports_gradient = grad_log_density is not None
+        self.solve_total = 0
+
+    def make_state(self, m) -> ChainState:
+        m = np.asarray(m, dtype=float)
+        lp = float(self._logpdf(m))
+        if np.isnan(lp):
+            raise TargetEvaluationError("log density is NaN")
+        return ChainState(self, m, lp)
+
+    def fill_gradient(self, state: ChainState) -> None:
+        if self._grad is None:
+            raise TargetEvaluationError("target has no gradient")
+        g = np.asarray(self._grad(state.m), dtype=float)
+        state._grad_logpost = g
+        state._grad_phi = -g
+
+    def qoi(self, state: ChainState) -> float:
+        if self._qoi is None:
+            return float("nan")
+        return float(self._qoi(state.m))
+
+
+class DenseGaussian:
+    """Dense N(mean, cov) exposing the field-prior operator interface.
+
+    Suitable as the reference measure of proposals on small problems and as
+    the prior of dense oracle targets. The square-root factor is the lower
+    Cholesky factor of the covariance.
+    """
+
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        self.mean = np.asarray(mean, dtype=float)
+        self.cov = np.asarray(cov, dtype=float)
+        if self.cov.shape != (self.mean.size, self.mean.size):
+            raise ValueError("covariance shape does not match the mean")
+        if not np.isfinite(self.cov).all():
+            raise ValueError("array must not contain infs or NaNs")
+        self._chol = np.linalg.cholesky(self.cov)
+        # Samplers call apply_precision on every step; LAPACK potrs directly
+        # gives cho_solve's result without its per-call wrapper overhead. It
+        # reads only the lower triangle, and takes a Fortran-ordered factor
+        # without copying it.
+        self._cho_lower = np.asfortranarray(self._chol)
+        self._potrs, = scipy.linalg.lapack.get_lapack_funcs(
+            ("potrs",), (self._cho_lower,))
+
+    @property
+    def dim(self) -> int:
+        return self.mean.size
+
+    def cost(self, m: np.ndarray) -> float:
+        d = m - self.mean
+        return 0.5 * float(d @ self.apply_precision(d))
+
+    def grad(self, m: np.ndarray) -> np.ndarray:
+        return self.apply_precision(m - self.mean)
+
+    def apply_covariance(self, v: np.ndarray) -> np.ndarray:
+        return self.cov @ v
+
+    def apply_precision(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape[0] != self.dim:
+            raise ValueError("incompatible dimensions")
+        if not np.isfinite(v).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = self._potrs(self._cho_lower, v, lower=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
+
+    def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
+        return self._chol @ z
+
+    def apply_cov_factor_inv(self, v: np.ndarray) -> np.ndarray:
+        return scipy.linalg.solve_triangular(self._chol, v, lower=True)
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.mean + self._chol @ rng.standard_normal(self.dim)
+
+
+# ---------------------------------------------------------------------------
 # Discrete proposals for exact enumeration of kernels
 # ---------------------------------------------------------------------------
 
@@ -196,6 +299,10 @@ class TableProposal:
         j = self._index(to)
         p = self.table[i, j]
         return float(np.log(p)) if p > 0 else -np.inf
+
+
+def dr_accept_prob(proposals, current, rejected, proposed) -> float:
+    return math.exp(dr_accept_log_prob(proposals, current, rejected, proposed))
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +382,16 @@ def ar1_chains(m, n, phi, rng, sd=1.0):
         for i in range(1, n):
             out[j, i] = phi * out[j, i - 1] + innov_sd * rng.standard_normal()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Artifact readers
+# ---------------------------------------------------------------------------
+
+def read_chain_csv(path: str):
+    """Read back a chain CSV; returns (header comment, column names, array)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        comment = fh.readline().strip()
+        names = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return comment, names, data

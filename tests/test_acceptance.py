@@ -20,11 +20,12 @@ from pdebayes.fem import build_unit_square_mesh
 from pdebayes.laplace import LaplaceApprox, compute_map, doublepass_randomized_eig
 from pdebayes.models import PoissonProblem, LinearizedPoissonProblem, generate_synthetic_data
 from pdebayes.prior import BiLaplacianPrior
-from pdebayes.targets import CallableTarget, DenseGaussian, PosteriorTarget
+from pdebayes.targets import PosteriorTarget
 
-from helpers import (DenseLinearModel, TableProposal, ar1_chains,
-                     dense_gaussian_posterior, dense_prior_matrices, ref_ess,
-                     ref_mpsrf, ref_vhat, ref_within_between)
+from helpers import (CallableTarget, DenseGaussian, DenseLinearModel,
+                     TableProposal, ar1_chains, dense_gaussian_posterior,
+                     dense_prior_matrices, dr_accept_prob, ref_ess, ref_mpsrf,
+                     ref_vhat, ref_within_between)
 
 PRIOR_PARAMS = dict(gamma=0.1, delta=0.5, theta1=2.0, theta2=0.5, alpha=np.pi / 4)
 TIGHT = ExperimentConfig(newton_grad_rel_tol=1e-10, newton_grad_abs_tol=1e-10)
@@ -56,12 +57,12 @@ def test_criterion_1_adjoint_correctness():
     for _ in range(10):
         v = rng.standard_normal(problem.dim)
         v /= np.linalg.norm(v)
-        fd = (problem.misfit_cost(m0 + eps * v)
-              - problem.misfit_cost(m0 - eps * v)) / (2 * eps)
+        fd = (problem.evaluate(m0 + eps * v).cost
+              - problem.evaluate(m0 - eps * v).cost) / (2 * eps)
         grad_err = max(grad_err, abs(fd - grad @ v) / abs(fd))
         hv = state.hessian_action(v)
-        fd_h = (problem.misfit_gradient(m0 + eps * v)
-                - problem.misfit_gradient(m0 - eps * v)) / (2 * eps)
+        fd_h = (problem.evaluate(m0 + eps * v).gradient()
+                - problem.evaluate(m0 - eps * v).gradient()) / (2 * eps)
         hess_err = max(hess_err, np.linalg.norm(hv - fd_h) / np.linalg.norm(fd_h))
 
     elapsed = time.time() - t0
@@ -191,7 +192,7 @@ def test_criterion_4a_exact_stationarity():
     for i in range(3):
         for j in range(3):
             if i != j:
-                t_mh[i, j] = table[i, j] * mc.dr_accept_prob([prop], cs[i], [], cs[j])
+                t_mh[i, j] = table[i, j] * dr_accept_prob([prop], cs[i], [], cs[j])
         t_mh[i, i] = 1.0 - t_mh[i].sum()
     mh_err = np.abs(_three_state_stationary(t_mh) - target_pi).max()
     assert mh_err <= 1e-12
@@ -201,10 +202,10 @@ def test_criterion_4a_exact_stationarity():
     t_dr = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
-            a1 = mc.dr_accept_prob(props, cs[i], [], cs[j])
+            a1 = dr_accept_prob(props, cs[i], [], cs[j])
             t_dr[i, j] += table[i, j] * a1
             for k in range(3):
-                a2 = mc.dr_accept_prob(props, cs[i], [cs[j]], cs[k])
+                a2 = dr_accept_prob(props, cs[i], [cs[j]], cs[k])
                 t_dr[i, k] += table[i, j] * (1 - a1) * table2[i, k] * a2
     for i in range(3):
         t_dr[i, i] += 1.0 - t_dr[i].sum()
@@ -234,15 +235,16 @@ def test_criterion_4b_all_kernels_gaussian_target():
     truncated = LaplaceApprox.from_spectrum(prior, mean_post, lam, u, 1.0)
 
     kernels = {
-        "mh/rw": mc.MHKernel(mc.random_walk(prior, 0.6)),
-        "mh/pcn": mc.MHKernel(mc.pcn(prior, 0.55)),
-        "mh/mala": mc.MHKernel(mc.mala(prior, 0.12)),
-        "mh/inf-mala": mc.MHKernel(mc.inf_mala(prior, 0.55)),
-        "mh/h-pcn": mc.MHKernel(mc.pcn(truncated, 0.8)),
-        "mh/h-mala": mc.MHKernel(mc.mala(truncated, 0.35)),
-        "mh/h-inf-mala": mc.MHKernel(mc.inf_mala(truncated, 1.2, prior)),
-        "dr": mc.DRKernel([mc.pcn(truncated, 1.0),
-                           mc.mala(truncated, 0.25)]),
+        "mh/rw": mc.MHKernel(mc.RandomWalkProposal(prior, 0.6)),
+        "mh/pcn": mc.MHKernel(mc.AutoregressiveProposal(prior, 0.55)),
+        "mh/mala": mc.MHKernel(mc.LangevinProposal(prior, 0.12)),
+        "mh/inf-mala": mc.MHKernel(mc.DimensionRobustLangevinProposal(prior, 0.55)),
+        "mh/h-pcn": mc.MHKernel(mc.AutoregressiveProposal(truncated, 0.8)),
+        "mh/h-mala": mc.MHKernel(mc.LangevinProposal(truncated, 0.35)),
+        "mh/h-inf-mala": mc.MHKernel(mc.DimensionRobustLangevinProposal(
+            truncated, 1.2, informed=True)),
+        "dr": mc.DRKernel([mc.AutoregressiveProposal(truncated, 1.0),
+                           mc.LangevinProposal(truncated, 0.25)]),
         "dili": mc.DiliKernel(truncated, lis_step=0.5, cs_beta=0.8,
                               lis_center="map"),
     }

@@ -276,4 +276,6 @@ class TestSummarize:
         coords = np.zeros((2, 10, 1))
         coords[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            ChainEnsemble(coords)
+            ChainEnsemble(coords, qoi=np.zeros((2, 10)), solves=np.zeros(2),
+                          stage_attempts=np.ones((2, 1)),
+                          stage_accepts=np.ones((2, 1)))

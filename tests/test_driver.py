@@ -8,13 +8,13 @@ import scipy.linalg
 
 from pdebayes.cli import main as cli_main
 from pdebayes.config import METHODS, MODEL_KINDS, ConfigError, parse_config
-from pdebayes.driver import (StageError, build_prior_for, read_chain_csv,
-                             read_report, run_experiment, write_chain_csv)
+from pdebayes.driver import (StageError, build_prior_for, read_report,
+                             run_experiment, write_chain_csv)
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.mcmc import ChainRecord
 from pdebayes.models import LinearizedPoissonProblem
 
-from helpers import dense_gaussian_posterior, dense_prior_matrices
+from helpers import dense_gaussian_posterior, dense_prior_matrices, read_chain_csv
 
 FAST_POISSON = """
 mesh.n = 6

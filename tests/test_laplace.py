@@ -14,9 +14,8 @@ from pdebayes.laplace import (EigensolverBreakdown, LaplaceApprox,
 from pdebayes.models import (LinearizedPoissonProblem, PoissonProblem,
                              generate_synthetic_data)
 from pdebayes.prior import BiLaplacianPrior
-from pdebayes.targets import DenseGaussian
 
-from helpers import dense_gaussian_posterior, dense_prior_matrices
+from helpers import DenseGaussian, dense_gaussian_posterior, dense_prior_matrices
 
 PRIOR_PARAMS = dict(gamma=0.1, delta=0.5, theta1=2.0, theta2=0.5, alpha=np.pi / 4)
 TIGHT = ExperimentConfig(newton_grad_rel_tol=1e-10, newton_grad_abs_tol=1e-10)

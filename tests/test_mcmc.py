@@ -12,9 +12,10 @@ from pdebayes.fem import build_unit_square_mesh
 from pdebayes.laplace import LaplaceApprox
 from pdebayes.models import LinearizedPoissonProblem
 from pdebayes.prior import BiLaplacianPrior
-from pdebayes.targets import CallableTarget, DenseGaussian, PosteriorTarget
+from pdebayes.targets import PosteriorTarget
 
-from helpers import DenseLinearModel, TableProposal, dense_gaussian_posterior
+from helpers import (CallableTarget, DenseGaussian, DenseLinearModel,
+                     TableProposal, dense_gaussian_posterior, dr_accept_prob)
 
 
 def make_dense_laplace(prior, mean, misfit_hessian):
@@ -46,20 +47,21 @@ ALL_PROPOSALS = ["rw", "pcn", "mala", "inf-mala", "h-pcn", "h-mala", "h-inf-mala
 
 def make_proposal(name, prior, laplace):
     return {
-        "rw": lambda: mc.random_walk(prior, 0.7),
-        "pcn": lambda: mc.pcn(prior, 0.6),
-        "mala": lambda: mc.mala(prior, 0.15),
-        "inf-mala": lambda: mc.inf_mala(prior, 0.5),
-        "h-pcn": lambda: mc.pcn(laplace, 0.7),
-        "h-mala": lambda: mc.mala(laplace, 0.2),
-        "h-inf-mala": lambda: mc.inf_mala(laplace, 0.8, prior),
+        "rw": lambda: mc.RandomWalkProposal(prior, 0.7),
+        "pcn": lambda: mc.AutoregressiveProposal(prior, 0.6),
+        "mala": lambda: mc.LangevinProposal(prior, 0.15),
+        "inf-mala": lambda: mc.DimensionRobustLangevinProposal(prior, 0.5),
+        "h-pcn": lambda: mc.AutoregressiveProposal(laplace, 0.7),
+        "h-mala": lambda: mc.LangevinProposal(laplace, 0.2),
+        "h-inf-mala": lambda: mc.DimensionRobustLangevinProposal(
+            laplace, 0.8, informed=True),
     }[name]()
 
 
 class TestProposalDistributions:
     def test_pcn_beta_one_is_reference_draw(self):
         prior = DenseGaussian(np.array([1.0, -2.0]), np.diag([0.5, 2.0]))
-        prop = mc.pcn(prior, 1.0)
+        prop = mc.AutoregressiveProposal(prior, 1.0)
         target = CallableTarget(lambda m: 0.0, dim=2)
         state = target.make_state(np.array([5.0, 5.0]))
         rng = np.random.default_rng(2)
@@ -70,13 +72,13 @@ class TestProposalDistributions:
     def test_mala_mean_at_stationary_point(self):
         prior = DenseGaussian(np.zeros(2), np.eye(2))
         target = CallableTarget(lambda m: -0.5 * m @ m, lambda m: -m, dim=2)
-        prop = mc.mala(prior, 0.2)
+        prop = mc.LangevinProposal(prior, 0.2)
         state = target.make_state(np.zeros(2))
         np.testing.assert_allclose(prop.mean(state), np.zeros(2), atol=1e-15)
 
     def test_hpcn_mean_at_map(self, gauss2d):
         target, _, laplace, mean, _ = gauss2d
-        prop = mc.pcn(laplace, 0.5)
+        prop = mc.AutoregressiveProposal(laplace, 0.5)
         state = target.make_state(mean.copy())
         np.testing.assert_allclose(prop.mean(state), mean, atol=1e-12)
 
@@ -84,7 +86,7 @@ class TestProposalDistributions:
         # Mean must equal sqrt(1-b^2) m + (b sqrt(h)/2)(mean_pr - C grad_misfit).
         target, prior, _, _, _ = gauss2d
         h = 0.37
-        prop = mc.inf_mala(prior, h)
+        prop = mc.DimensionRobustLangevinProposal(prior, h)
         beta = 4 * math.sqrt(h) / (4 + h)
         state = target.make_state(np.array([0.4, -0.9]))
         expect = (math.sqrt(1 - beta**2) * state.m
@@ -95,7 +97,7 @@ class TestProposalDistributions:
     def test_h_inf_mala_matches_stated_form(self, gauss2d):
         target, prior, laplace, _, _ = gauss2d
         h = 0.52
-        prop = mc.inf_mala(laplace, h, prior)
+        prop = mc.DimensionRobustLangevinProposal(laplace, h, informed=True)
         beta = 4 * math.sqrt(h) / (4 + h)
         state = target.make_state(np.array([-0.3, 0.7]))
         hinv = np.column_stack([laplace.apply_covariance(e) for e in np.eye(2)])
@@ -109,7 +111,7 @@ class TestProposalDistributions:
         # At the posterior mode the Langevin drift vanishes, so the proposal
         # density peaks exactly at the current point.
         target, _, laplace, mean, _ = gauss2d
-        prop = mc.mala(laplace, 0.3)
+        prop = mc.LangevinProposal(laplace, 0.3)
         state = target.make_state(mean.copy())
         np.testing.assert_allclose(prop.mean(state), mean, atol=1e-10)
         at_mean = prop.log_density(state, mean)
@@ -121,20 +123,20 @@ class TestProposalDistributions:
     def test_parameter_validation(self, gauss2d):
         _, prior, laplace, _, _ = gauss2d
         with pytest.raises(ValueError):
-            mc.pcn(prior, 0.0)
+            mc.AutoregressiveProposal(prior, 0.0)
         with pytest.raises(ValueError):
-            mc.pcn(prior, 1.5)
+            mc.AutoregressiveProposal(prior, 1.5)
         with pytest.raises(ValueError):
-            mc.mala(prior, -0.1)
+            mc.LangevinProposal(prior, -0.1)
         with pytest.raises(ValueError):
-            mc.inf_mala(prior, 0.0)
+            mc.DimensionRobustLangevinProposal(prior, 0.0)
         with pytest.raises(ValueError):
-            mc.random_walk(prior, 0.0)
+            mc.RandomWalkProposal(prior, 0.0)
 
     def test_gradient_requirement_rejected_at_setup(self):
         prior = DenseGaussian(np.zeros(2), np.eye(2))
         target = CallableTarget(lambda m: -0.5 * m @ m, dim=2)   # no gradient
-        kernel = mc.MHKernel(mc.mala(prior, 0.1))
+        kernel = mc.MHKernel(mc.LangevinProposal(prior, 0.1))
         with pytest.raises(ValueError):
             mc.run_chain(target, kernel, np.zeros(2), 5, seed=0)
 
@@ -143,7 +145,7 @@ class TestProposalDistributions:
         cov = np.array([[0.9, 0.2], [0.2, 0.4]])
         prior = DenseGaussian(np.array([0.1, 0.2]), cov)
         beta = 0.45
-        prop = mc.pcn(prior, beta)
+        prop = mc.AutoregressiveProposal(prior, beta)
         target = CallableTarget(lambda m: 0.0, dim=2)
         a = target.make_state(rng.standard_normal(2))
         b = target.make_state(rng.standard_normal(2))
@@ -159,7 +161,7 @@ class TestProposalDistributions:
 
     def test_rw_symmetric(self, gauss2d):
         target, prior, _, _, _ = gauss2d
-        prop = mc.random_walk(prior, 0.8)
+        prop = mc.RandomWalkProposal(prior, 0.8)
         rng = np.random.default_rng(4)
         a = target.make_state(rng.standard_normal(2))
         b = target.make_state(rng.standard_normal(2))
@@ -171,37 +173,37 @@ class TestAcceptProbability:
     def test_equal_posterior_symmetric(self):
         prior = DenseGaussian(np.zeros(1), np.eye(1))
         target = CallableTarget(lambda m: 1.23, dim=1)
-        prop = mc.random_walk(prior, 1.0)
+        prop = mc.RandomWalkProposal(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.dr_accept_prob([prop], a, [], b) == pytest.approx(1.0)
+        assert dr_accept_prob([prop], a, [], b) == pytest.approx(1.0)
 
     def test_half_posterior_ratio(self):
         prior = DenseGaussian(np.zeros(1), np.eye(1))
         target = CallableTarget(lambda m: math.log(0.5) if m[0] > 0.5 else 0.0,
                                 dim=1)
-        prop = mc.random_walk(prior, 1.0)
+        prop = mc.RandomWalkProposal(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.dr_accept_prob([prop], a, [], b) == pytest.approx(0.5, rel=1e-12)
+        assert dr_accept_prob([prop], a, [], b) == pytest.approx(0.5, rel=1e-12)
 
     def test_standard_normal_unit_step(self):
         prior = DenseGaussian(np.zeros(1), np.eye(1))
         target = CallableTarget(lambda m: -0.5 * float(m @ m), dim=1)
-        prop = mc.random_walk(prior, 1.0)
+        prop = mc.RandomWalkProposal(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.dr_accept_prob([prop], a, [], b) == pytest.approx(
+        assert dr_accept_prob([prop], a, [], b) == pytest.approx(
             math.exp(-0.5), rel=1e-12)
 
     def test_no_overflow_at_extreme_log_posteriors(self):
         prior = DenseGaussian(np.zeros(1), np.eye(1))
         target = CallableTarget(lambda m: -1e6 * float(m[0] ** 2), dim=1)
-        prop = mc.random_walk(prior, 1.0)
+        prop = mc.RandomWalkProposal(prior, 1.0)
         a = target.make_state(np.array([0.0]))
         b = target.make_state(np.array([1.0]))
-        assert mc.dr_accept_prob([prop], a, [], b) == 0.0
-        assert mc.dr_accept_prob([prop], b, [], a) == 1.0
+        assert dr_accept_prob([prop], a, [], b) == 0.0
+        assert dr_accept_prob([prop], b, [], a) == 1.0
 
     def test_detailed_balance_identity(self, gauss2d):
         # pi(a) q(b|a) alpha(a->b) = pi(b) q(a|b) alpha(b->a), every proposal.
@@ -243,7 +245,7 @@ class TestThreeStateEnumeration:
             for j in range(3):
                 if i == j:
                     continue
-                alpha = mc.dr_accept_prob([prop], chain_states[i], [], chain_states[j])
+                alpha = dr_accept_prob([prop], chain_states[i], [], chain_states[j])
                 t[i, j] = table[i, j] * alpha
             t[i, i] = 1.0 - t[i].sum()
         pi = self.stationary(t)
@@ -263,10 +265,10 @@ class TestThreeStateEnumeration:
         t = np.zeros((3, 3))
         for i in range(3):
             for j in range(3):
-                a1 = mc.dr_accept_prob(props, cs[i], [], cs[j])
+                a1 = dr_accept_prob(props, cs[i], [], cs[j])
                 t[i, j] += table1[i, j] * a1
                 for k in range(3):
-                    a2 = mc.dr_accept_prob(props, cs[i], [cs[j]], cs[k])
+                    a2 = dr_accept_prob(props, cs[i], [cs[j]], cs[k])
                     t[i, k] += table1[i, j] * (1 - a1) * table2[i, k] * a2
         for i in range(3):
             t[i, i] += 1.0 - t[i].sum()
@@ -282,7 +284,7 @@ class TestThreeStateEnumeration:
         a = same.make_state(np.array([0.0]))
         b = same.make_state(np.array([1.0]))
         c = same.make_state(np.array([2.0]))
-        assert mc.dr_accept_prob([uniform, uniform], a, [b], c) == pytest.approx(1.0)
+        assert dr_accept_prob([uniform, uniform], a, [b], c) == pytest.approx(1.0)
 
     def test_dr_degenerate_denominator_forces_rejection(self):
         # Stage-1 move a->b certain to be accepted makes the stage-2
@@ -293,20 +295,21 @@ class TestThreeStateEnumeration:
         a = increasing.make_state(np.array([0.0]))
         b = increasing.make_state(np.array([1.0]))
         c = increasing.make_state(np.array([2.0]))
-        assert mc.dr_accept_prob([uniform, uniform], a, [b], c) == 0.0
+        assert dr_accept_prob([uniform, uniform], a, [b], c) == 0.0
 
 
 class TestSteps:
     def test_always_accept_path(self):
         prior = DenseGaussian(np.zeros(2), np.diag([1.0, 2.0]))
         target = CallableTarget(lambda m: -prior.cost(m), dim=2)
-        kernel = mc.MHKernel(mc.pcn(prior, 1.0))
+        kernel = mc.MHKernel(mc.AutoregressiveProposal(prior, 1.0))
         rec = mc.run_chain(target, kernel, np.array([3.0, -3.0]), 200, seed=6)
         assert rec.stage_accepts[0] == 200
 
     def test_fixed_seed_reproducible(self, gauss2d):
         target, prior, laplace, _, _ = gauss2d
-        kernel = mc.DRKernel([mc.pcn(laplace, 1.0), mc.mala(laplace, 0.2)])
+        kernel = mc.DRKernel([mc.AutoregressiveProposal(laplace, 1.0),
+                              mc.LangevinProposal(laplace, 0.2)])
         rec1 = mc.run_chain(target, kernel, np.zeros(2), 100, seed=7,
                             projector=lambda m: m.copy())
         rec2 = mc.run_chain(target, kernel, np.zeros(2), 100, seed=7,
@@ -319,7 +322,7 @@ class TestSteps:
 
     def test_dr_single_stage_equals_mh(self, gauss2d):
         target, prior, laplace, _, _ = gauss2d
-        prop = mc.pcn(laplace, 0.6)
+        prop = mc.AutoregressiveProposal(laplace, 0.6)
         rec_mh = mc.run_chain(target, mc.MHKernel(prop), np.zeros(2), 150,
                               seed=9, projector=lambda m: m.copy())
         rec_dr = mc.run_chain(target, mc.DRKernel([prop]), np.zeros(2), 150,
@@ -330,8 +333,8 @@ class TestSteps:
         target, prior, laplace, _, _ = gauss2d
         far = CallableTarget(lambda m: -1e8 * float((m - 50.0) @ (m - 50.0)),
                              dim=2)
-        kernel = mc.DRKernel([mc.random_walk(prior, 0.1),
-                              mc.random_walk(prior, 0.01)])
+        kernel = mc.DRKernel([mc.RandomWalkProposal(prior, 0.1),
+                              mc.RandomWalkProposal(prior, 0.01)])
         start = np.array([50.0, 50.0])
         rec = mc.run_chain(far, kernel, start, 20, seed=10,
                            projector=lambda m: m.copy())
@@ -346,8 +349,8 @@ class TestSteps:
         failing = CallableTarget(
             lambda m: 0.0 if np.array_equal(m, start) else math.nan, dim=2)
         prior = DenseGaussian(np.zeros(2), np.eye(2))
-        kernel = mc.DRKernel([mc.random_walk(prior, 0.5),
-                              mc.random_walk(prior, 0.1)])
+        kernel = mc.DRKernel([mc.RandomWalkProposal(prior, 0.5),
+                              mc.RandomWalkProposal(prior, 0.1)])
         rec = mc.run_chain(failing, kernel, start, 10, seed=11)
         assert rec.stage_attempts.tolist() == [10, 0]
         assert rec.stage_accepts.tolist() == [0, 0]
@@ -416,7 +419,7 @@ class TestSteps:
 
     def test_chain_mean_matches_posterior(self, gauss2d):
         target, prior, laplace, mean, cov = gauss2d
-        kernel = mc.MHKernel(mc.pcn(laplace, 0.9))
+        kernel = mc.MHKernel(mc.AutoregressiveProposal(laplace, 0.9))
         recs = [mc.run_chain(target, kernel,
                              laplace.sample(np.random.default_rng(20 + i)),
                              4000, seed=30 + i, projector=lambda m: m.copy())
@@ -457,7 +460,7 @@ class TestPriorTargetSampling:
                                  alpha=np.pi / 4)
         target = CallableTarget(lambda m: -prior.cost(m), dim=prior.dim)
         beta = 0.6
-        kernel = mc.MHKernel(mc.pcn(prior, beta))
+        kernel = mc.MHKernel(mc.AutoregressiveProposal(prior, beta))
         n_steps = 20000
         rec = mc.run_chain(target, kernel, prior.sample(np.random.default_rng(0)),
                            n_steps, seed=17, projector=lambda m: m.copy())
@@ -502,7 +505,7 @@ class TestHpcnAcceptanceRatioDense:
             @ (r_dense @ laplace.vecs).T
 
         beta = 0.55
-        prop = mc.pcn(laplace, beta)
+        prop = mc.AutoregressiveProposal(laplace, beta)
         keep = np.sqrt(1 - beta**2)
 
         def dense_logq(frm, to):
@@ -539,7 +542,7 @@ class TestSolveCounting:
     def test_pcn_needs_one_forward_per_proposal(self, pde_target):
         target, prior, model = pde_target
         n = 25
-        mc.run_chain(target, mc.MHKernel(mc.pcn(prior, 0.5)),
+        mc.run_chain(target, mc.MHKernel(mc.AutoregressiveProposal(prior, 0.5)),
                      prior.mean, n, seed=12)
         assert model.counter.forward == n + 1
         assert model.counter.adjoint == 0
@@ -547,7 +550,7 @@ class TestSolveCounting:
     def test_mala_needs_one_gradient_per_proposal(self, pde_target):
         target, prior, model = pde_target
         n = 25
-        mc.run_chain(target, mc.MHKernel(mc.mala(prior, 0.05)),
+        mc.run_chain(target, mc.MHKernel(mc.LangevinProposal(prior, 0.05)),
                      prior.mean, n, seed=13)
         assert model.counter.forward == n + 1
         assert model.counter.adjoint == n + 1
@@ -570,12 +573,14 @@ def dr_stage_proposals(kind, n_stages, gauss2d):
     """Target, start and DR proposals wide enough to reach every stage often."""
     if kind == "dense":
         target, prior, reference, _, _ = gauss2d
-        stages = [mc.random_walk(prior, 3.0), mc.mala(reference, 0.8),
-                  mc.inf_mala(reference, 2.0, prior)]
+        stages = [mc.RandomWalkProposal(prior, 3.0),
+                  mc.LangevinProposal(reference, 0.8),
+                  mc.DimensionRobustLangevinProposal(reference, 2.0, informed=True)]
     else:
         target, reference = gaussian_callable_target()
-        stages = [mc.random_walk(reference, 2.5), mc.mala(reference, 0.5),
-                  mc.inf_mala(reference, 1.5)]
+        stages = [mc.RandomWalkProposal(reference, 2.5),
+                  mc.LangevinProposal(reference, 0.5),
+                  mc.DimensionRobustLangevinProposal(reference, 1.5)]
     return target, reference.mean, stages[:n_stages]
 
 
@@ -656,7 +661,8 @@ class TestStepMemo:
         # Stage 1 evaluates q1(x->y1) and q1(y1->x); stage 2 adds q2(y2->x),
         # q2(x->y2), q1(y2->y1) and q1(y1->y2), and looks the rest up.
         target, prior, laplace, _, _ = gauss2d
-        proposals = [mc.pcn(prior, 1.0), mc.mala(laplace, 0.2)]
+        proposals = [mc.AutoregressiveProposal(prior, 1.0),
+                     mc.LangevinProposal(laplace, 0.2)]
         calls = [count_calls(monkeypatch, p, "log_density") for p in proposals]
         n = 200
         rec = mc.run_chain(target, mc.DRKernel(proposals), laplace.mean, n, seed=23)
@@ -683,7 +689,7 @@ class TestStepMemo:
         # The pCN mean is not cached: an MH step still makes two log_density
         # and three mean calls.
         target, prior, laplace, _, _ = gauss2d
-        prop = mc.pcn(laplace, 0.7)
+        prop = mc.AutoregressiveProposal(laplace, 0.7)
         densities = count_calls(monkeypatch, prop, "log_density")
         means = count_calls(monkeypatch, prop, "mean")
         n = 50
@@ -709,11 +715,32 @@ class TestStepMemo:
         assert state.log_posterior == -model.evaluate(m).cost - prior.cost(m)
         assert np.array_equal(g, -model.evaluate(m).gradient() - prior.grad(m))
 
+    def test_h_inf_mala_mean_reuses_the_prior_gradient(self, gauss2d, monkeypatch):
+        # Each step applies the prior precision once for the proposed state's
+        # log posterior and once in each of the two Laplace log_density
+        # calls; the curvature-informed mean reads the state's gradient.
+        target, prior, laplace, _, _ = gauss2d
+        prop = mc.DimensionRobustLangevinProposal(laplace, 0.8, informed=True)
+        actions = count_calls(monkeypatch, prior, "apply_precision")
+        n = 100
+        mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=28)
+        assert len(actions) == 3 * n + 1
+
+    def test_dili_complement_move_is_one_block_action(self, dili_setup, monkeypatch):
+        # One action per evaluated state (start, subspace and complement
+        # candidates) and one (N, 2) block for the complement correction.
+        target, prior, laplace, kernel = dili_setup
+        actions = count_calls(monkeypatch, prior, "apply_precision")
+        n = 100
+        mc.run_chain(target, kernel, laplace.mean, n, seed=29)
+        assert len(actions) == 3 * n + 1
+        assert [np.shape(v) for v in actions].count((prior.dim, 2)) == n
+
     def test_kept_state_repeats_previous_row(self):
         qoi_calls = []
         target, gauss = gaussian_callable_target()
         target._qoi = lambda m: qoi_calls.append(m) or float(m[0] - 2.0 * m[1])
-        kernel = mc.MHKernel(mc.random_walk(gauss, 2.0))
+        kernel = mc.MHKernel(mc.RandomWalkProposal(gauss, 2.0))
         rec = mc.run_chain(target, kernel, np.zeros(2), 200, seed=27,
                            projector=lambda m: m.copy())
         moves = int(np.count_nonzero(rec.accepted[1:]))

@@ -143,8 +143,8 @@ class TestDerivatives:
         for _ in range(10):
             v = rng.standard_normal(problem.dim)
             v /= np.linalg.norm(v)
-            fd = (problem.misfit_cost(m0 + eps * v)
-                  - problem.misfit_cost(m0 - eps * v)) / (2 * eps)
+            fd = (problem.evaluate(m0 + eps * v).cost
+                  - problem.evaluate(m0 - eps * v).cost) / (2 * eps)
             assert abs(fd - g @ v) / abs(fd) <= 1e-5
 
     def test_hessian_fd(self, setup8):
@@ -156,8 +156,8 @@ class TestDerivatives:
             v = rng.standard_normal(problem.dim)
             v /= np.linalg.norm(v)
             hv = state.hessian_action(v)
-            fd = (problem.misfit_gradient(m0 + eps * v)
-                  - problem.misfit_gradient(m0 - eps * v)) / (2 * eps)
+            fd = (problem.evaluate(m0 + eps * v).gradient()
+                  - problem.evaluate(m0 - eps * v).gradient()) / (2 * eps)
             assert np.linalg.norm(hv - fd) / np.linalg.norm(fd) <= 1e-4
 
     def test_hessian_symmetry(self, setup8):
@@ -195,7 +195,7 @@ class TestDerivatives:
         state = problem.evaluate(m0)
         g = state.gradient()
         step = 1e-3 / np.linalg.norm(g)
-        assert problem.misfit_cost(m0 - step * g) < state.cost
+        assert problem.evaluate(m0 - step * g).cost < state.cost
 
 
 def rel_err(a, b):

@@ -8,9 +8,10 @@ default step sizes) builds the kernel with pdebayes.driver.build_kernel and
 runs chains of STEPS steps from the MAP with pdebayes.mcmc.run_chain.
 
 One counted chain records, per step: PDE solves (ChainRecord.solves),
-proposal log_density calls and proposal mean calls (counting wrappers on
-GaussianProposal.log_density and on the mean of each proposal class, as the
-benchmark's trace wraps them), and the acceptance rate of each stage. The
+proposal log_density calls, proposal mean calls and prior precision actions
+(counting wrappers on GaussianProposal.log_density, on the mean of each
+proposal class and on BiLaplacianPrior.apply_precision, as the benchmark's
+trace wraps them), and the acceptance rate of each stage. The
 counts repeat exactly, since a chain is deterministic for its seed. The
 wrappers are then removed, and REPEATS timed chains of the same seed give the
 median microseconds per step and every value.
@@ -49,11 +50,14 @@ CHAIN_SEED = 1
 
 
 class CallCounter:
-    """Counts proposal log_density and mean calls while installed."""
+    """Counts proposal log_density and mean calls and prior precision actions
+    while installed."""
 
-    def __init__(self, mcmc):
-        self.calls = {"log_density": 0, "mean": 0}
-        owners = [(mcmc.GaussianProposal, "log_density")] + [
+    def __init__(self, pb):
+        mcmc = pb.mcmc
+        self.calls = {"log_density": 0, "mean": 0, "apply_precision": 0}
+        owners = [(mcmc.GaussianProposal, "log_density"),
+                  (pb.prior.BiLaplacianPrior, "apply_precision")] + [
             (cls, "mean") for cls in (mcmc.RandomWalkProposal,
                                       mcmc.AutoregressiveProposal,
                                       mcmc.LangevinProposal,
@@ -124,6 +128,7 @@ def bench_method(pb, counter, setup, kind: str, method: str) -> dict:
             "solves_per_step": record.solves / STEPS,
             "log_density_per_step": counter.calls["log_density"] / STEPS,
             "mean_per_step": counter.calls["mean"] / STEPS,
+            "prior_precision_per_step": counter.calls["apply_precision"] / STEPS,
             "acceptance": record.acceptance_rates().tolist()}
 
 
@@ -142,10 +147,10 @@ def main() -> int:
         os.environ.setdefault(var, "1")
     sys.path.insert(0, os.path.abspath(args.src))
     pb = importlib.import_module("pdebayes")
-    for layer in ("config", "driver", "fem", "laplace", "mcmc", "targets"):
+    for layer in ("config", "driver", "fem", "laplace", "mcmc", "prior", "targets"):
         importlib.import_module(f"pdebayes.{layer}")
 
-    counter = CallCounter(pb.mcmc)
+    counter = CallCounter(pb)
     cases = []
     for kind in KINDS:
         setup = build_setup(pb, kind)
