@@ -197,9 +197,15 @@ class TestObservation:
         mesh = build_unit_square_mesh(4)
         pts = np.random.default_rng(3).uniform(0, 1, size=(30, 2))
         op = point_observation_operator(mesh, pts)
-        np.testing.assert_allclose(op @ mesh.vertices[:, 1], pts[:, 1], atol=1e-12)
+        field = mesh.vertices[:, 1]
+        np.testing.assert_allclose(op @ field, pts[:, 1], atol=1e-12)
+
+    def test_mesh_interpolate_convenience(self):
+        mesh = build_unit_square_mesh(3)
+        pts = np.array([[0.2, 0.7], [0.9, 0.1]])
         field = 1.0 + 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
-        np.testing.assert_allclose(op @ field, 1.0 + 2.0 * pts[:, 0] - pts[:, 1],
+        np.testing.assert_allclose(point_observation_operator(mesh, pts) @ field,
+                                   1.0 + 2.0 * pts[:, 0] - pts[:, 1],
                                    atol=1e-12)
 
     def test_rejects_outside_point(self):
