@@ -8,9 +8,8 @@ diagnostics, plus a CLI driving the full pipeline.
 
 from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      serialize, validate)
-from .diagnostics import (ChainEnsemble, DiagnosticsReport, acf_estimate, ess,
-                          mpsrf, qoi_moments, summarize, vhat,
-                          within_between_cov)
+from .diagnostics import (DiagnosticsReport, acf_estimate, ess, mpsrf,
+                          qoi_moments, summarize, vhat, within_between_cov)
 from .fem import (Mesh, SpdSolver, assemble_boundary_mass, assemble_mass,
                   assemble_stiffness, build_unit_square_mesh, lower_band,
                   point_observation_operator)

@@ -4,7 +4,7 @@ Implements the within/between chain covariance split, the pooled posterior
 covariance estimate, the multivariate potential scale reduction factor, the
 multi-chain variogram autocorrelation estimate with the paired truncation
 rule for the effective sample size, and per-chain moment estimates of the
-quantity of interest. All functions are pure in the ensemble.
+quantity of interest. All functions are pure in their inputs.
 """
 
 from __future__ import annotations
@@ -16,37 +16,6 @@ import numpy as np
 import scipy.linalg
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class ChainEnsemble:
-    """M chains by N samples of k projected coordinates plus per-sample QoI."""
-
-    coords: np.ndarray            # (M, N, k)
-    qoi: np.ndarray               # (M, N), NaN marks failed samples
-    solves: np.ndarray            # per-chain PDE solve counts
-    stage_attempts: np.ndarray    # (M, stages)
-    stage_accepts: np.ndarray     # (M, stages)
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.ndim != 3:
-            raise ValueError("coords must have shape (chains, samples, coords)")
-        if np.isnan(self.coords).any():
-            raise ValueError("projected coordinates must not contain NaN")
-
-    @classmethod
-    def from_records(cls, records) -> "ChainEnsemble":
-        lengths = {r.n_steps for r in records}
-        if len(lengths) != 1:
-            raise ValueError("all chains must have equal length")
-        return cls(
-            coords=np.stack([r.coords for r in records]),
-            qoi=np.stack([r.qoi for r in records]),
-            solves=np.array([r.solves for r in records]),
-            stage_attempts=np.stack([r.stage_attempts for r in records]),
-            stage_accepts=np.stack([r.stage_accepts for r in records]),
-        )
 
 
 def within_between_cov(coords: np.ndarray):
@@ -203,9 +172,17 @@ def qoi_moments(qoi: np.ndarray, orders=(1, 2, 3)):
     return out, missing
 
 
-def summarize(ensemble: ChainEnsemble) -> DiagnosticsReport:
-    """Full diagnostics over an ensemble of recorded chains."""
-    coords = ensemble.coords
+def summarize(records) -> DiagnosticsReport:
+    """Full diagnostics over recorded chains (`mcmc.ChainRecord`s).
+
+    Raises ValueError if the chains differ in length or a projected
+    coordinate is NaN.
+    """
+    if len({r.n_steps for r in records}) != 1:
+        raise ValueError("all chains must have equal length")
+    coords = np.stack([r.coords for r in records])
+    if np.isnan(coords).any():
+        raise ValueError("projected coordinates must not contain NaN")
     m_chains, n, k = coords.shape
     w, b = within_between_cov(coords)
     vh = vhat(w, b, n, m_chains)
@@ -215,12 +192,12 @@ def summarize(ensemble: ChainEnsemble) -> DiagnosticsReport:
     imin = int(np.argmin(ess_vals))
     imax = int(np.argmax(ess_vals))
 
-    att = np.maximum(ensemble.stage_attempts.sum(axis=0), 1)
-    rates = ensemble.stage_accepts.sum(axis=0) / att
-    total_solves = int(ensemble.solves.sum())
+    att = np.maximum(np.stack([r.stage_attempts for r in records]).sum(axis=0), 1)
+    rates = np.stack([r.stage_accepts for r in records]).sum(axis=0) / att
+    total_solves = int(sum(r.solves for r in records))
     avg = float(ess_vals.mean())
     nps = total_solves / avg if avg > 0 else float("inf")
-    moments, missing = qoi_moments(ensemble.qoi)
+    moments, missing = qoi_moments(np.stack([r.qoi for r in records]))
 
     return DiagnosticsReport(
         mpsrf=scale, ess_values=ess_vals,

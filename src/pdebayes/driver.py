@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mcmc
 from .config import ExperimentConfig, serialize, validate
-from .diagnostics import ChainEnsemble, acf_estimate, summarize, vhat, within_between_cov
+from .diagnostics import acf_estimate, summarize, vhat, within_between_cov
 from .fem import build_unit_square_mesh
 from .laplace import LaplaceApprox, compute_map, doublepass_randomized_eig
 from .models import (LinearizedPoissonProblem, PoissonProblem,
@@ -126,22 +126,11 @@ def write_report(entries: dict, path: str) -> None:
                         for key, value in entries.items()))
 
 
-def read_report(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, val = line.partition("=")
-                out[key.strip()] = val.strip()
-    return out
-
-
 def _write_field(path: str, values: np.ndarray, header: str) -> None:
     _write_lines(path, [f"# {header}"] + [_fmt(v) for v in values])
 
 
-def _write_qoi_tables(out_dir: str, ensemble: ChainEnsemble, max_lag: int = 500):
-    qoi = ensemble.qoi
+def _write_qoi_tables(out_dir: str, qoi: np.ndarray, max_lag: int = 500):
     finite = np.isfinite(qoi)
     acf = ["# lag rho"]
     if finite.all():
@@ -165,6 +154,114 @@ def _write_qoi_tables(out_dir: str, ensemble: ChainEnsemble, max_lag: int = 500)
     _write_lines(os.path.join(out_dir, "hist_qoi.txt"), hist)
 
 
+def stage_data(cfg: ExperimentConfig, mesh, points, out_dir: str):
+    """Synthesize truth and data, write truth.txt and data.txt; the problem."""
+    n_truth, m_true, data = synthesize_data(cfg, points)
+    problem = PROBLEMS[cfg.model_kind](mesh, points, cfg.data_sigma, data)
+    _write_field(os.path.join(out_dir, "truth.txt"), m_true,
+                 f"truth field, mesh n={n_truth}")
+    _write_lines(os.path.join(out_dir, "data.txt"), ["# x y value"] + [
+        f"{_fmt(x)} {_fmt(y)} {_fmt(v)}" for (x, y), v in zip(points, data)])
+    return problem
+
+
+def stage_map(cfg: ExperimentConfig, problem, prior, out_dir: str):
+    """Newton-CG MAP, written to map.txt; the MapResult."""
+    map_result = compute_map(problem, prior, cfg=cfg)
+    _write_field(os.path.join(out_dir, "map.txt"), map_result.m,
+                 f"MAP field, mesh n={cfg.mesh_n}")
+    return map_result
+
+
+def stage_eig(cfg: ExperimentConfig, problem, prior, map_result, out_dir: str):
+    """Curvature spectrum at the MAP, written to eigenvalues.txt; the
+    LaplaceApprox and the eigenvectors."""
+    map_state = problem.evaluate(map_result.m)
+    lam, vecs = doublepass_randomized_eig(
+        lambda v: map_state.hessian_action(v, gauss_newton=False),
+        prior, k=cfg.eig_k, p=cfg.eig_oversampling,
+        rng=np.random.default_rng(cfg.eig_seed))
+    _write_lines(os.path.join(out_dir, "eigenvalues.txt"),
+                 ["# index eigenvalue"] + [
+                     f"{i} {_fmt(lv)}" for i, lv in enumerate(lam, start=1)])
+    laplace = LaplaceApprox.from_spectrum(prior, map_result.m, lam, vecs,
+                                          threshold=cfg.eig_threshold)
+    return laplace, vecs
+
+
+def stage_chains(cfg: ExperimentConfig, problem, prior, map_result, laplace,
+                 vecs, out_dir: str):
+    """Run the chains, one chain_XX.csv each; the ChainRecords and the
+    number of projected coordinates."""
+    kernel = build_kernel(cfg, prior, laplace)
+    target = PosteriorTarget(problem, prior)
+    k_proj = min(cfg.mcmc_project_dim, vecs.shape[1])
+    w_proj = prior.apply_precision(vecs[:, :k_proj])
+
+    def projector(m):
+        return w_proj.T @ m
+
+    records = []
+    for i in range(cfg.mcmc_chains):
+        start_rng = np.random.default_rng([cfg.mcmc_seed, i])
+        if cfg.mcmc_start == "laplace_sample":
+            start = laplace.sample(start_rng)
+        elif cfg.mcmc_start == "prior_sample":
+            start = prior.sample(start_rng)
+        else:
+            start = map_result.m
+        rec = mcmc.run_chain(target, kernel, start, cfg.mcmc_samples,
+                             seed=cfg.mcmc_seed + i, projector=projector,
+                             kernel_name=cfg.mcmc_method)
+        records.append(rec)
+        write_chain_csv(rec, os.path.join(out_dir, f"chain_{i:02d}.csv"))
+    return records, k_proj
+
+
+def stage_diagnostics(cfg: ExperimentConfig, prior, map_result, laplace,
+                      records, k_proj: int, setup_solves: int, out_dir: str):
+    """Summarize the chains, write the QoI tables and report.txt; the report
+    entries."""
+    report_data = summarize(records)
+    _write_qoi_tables(out_dir, np.stack([r.qoi for r in records]))
+    entries = {
+        "method": cfg.mcmc_method,
+        "chains": cfg.mcmc_chains,
+        "samples": cfg.mcmc_samples,
+        "mesh_n": cfg.mesh_n,
+        "parameter_dim": prior.dim,
+        "map_iterations": map_result.iterations,
+        "map_cg_iterations": map_result.cg_iterations,
+        "map_grad_norm": map_result.grad_norm,
+        "eig_rank_retained": laplace.rank,
+        "project_dim": k_proj,
+        "mpsrf": report_data.mpsrf,
+        "ess_min": report_data.ess_min,
+        "ess_min_index": report_data.ess_min_index + 1,
+        "ess_max": report_data.ess_max,
+        "ess_max_index": report_data.ess_max_index + 1,
+        "ess_avg": report_data.ess_avg,
+        "ar": ",".join(_fmt(r) for r in report_data.acceptance_rates),
+        "setup_solves": setup_solves,
+        "sampling_solves": report_data.total_solves,
+        "nps_per_es": report_data.nps_per_es,
+    }
+    for j, (moments, missing) in enumerate(zip(report_data.qoi_moments,
+                                               report_data.qoi_missing)):
+        entries[f"qoi_moments_chain_{j:02d}"] = ",".join(_fmt(v) for v in moments)
+        entries[f"qoi_missing_chain_{j:02d}"] = int(missing)
+    write_report(entries, os.path.join(out_dir, "report.txt"))
+    return entries
+
+
+def _stage(name: str, fn, *args):
+    """Run one stage; the one place a failure becomes StageError(name, exc)."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Execute data -> MAP -> low-rank posterior -> chains -> diagnostics.
 
@@ -179,94 +276,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     _write_lines(os.path.join(out_dir, "config_used.txt"),
                  serialize(cfg).splitlines())
 
-    stage = "setup"
-    try:
-        mesh = build_unit_square_mesh(cfg.mesh_n)
-        prior = build_prior_for(cfg, mesh)
-        points = draw_observation_points(cfg)
-
-        stage = "data"
-        n_truth, m_true, data = synthesize_data(cfg, points)
-        problem = PROBLEMS[cfg.model_kind](mesh, points, cfg.data_sigma, data)
-        _write_field(os.path.join(out_dir, "truth.txt"), m_true,
-                     f"truth field, mesh n={n_truth}")
-        _write_lines(os.path.join(out_dir, "data.txt"), ["# x y value"] + [
-            f"{_fmt(x)} {_fmt(y)} {_fmt(v)}" for (x, y), v in zip(points, data)])
-
-        stage = "map"
-        map_result = compute_map(problem, prior, cfg=cfg)
-        _write_field(os.path.join(out_dir, "map.txt"), map_result.m,
-                     f"MAP field, mesh n={cfg.mesh_n}")
-
-        stage = "eig"
-        map_state = problem.evaluate(map_result.m)
-        lam, vecs = doublepass_randomized_eig(
-            lambda v: map_state.hessian_action(v, gauss_newton=False),
-            prior, k=cfg.eig_k, p=cfg.eig_oversampling,
-            rng=np.random.default_rng(cfg.eig_seed))
-        _write_lines(os.path.join(out_dir, "eigenvalues.txt"),
-                     ["# index eigenvalue"] + [
-                         f"{i} {_fmt(lv)}" for i, lv in enumerate(lam, start=1)])
-        laplace = LaplaceApprox.from_spectrum(prior, map_result.m, lam, vecs,
-                                              threshold=cfg.eig_threshold)
-
-        stage = "chains"
-        setup_solves = problem.counter.total
-        kernel = build_kernel(cfg, prior, laplace)
-        target = PosteriorTarget(problem, prior)
-        k_proj = min(cfg.mcmc_project_dim, vecs.shape[1])
-        w_proj = prior.apply_precision(vecs[:, :k_proj])
-
-        def projector(m):
-            return w_proj.T @ m
-
-        records = []
-        for i in range(cfg.mcmc_chains):
-            start_rng = np.random.default_rng([cfg.mcmc_seed, i])
-            if cfg.mcmc_start == "laplace_sample":
-                start = laplace.sample(start_rng)
-            elif cfg.mcmc_start == "prior_sample":
-                start = prior.sample(start_rng)
-            else:
-                start = map_result.m
-            rec = mcmc.run_chain(target, kernel, start, cfg.mcmc_samples,
-                                 seed=cfg.mcmc_seed + i, projector=projector,
-                                 kernel_name=cfg.mcmc_method)
-            records.append(rec)
-            write_chain_csv(rec, os.path.join(out_dir, f"chain_{i:02d}.csv"))
-
-        stage = "diagnostics"
-        ensemble = ChainEnsemble.from_records(records)
-        report_data = summarize(ensemble)
-        _write_qoi_tables(out_dir, ensemble)
-
-        entries = {
-            "method": cfg.mcmc_method,
-            "chains": cfg.mcmc_chains,
-            "samples": cfg.mcmc_samples,
-            "mesh_n": cfg.mesh_n,
-            "parameter_dim": prior.dim,
-            "map_iterations": map_result.iterations,
-            "map_cg_iterations": map_result.cg_iterations,
-            "map_grad_norm": map_result.grad_norm,
-            "eig_rank_retained": laplace.rank,
-            "project_dim": k_proj,
-            "mpsrf": report_data.mpsrf,
-            "ess_min": report_data.ess_min,
-            "ess_min_index": report_data.ess_min_index + 1,
-            "ess_max": report_data.ess_max,
-            "ess_max_index": report_data.ess_max_index + 1,
-            "ess_avg": report_data.ess_avg,
-            "ar": ",".join(_fmt(r) for r in report_data.acceptance_rates),
-            "setup_solves": setup_solves,
-            "sampling_solves": report_data.total_solves,
-            "nps_per_es": report_data.nps_per_es,
-        }
-        for j, (moments, missing) in enumerate(zip(report_data.qoi_moments,
-                                                   report_data.qoi_missing)):
-            entries[f"qoi_moments_chain_{j:02d}"] = ",".join(_fmt(v) for v in moments)
-            entries[f"qoi_missing_chain_{j:02d}"] = int(missing)
-        write_report(entries, os.path.join(out_dir, "report.txt"))
-        return entries
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    mesh = _stage("setup", build_unit_square_mesh, cfg.mesh_n)
+    prior = _stage("setup", build_prior_for, cfg, mesh)
+    points = _stage("setup", draw_observation_points, cfg)
+    problem = _stage("data", stage_data, cfg, mesh, points, out_dir)
+    map_result = _stage("map", stage_map, cfg, problem, prior, out_dir)
+    laplace, vecs = _stage("eig", stage_eig, cfg, problem, prior, map_result,
+                           out_dir)
+    setup_solves = problem.counter.total
+    records, k_proj = _stage("chains", stage_chains, cfg, problem, prior,
+                             map_result, laplace, vecs, out_dir)
+    return _stage("diagnostics", stage_diagnostics, cfg, prior, map_result,
+                  laplace, records, k_proj, setup_solves, out_dir)

@@ -7,8 +7,8 @@ Poisson derivative forms are checked against element gathers and the
 assembled sparse stiffness (itself checked against the loop assembly).
 It also holds what only the tests use of the sampler interface: a target
 over a plain log-density function, a dense Gaussian with the field prior's
-operator interface, the delayed-rejection acceptance probability, and a
-reader of the chain CSVs.
+operator interface, the delayed-rejection acceptance probability, and
+readers of the chain CSVs and the report.
 """
 
 import math
@@ -395,3 +395,13 @@ def read_chain_csv(path: str):
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return comment, names, data
+
+
+def read_report(path: str) -> dict:
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if "=" in line:
+                key, _, val = line.partition("=")
+                out[key.strip()] = val.strip()
+    return out

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from pdebayes.diagnostics import (ChainEnsemble, acf_estimate, ess, mpsrf,
-                                  qoi_moments, summarize, variogram, vhat,
+from pdebayes.diagnostics import (acf_estimate, ess, mpsrf, qoi_moments,
+                                  summarize, variogram, vhat,
                                   within_between_cov)
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.prior import BiLaplacianPrior
 from pdebayes.laplace import LaplaceApprox
+from pdebayes.mcmc import ChainRecord
 
 from helpers import (ar1_chains, dense_prior_matrices, ref_ess,
                      ref_mpsrf, ref_vhat, ref_within_between)
@@ -256,16 +257,23 @@ class TestProjection:
                                    rtol=1e-10)
 
 
+def chain_record(coords, qoi, solves=10, attempts=100, accepts=40):
+    n = coords.shape[0]
+    return ChainRecord(coords=coords, qoi=qoi, log_posterior=np.zeros(n),
+                       accepted=np.zeros(n, dtype=int),
+                       stage_attempts=np.array([attempts]),
+                       stage_accepts=np.array([accepts]),
+                       solves=solves, seed=0, kernel_name="test")
+
+
 class TestSummarize:
     def test_pure_function(self):
         rng = np.random.default_rng(16)
         coords = rng.standard_normal((3, 100, 2))
-        ens = ChainEnsemble(coords, qoi=rng.standard_normal((3, 100)),
-                            solves=np.array([10, 10, 10]),
-                            stage_attempts=np.full((3, 1), 100),
-                            stage_accepts=np.full((3, 1), 40))
-        r1 = summarize(ens)
-        r2 = summarize(ens)
+        qoi = rng.standard_normal((3, 100))
+        records = [chain_record(coords[j], qoi[j]) for j in range(3)]
+        r1 = summarize(records)
+        r2 = summarize(records)
         assert r1.mpsrf == r2.mpsrf
         assert np.array_equal(r1.ess_values, r2.ess_values)
         assert r1.acceptance_rates[0] == pytest.approx(0.4)
@@ -275,7 +283,12 @@ class TestSummarize:
     def test_rejects_nan_coordinates(self):
         coords = np.zeros((2, 10, 1))
         coords[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ChainEnsemble(coords, qoi=np.zeros((2, 10)), solves=np.zeros(2),
-                          stage_attempts=np.ones((2, 1)),
-                          stage_accepts=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="NaN"):
+            summarize([chain_record(c, np.zeros(10)) for c in coords])
+
+    def test_rejects_unequal_lengths(self):
+        rng = np.random.default_rng(17)
+        records = [chain_record(rng.standard_normal((n, 1)), np.zeros(n))
+                   for n in (10, 11)]
+        with pytest.raises(ValueError, match="equal length"):
+            summarize(records)

@@ -8,13 +8,16 @@ import scipy.linalg
 
 from pdebayes.cli import main as cli_main
 from pdebayes.config import METHODS, MODEL_KINDS, ConfigError, parse_config
-from pdebayes.driver import (StageError, build_prior_for, read_report,
-                             run_experiment, write_chain_csv)
+from pdebayes import driver
+from pdebayes.driver import (StageError, build_prior_for, run_experiment,
+                             write_chain_csv)
 from pdebayes.fem import build_unit_square_mesh
+from pdebayes.laplace import MapConvergenceError
 from pdebayes.mcmc import ChainRecord
 from pdebayes.models import LinearizedPoissonProblem
 
-from helpers import dense_gaussian_posterior, dense_prior_matrices, read_chain_csv
+from helpers import (dense_gaussian_posterior, dense_prior_matrices,
+                     read_chain_csv, read_report)
 
 FAST_POISSON = """
 mesh.n = 6
@@ -208,8 +211,42 @@ class TestWriteChainCsv:
         np.testing.assert_array_equal(data[:, 2], rec.log_posterior)
 
 
+# Each stage, the driver-module name it calls first, and the artifacts it
+# writes, in pipeline order.
+STAGES = [
+    ("setup", "build_unit_square_mesh", []),
+    ("data", "synthesize_data", ["truth.txt", "data.txt"]),
+    ("map", "compute_map", ["map.txt"]),
+    ("eig", "doublepass_randomized_eig", ["eigenvalues.txt"]),
+    ("chains", "build_kernel", ["chain_00.csv", "chain_01.csv"]),
+    ("diagnostics", "summarize", ["acf_qoi.txt", "hist_qoi.txt", "report.txt"]),
+]
+
+
+class StageFault(RuntimeError):
+    pass
+
+
 class TestStageErrors:
-    def test_failure_is_stage_tagged(self, tmp_path):
+    @pytest.mark.parametrize("index", range(len(STAGES)),
+                             ids=[stage for stage, _, _ in STAGES])
+    def test_failure_is_stage_tagged(self, tmp_path, monkeypatch, index):
+        tag, name, _ = STAGES[index]
+
+        def fail(*args, **kwargs):
+            raise StageFault(name)
+
+        monkeypatch.setattr(driver, name, fail)
+        with pytest.raises(StageError) as err:
+            run_experiment(parse_config(FAST_POISSON), str(tmp_path))
+        assert err.value.stage == tag
+        assert type(err.value.cause) is StageFault
+        assert (tmp_path / "config_used.txt").exists()
+        for i, (_, _, artifacts) in enumerate(STAGES):
+            for artifact in artifacts:
+                assert (tmp_path / artifact).exists() == (i < index), artifact
+
+    def test_map_convergence_failure_is_stage_tagged(self, tmp_path):
         # one Newton step cannot reach this tolerance
         cfg = parse_config(FAST_POISSON + "newton.max_iters = 1\n"
                            + "newton.grad_rel_tol = 1e-300\n"
@@ -217,8 +254,9 @@ class TestStageErrors:
         with pytest.raises(StageError) as err:
             run_experiment(cfg, str(tmp_path))
         assert err.value.stage == "map"
-        # earlier artifacts retained
+        assert isinstance(err.value.cause, MapConvergenceError)
         assert (tmp_path / "truth.txt").exists()
+        assert not (tmp_path / "map.txt").exists()
 
     def test_invalid_config_rejected_before_any_work(self, tmp_path):
         # a config built in code skips parse_config's validation
