@@ -1,7 +1,7 @@
 """Line-oriented experiment configuration.
 
 The grammar is one `section.key = value` assignment per line, with `#`
-comments and blank lines ignored. Unknown keys, malformed values, and
+comments and blank lines ignored. Unknown keys and malformed, non-finite or
 out-of-range values are rejected with their line number. serialize() emits
 every key in field order at full precision, so parse(serialize(c)) == c.
 """
@@ -154,12 +154,14 @@ def parse_config(text: str) -> ExperimentConfig:
 def validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     """Reject a configuration that no run could complete, before any work.
 
-    Applies every key's range check and the cross-key checks. lines maps
-    keys to the line they were read from, for the error message.
+    Applies the finite-number, range and cross-key checks. lines maps keys
+    to the line they were read from, for the error message.
     """
     lines = lines or {}
     for f in fields(cfg):
         key, value, check = _name(f), getattr(cfg, f.name), f.metadata["check"]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} = {value} is not a finite number", lines.get(key))
         if isinstance(check, tuple):
             if value not in check:
                 raise ConfigError(

@@ -61,20 +61,21 @@ def draw_observation_points(cfg: ExperimentConfig) -> np.ndarray:
     return rng.uniform(cfg.data_box_lo, cfg.data_box_hi, size=(cfg.data_count, 2))
 
 
-def synthesize_data(cfg: ExperimentConfig, points: np.ndarray):
+def synthesize_data(cfg: ExperimentConfig, problem, prior):
     """Truth field and observations, on the configured truth mesh.
 
-    The truth field is a prior sample on the truth mesh; observations come
-    from a once-refined solve so the inversion never sees its own
-    discretization. Returns (truth mesh size, m_true, data vector).
+    The truth field is a prior sample; observations come from a once-refined
+    solve of the problem, so the inversion never sees its own discretization.
+    Returns (truth mesh size, m_true, data vector).
     """
-    n_truth = cfg.data_truth_mesh or cfg.mesh_n
-    mesh_t = build_unit_square_mesh(n_truth)
-    prior_t = build_prior_for(cfg, mesh_t)
-    m_true = prior_t.sample(np.random.default_rng(cfg.data_seed + 1))
-    problem_t = PROBLEMS[cfg.model_kind](mesh_t, points, cfg.data_sigma)
-    d = generate_synthetic_data(problem_t, m_true, cfg.data_sigma,
-                                seed=cfg.data_seed + 2, exact=cfg.data_exact)
+    n_truth = cfg.data_truth_mesh or problem.mesh.n
+    if n_truth != problem.mesh.n:
+        mesh_t = build_unit_square_mesh(n_truth)
+        prior = build_prior_for(cfg, mesh_t)
+        problem = type(problem)(mesh_t, problem.obs_points, problem.sigma)
+    m_true = prior.sample(np.random.default_rng(cfg.data_seed + 1))
+    d = generate_synthetic_data(problem, m_true, seed=cfg.data_seed + 2,
+                                exact=cfg.data_exact)
     return n_truth, m_true, d
 
 
@@ -154,10 +155,11 @@ def _write_qoi_tables(out_dir: str, qoi: np.ndarray, max_lag: int = 500):
     _write_lines(os.path.join(out_dir, "hist_qoi.txt"), hist)
 
 
-def stage_data(cfg: ExperimentConfig, mesh, points, out_dir: str):
-    """Synthesize truth and data, write truth.txt and data.txt; the problem."""
-    n_truth, m_true, data = synthesize_data(cfg, points)
-    problem = PROBLEMS[cfg.model_kind](mesh, points, cfg.data_sigma, data)
+def stage_data(cfg: ExperimentConfig, mesh, prior, points, out_dir: str):
+    """Build the problem and its data, write truth.txt and data.txt; the problem."""
+    problem = PROBLEMS[cfg.model_kind](mesh, points, cfg.data_sigma)
+    n_truth, m_true, data = synthesize_data(cfg, problem, prior)
+    problem.set_data(data)
     _write_field(os.path.join(out_dir, "truth.txt"), m_true,
                  f"truth field, mesh n={n_truth}")
     _write_lines(os.path.join(out_dir, "data.txt"), ["# x y value"] + [
@@ -279,7 +281,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     mesh = _stage("setup", build_unit_square_mesh, cfg.mesh_n)
     prior = _stage("setup", build_prior_for, cfg, mesh)
     points = _stage("setup", draw_observation_points, cfg)
-    problem = _stage("data", stage_data, cfg, mesh, points, out_dir)
+    problem = _stage("data", stage_data, cfg, mesh, prior, points, out_dir)
     map_result = _stage("map", stage_map, cfg, problem, prior, out_dir)
     laplace, vecs = _stage("eig", stage_eig, cfg, problem, prior, map_result,
                            out_dir)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import (Mesh, SpdSolver, StiffnessAssembler, assemble_mass,
+from .fem import (Mesh, StiffnessAssembler, assemble_mass,
                   build_unit_square_mesh, point_observation_operator)
 
 DIRICHLET_TAGS = ("bottom", "top")
@@ -251,16 +251,15 @@ class PoissonProblem(ObservedProblem):
 
 
 def generate_synthetic_data(problem: ObservedProblem, m_true: np.ndarray,
-                            sigma: float, seed: int,
-                            exact: bool = False) -> np.ndarray:
-    """Observe the forward solution on a once-refined mesh, plus iid noise.
+                            seed: int, exact: bool = False) -> np.ndarray:
+    """Observe the forward solution on a once-refined mesh, plus iid noise
+    of the problem's sigma.
 
     The refinement breaks the inverse crime: the data-generating
     discretization differs from the one used for inversion. Deterministic
     for a fixed seed; exact=True skips the noise entirely.
     """
-    if sigma <= 0:
-        raise ValueError("noise standard deviation must be positive")
+    sigma = problem.sigma
     fine = build_unit_square_mesh(2 * problem.mesh.n)
     lift = point_observation_operator(problem.mesh, fine.vertices)
     fine_problem = type(problem)(fine, problem.obs_points, sigma)
@@ -318,13 +317,7 @@ class LinearizedPoissonProblem(ObservedProblem):
                  data: np.ndarray | None = None):
         super().__init__(mesh, obs_points, sigma, data)
         self.M = assemble_mass(mesh)
-
-    @cached_property
-    def solver(self) -> SpdSolver:
-        """Factorized Laplacian, built on first use: a problem that only
-        defines the mesh and observation points of synthetic data never
-        solves."""
-        return self.assembler.factorize(np.ones(self.mesh.num_triangles))
+        self.solver = self.assembler.factorize(np.ones(mesh.num_triangles))
 
     def solve_forward(self, m: np.ndarray, count: str = "forward") -> np.ndarray:
         rhs = self.M @ m

@@ -46,7 +46,7 @@ def test_criterion_1_adjoint_correctness():
     pts = rng.uniform(0.05, 0.95, size=(40, 2))
     problem = PoissonProblem(mesh, pts, sigma=0.05)
     m_true = 0.5 * rng.standard_normal(problem.dim)
-    problem.set_data(generate_synthetic_data(problem, m_true, 0.05, seed=102))
+    problem.set_data(generate_synthetic_data(problem, m_true, seed=102))
     m0 = 0.3 * rng.standard_normal(problem.dim)
     state = problem.evaluate(m0)
     grad = state.gradient()
@@ -141,7 +141,7 @@ def test_criterion_3_randomized_eigensolver():
     pts = rng.uniform(0.05, 0.95, size=(25, 2))
     problem = PoissonProblem(mesh, pts, sigma=0.02)
     m_true = prior.sample(rng)
-    problem.set_data(generate_synthetic_data(problem, m_true, 0.02, seed=302))
+    problem.set_data(generate_synthetic_data(problem, m_true, seed=302))
     result = compute_map(problem, prior, cfg=TIGHT)
     state = problem.evaluate(result.m)
     action = lambda x: state.hessian_action(x, gauss_newton=True)

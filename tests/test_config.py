@@ -4,9 +4,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdebayes.config import (ConfigError, ExperimentConfig, parse_config,
-                             serialize)
+                             serialize, validate)
 
 
 class TestDefaults:
@@ -147,3 +148,73 @@ class TestEveryKey:
             parse_config(f"# line 1\n{self.key(f)} = {bad[0]}\n")
         assert err.value.line == 2
         assert "out of range" in str(err.value) and self.key(f) in str(err.value)
+
+
+FLOAT_FIELDS = [f for f in dataclasses.fields(ExperimentConfig)
+                if type(f.default) in (float, type(None))]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("f", FLOAT_FIELDS, ids=lambda f: f.name)
+def test_non_finite_rejected_naming_key(f, raw):
+    key = f.name.replace("_", ".", 1)
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"# line 1\n{key} = {raw}\n")
+    assert err.value.line == 2
+    assert "not a finite number" in str(err.value) and key in str(err.value)
+    # a config built in code goes through the same check
+    cfg = ExperimentConfig()
+    setattr(cfg, f.name, float(raw))
+    with pytest.raises(ConfigError, match=key):
+        validate(cfg)
+
+
+# The values each range text admits; unchecked floats take any finite value.
+FLOATS = {
+    "positive": st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    "nonnegative": st.floats(min_value=0, allow_infinity=False),
+    "in [0, 1]": st.floats(0, 1),
+    "in (0, 1]": st.floats(0, 1, exclude_min=True),
+    "in (0, 1)": st.floats(0, 1, exclude_min=True, exclude_max=True),
+    "": st.floats(allow_nan=False, allow_infinity=False),
+}
+INT_MINIMUM = {"positive integer": 1, "nonnegative integer": 0,
+               "integer >= 2": 2, "integer >= 4": 4}
+WORD = "[A-Za-z0-9_./-]+"
+
+
+def valid_values(f):
+    check, text, kind = f.metadata["check"], f.metadata["text"], type(f.default)
+    if isinstance(check, tuple):
+        return st.sampled_from(check)
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers(INT_MINIMUM[text], 10**9)
+    if kind is str:
+        return st.from_regex(f"{WORD}( {WORD})*", fullmatch=True)
+    if f.default is None:
+        return st.none() | FLOATS["nonnegative"]
+    return FLOATS[text]
+
+
+@st.composite
+def valid_configs(draw):
+    """A config that validate() accepts, including its cross-key checks."""
+    values = {f.name: draw(valid_values(f))
+              for f in dataclasses.fields(ExperimentConfig)
+              if f.name not in ("data_box_lo", "data_box_hi", "eig_k",
+                                "eig_oversampling")}
+    values["data_box_lo"], values["data_box_hi"] = sorted(draw(st.lists(
+        FLOATS["in [0, 1]"], min_size=2, max_size=2, unique=True)))
+    dim = (values["mesh_n"] + 1) ** 2
+    values["eig_k"] = draw(st.integers(1, dim - 1))
+    values["eig_oversampling"] = draw(st.integers(1, dim - values["eig_k"]))
+    return ExperimentConfig(**values)
+
+
+# Fixed examples and no example database: the same cases run every time.
+@settings(derandomize=True, deadline=None, database=None)
+@given(valid_configs())
+def test_serialize_parse_round_trips_any_valid_config(cfg):
+    assert parse_config(serialize(cfg)) == cfg

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdebayes.diagnostics import (acf_estimate, ess, mpsrf, qoi_moments,
                                   summarize, variogram, vhat,
@@ -116,6 +117,26 @@ class TestMpsrf:
         b = np.eye(2)
         with pytest.raises(np.linalg.LinAlgError):
             mpsrf(w, b, 10, 2)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(m=st.integers(2, 5), n=st.integers(4, 120), k=st.integers(1, 3),
+       phi=st.floats(-0.9, 0.95), spread=st.floats(0.0, 5.0),
+       seed=st.integers(0, 2**32 - 1), copies=st.booleans())
+def test_mpsrf_floor_and_ess_bounds_on_random_chains(m, n, k, phi, spread, seed,
+                                                     copies):
+    # AR(1) coordinates, each chain shifted by its own random offset; or m
+    # copies of one chain, whose B = 0 puts the MPSRF on its floor.
+    rng = np.random.default_rng(seed)
+    coords = np.stack([ar1_chains(m, n, phi, rng) for _ in range(k)], axis=2)
+    if copies:
+        coords[:] = coords[0]
+    else:
+        coords += spread * rng.standard_normal((m, 1, k))
+    w, b = within_between_cov(coords)
+    assert mpsrf(w, b, n, m) >= np.sqrt((n - 1) / n) - 1e-12
+    for i in range(k):
+        assert 0 < ess(coords, i) <= m * n
 
 
 class TestAcf:

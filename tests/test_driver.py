@@ -1,6 +1,10 @@
 """Pipeline orchestration: artifacts, determinism, oracle mode, CLI."""
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,43 @@ class TestStartModes:
         assert entries["samples"] == cfg.mcmc_samples
 
 
+TRUTH_MESH_CONFIG = FAST_POISSON.replace("mesh.n = 6", "mesh.n = 8")
+
+
+class TestTruthMesh:
+    def test_naming_the_inversion_mesh_changes_no_artifact(self, tmp_path):
+        run_experiment(parse_config(TRUTH_MESH_CONFIG), str(tmp_path / "a"))
+        run_experiment(parse_config(TRUTH_MESH_CONFIG + "data.truth_mesh = 8\n"),
+                       str(tmp_path / "b"))
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        for name in set(names) - {"config_used.txt"}:
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
+                               shallow=False), name
+
+    @pytest.mark.parametrize("truth_mesh, builds", [(0, 1), (8, 1), (16, 2)])
+    def test_set_up_objects_built_once_per_mesh(self, tmp_path, monkeypatch,
+                                                truth_mesh, builds):
+        # The data stage reuses the set-up mesh and prior; only a truth mesh
+        # other than the inversion mesh gets a mesh and a prior of its own.
+        calls = {"build_unit_square_mesh": 0, "build_prior_for": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(driver, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(driver, name, counted)
+        run_experiment(parse_config(TRUTH_MESH_CONFIG
+                                    + f"data.truth_mesh = {truth_mesh}\n"),
+                       str(tmp_path))
+        assert calls == {"build_unit_square_mesh": builds,
+                         "build_prior_for": builds}
+        truth = (tmp_path / "truth.txt").read_text().splitlines()
+        n_truth = truth_mesh or 8
+        assert truth[0] == f"# truth field, mesh n={n_truth}"
+        assert len(truth) == 1 + (n_truth + 1) ** 2
+
+
 class TestWriteChainCsv:
     def test_single_sample_layout(self, tmp_path):
         rec = ChainRecord(
@@ -211,8 +252,8 @@ class TestWriteChainCsv:
         np.testing.assert_array_equal(data[:, 2], rec.log_posterior)
 
 
-# Each stage, the driver-module name it calls first, and the artifacts it
-# writes, in pipeline order.
+# Each stage, a driver-module name it calls before it writes anything, and
+# the artifacts it writes, in pipeline order.
 STAGES = [
     ("setup", "build_unit_square_mesh", []),
     ("data", "synthesize_data", ["truth.txt", "data.txt"]),
@@ -285,6 +326,16 @@ class TestCli:
         assert "mcmc.chains" in capsys.readouterr().err
         assert not (out / "chain_00.csv").exists()
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, raw):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(FAST_POISSON + f"prior.mean = {raw}\n")
+        out = tmp_path / "out"
+        code = cli_main(["solve", "--config", str(cfg_file), "--output", str(out)])
+        assert code == 2
+        assert "prior.mean" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         code = cli_main(["solve", "--config", "/nonexistent/path.cfg"])
         assert code == 2
@@ -312,3 +363,20 @@ class TestCli:
         report = read_report(str(out / "report.txt"))
         assert report["method"] == "pcn"
         assert report["samples"] == "30"
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_artifact_digests_tool_runs():
+    # Every byte-identity comparison between two checkouts rests on this tool.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(TOOLS / "artifact_digests.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines
+    assert all(len(line.split()) == 5 for line in lines), lines
+    assert not [line for line in lines if line.split()[3] == "error"]
+    configs = {line.split()[4] for line in lines if line.split()[3] == "config"}
+    assert len(configs) == 30

@@ -47,7 +47,7 @@ def poisson_setup():
     pts = rng.uniform(0.05, 0.95, size=(25, 2))
     problem = PoissonProblem(mesh, pts, sigma=0.02)
     m_true = prior.sample(rng)
-    problem.set_data(generate_synthetic_data(problem, m_true, 0.02, seed=3))
+    problem.set_data(generate_synthetic_data(problem, m_true, seed=3))
     return prior, problem
 
 
@@ -167,9 +167,9 @@ class TestPreconditionedCG:
             cfg = ExperimentConfig(mesh_n=n)
             mesh = build_unit_square_mesh(n)
             prior = driver.build_prior_for(cfg, mesh)
-            points = driver.draw_observation_points(cfg)
-            _, _, data = driver.synthesize_data(cfg, points)
-            problem = PoissonProblem(mesh, points, cfg.data_sigma, data)
+            problem = PoissonProblem(mesh, driver.draw_observation_points(cfg),
+                                     cfg.data_sigma)
+            problem.set_data(driver.synthesize_data(cfg, problem, prior)[2])
             result = compute_map(problem, prior)
             assert result.converged, n
             cg_totals[n] = result.cg_iterations
@@ -355,7 +355,7 @@ class TestLowRankPosterior:
         prior_t = BiLaplacianPrior(mesh_t, **PRIOR_PARAMS)
         m_true = prior_t.sample(np.random.default_rng(18))
         problem_t = PoissonProblem(mesh_t, pts, sigma=0.05)
-        d = generate_synthetic_data(problem_t, m_true, 0.05, seed=19)
+        d = generate_synthetic_data(problem_t, m_true, seed=19)
 
         lams = {}
         for n in (8, 16):

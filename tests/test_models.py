@@ -20,7 +20,7 @@ def problem4():
     pts = rng.uniform(0.05, 0.95, size=(15, 2))
     problem = PoissonProblem(mesh, pts, sigma=0.05)
     m_true = 0.4 * rng.standard_normal(problem.dim)
-    problem.set_data(generate_synthetic_data(problem, m_true, 0.05, seed=1))
+    problem.set_data(generate_synthetic_data(problem, m_true, seed=1))
     return problem
 
 
@@ -126,7 +126,7 @@ def setup8():
     pts = rng.uniform(0.05, 0.95, size=(40, 2))
     problem = PoissonProblem(mesh, pts, sigma=0.05)
     m_true = 0.5 * rng.standard_normal(problem.dim)
-    problem.set_data(generate_synthetic_data(problem, m_true, 0.05, seed=2))
+    problem.set_data(generate_synthetic_data(problem, m_true, seed=2))
     m0 = 0.3 * rng.standard_normal(problem.dim)
     return problem, m0
 
@@ -251,24 +251,24 @@ class TestSparseDerivativeForms:
 class TestSyntheticData:
     def test_exact_mode(self, problem4):
         m_true = 0.2 * np.random.default_rng(14).standard_normal(problem4.dim)
-        d = generate_synthetic_data(problem4, m_true, 0.05, seed=3, exact=True)
+        d = generate_synthetic_data(problem4, m_true, seed=3, exact=True)
         # Regenerating with noise and subtracting the exact part isolates noise.
-        d_noisy = generate_synthetic_data(problem4, m_true, 0.05, seed=3)
+        d_noisy = generate_synthetic_data(problem4, m_true, seed=3)
         assert np.abs(d_noisy - d).max() > 0
         assert d.shape == (problem4.num_obs,)
 
     def test_exact_mode_zero_parameter_observes_linear_profile(self, problem4):
         # u = y exactly on every refinement level, so exact data are the
         # observation-point ordinates.
-        d = generate_synthetic_data(problem4, np.zeros(problem4.dim), 0.05,
-                                    seed=3, exact=True)
+        d = generate_synthetic_data(problem4, np.zeros(problem4.dim), seed=3,
+                                    exact=True)
         np.testing.assert_allclose(d, problem4.obs_points[:, 1], atol=1e-11)
 
     def test_deterministic_per_seed(self, problem4):
         m_true = np.zeros(problem4.dim)
-        d1 = generate_synthetic_data(problem4, m_true, 0.05, seed=4)
-        d2 = generate_synthetic_data(problem4, m_true, 0.05, seed=4)
-        d3 = generate_synthetic_data(problem4, m_true, 0.05, seed=5)
+        d1 = generate_synthetic_data(problem4, m_true, seed=4)
+        d2 = generate_synthetic_data(problem4, m_true, seed=4)
+        d3 = generate_synthetic_data(problem4, m_true, seed=5)
         assert np.array_equal(d1, d2)
         assert not np.array_equal(d1, d3)
 
@@ -278,15 +278,15 @@ class TestSyntheticData:
         pts = rng.uniform(0.05, 0.95, size=(300, 2))
         problem = PoissonProblem(mesh, pts, sigma=0.01)
         m_true = np.zeros(problem.dim)
-        exact = generate_synthetic_data(problem, m_true, 0.01, seed=6, exact=True)
-        noisy = generate_synthetic_data(problem, m_true, 0.01, seed=6)
+        exact = generate_synthetic_data(problem, m_true, seed=6, exact=True)
+        noisy = generate_synthetic_data(problem, m_true, seed=6)
         var = np.var(noisy - exact)
         assert abs(var - 0.01**2) / 0.01**2 <= 0.3
 
     def test_avoids_inverse_crime(self, problem4):
         # Data from the refined mesh differs from same-mesh observations.
         m_true = 0.5 * np.random.default_rng(16).standard_normal(problem4.dim)
-        d_fine = generate_synthetic_data(problem4, m_true, 0.05, seed=7, exact=True)
+        d_fine = generate_synthetic_data(problem4, m_true, seed=7, exact=True)
         d_same = problem4.observe(problem4.solve_forward(m_true))
         assert np.abs(d_fine - d_same).max() > 1e-8
 

@@ -15,7 +15,7 @@ warm-up run; compute_map is deterministic, so every run repeats them.
 The record, with the machine, Python, numpy, scipy and BLAS versions and the
 BLAS thread count, is stored under --label in the JSON file --out (other
 labels already in the file are kept), so one file can hold the numbers of two
-checkouts:
+checkouts that share this one's driver.synthesize_data(cfg, problem, prior):
 
     python3 tools/bench_map.py --src /path/to/parent/src --label parent --out BENCH.json
     python3 tools/bench_map.py --label change --out BENCH.json
@@ -82,9 +82,10 @@ def build_case(pb, kind: str, n: int):
     cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=n)
     mesh = pb.fem.build_unit_square_mesh(n)
     prior = driver.build_prior_for(cfg, mesh)
-    points = driver.draw_observation_points(cfg)
-    _, _, data = driver.synthesize_data(cfg, points)
-    return driver.PROBLEMS[kind](mesh, points, cfg.data_sigma, data), prior
+    problem = driver.PROBLEMS[kind](mesh, driver.draw_observation_points(cfg),
+                                    cfg.data_sigma)
+    problem.set_data(driver.synthesize_data(cfg, problem, prior)[2])
+    return problem, prior
 
 
 def run_map(pb, problem, prior) -> dict:

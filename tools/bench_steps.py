@@ -19,7 +19,7 @@ median microseconds per step and every value.
 The record, with the machine, Python, numpy, scipy and BLAS versions and the
 BLAS thread count, is stored under --label in the JSON file --out (other
 labels already in the file are kept), so one file can hold the numbers of two
-checkouts:
+checkouts that share this one's driver.synthesize_data(cfg, problem, prior):
 
     python3 tools/bench_steps.py --src /path/to/parent/src --label parent --out BENCH.json
     python3 tools/bench_steps.py --label change --out BENCH.json
@@ -85,9 +85,9 @@ def build_setup(pb, kind: str):
     cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=MESH_N)
     mesh = pb.fem.build_unit_square_mesh(MESH_N)
     prior = driver.build_prior_for(cfg, mesh)
-    points = driver.draw_observation_points(cfg)
-    _, _, data = driver.synthesize_data(cfg, points)
-    problem = driver.PROBLEMS[kind](mesh, points, cfg.data_sigma, data)
+    problem = driver.PROBLEMS[kind](mesh, driver.draw_observation_points(cfg),
+                                    cfg.data_sigma)
+    problem.set_data(driver.synthesize_data(cfg, problem, prior)[2])
     m_map = pb.laplace.compute_map(problem, prior, cfg=cfg).m
     map_state = problem.evaluate(m_map)
     lam, vecs = pb.laplace.doublepass_randomized_eig(
