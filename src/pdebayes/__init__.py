@@ -19,8 +19,7 @@ from .mcmc import (AutoregressiveProposal, ChainRecord, DiliKernel,
                    DimensionRobustLangevinProposal, DRKernel, LangevinProposal,
                    MHKernel, RandomWalkProposal, run_chain)
 from .models import (LinearizedPoissonProblem, ModelEvaluationError,
-                     NonPositiveFluxError, PoissonProblem,
-                     generate_synthetic_data)
+                     PoissonProblem, generate_synthetic_data)
 from .prior import BiLaplacianPrior, anisotropy_tensor
 from .targets import ChainState, PosteriorTarget
 

@@ -9,6 +9,7 @@ every key in field order at full precision, so parse(serialize(c)) == c.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 
@@ -108,21 +109,36 @@ class ExperimentConfig:
     output_dir: str = _key("out")
 
 
+# What a key of each parse type (its default's type) holds.
+_EXPECTS = {int: "an integer", float: "a number", type(None): "a number or 'auto'",
+           bool: "true or false", str: "text"}
+
+
 def _convert(f, raw: str, line: int):
     key, kind = _name(f), type(f.default)
     if kind is str:
         return raw
     if kind is bool:
         if raw.lower() not in ("true", "false"):
-            raise ConfigError(f"{key} expects true or false, got '{raw}'", line)
+            raise ConfigError(f"{key} expects {_EXPECTS[bool]}, got '{raw}'", line)
         return raw.lower() == "true"
     if f.default is None and raw.lower() == "auto":
         return None
     try:
         return int(raw) if kind is int else float(raw)
     except ValueError:
-        expects = {int: "an integer", float: "a number"}.get(kind, "a number or 'auto'")
-        raise ConfigError(f"{key} expects {expects}, got '{raw}'", line) from None
+        raise ConfigError(f"{key} expects {_EXPECTS[kind]}, got '{raw}'", line) from None
+
+
+def _has_type(f, value) -> bool:
+    """Whether value is of f's parse type; a bool is not a number, and None
+    only fits a None default."""
+    kind = type(f.default)
+    if kind in (bool, str):
+        return isinstance(value, kind)
+    if value is None or isinstance(value, bool):
+        return value is None and f.default is None
+    return isinstance(value, numbers.Integral if kind is int else numbers.Real)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -154,12 +170,15 @@ def parse_config(text: str) -> ExperimentConfig:
 def validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     """Reject a configuration that no run could complete, before any work.
 
-    Applies the finite-number, range and cross-key checks. lines maps keys
-    to the line they were read from, for the error message.
+    Applies the type, finite-number, range and cross-key checks. lines maps
+    keys to the line they were read from, for the error message.
     """
     lines = lines or {}
     for f in fields(cfg):
         key, value, check = _name(f), getattr(cfg, f.name), f.metadata["check"]
+        if not _has_type(f, value):
+            raise ConfigError(f"{key} expects {_EXPECTS[type(f.default)]}, got {value!r}",
+                              lines.get(key))
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} = {value} is not a finite number", lines.get(key))
         if isinstance(check, tuple):

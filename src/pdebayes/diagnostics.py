@@ -113,20 +113,13 @@ def ess(coords: np.ndarray, coordinate: int,
         vh = vhat(w, b, n, m_chains)
         vhat_ii = float(vh[coordinate, coordinate])
 
-    rho = {}
-
-    def rho_at(t: int) -> float:
-        if t not in rho:
-            rho[t] = acf_estimate(coords, coordinate, t, vhat_ii=vhat_ii)
-        return rho[t]
-
-    t_trunc = 0
-    for t_pair in range(0, (n - 1) // 2):
-        if rho_at(2 * t_pair) + rho_at(2 * t_pair + 1) < 0.0:
-            t_trunc = t_pair
+    rho = []    # rho[t] at lag t, filled pair by pair
+    for t_trunc in range((n - 1) // 2):
+        rho += [acf_estimate(coords, coordinate, t, vhat_ii=vhat_ii)
+                for t in (2 * t_trunc, 2 * t_trunc + 1)]
+        if rho[-2] + rho[-1] < 0.0:
             break
-        t_trunc = t_pair
-    acf_sum = sum(rho_at(t) for t in range(1, t_trunc + 1))
+    acf_sum = sum(rho[1:t_trunc + 1])
 
     denom = 1.0 + 2.0 * acf_sum
     if denom <= 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import ExperimentConfig, validate
-from .models import MODEL_FAILURES
+from .models import ModelEvaluationError
 
 logger = logging.getLogger(__name__)
 
@@ -141,7 +141,7 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
             try:
                 trial_state = model.evaluate(m + alpha * direction)
                 trial_cost = trial_state.cost + prior.cost(m + alpha * direction)
-            except MODEL_FAILURES:
+            except ModelEvaluationError:
                 trial_cost = np.inf
                 trial_state = None
             if trial_cost <= cost + cfg.newton_armijo_c * alpha * slope + cost_slack:

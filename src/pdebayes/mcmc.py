@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import ChainState, TargetEvaluationError
+from .models import ModelEvaluationError
+from .targets import ChainState
 
 logger = logging.getLogger(__name__)
 
@@ -247,7 +248,7 @@ class DRKernel:
                 proposed = target.make_state(proposal.sample(current, rng))
                 log_alpha = dr_accept_log_prob(self.proposals, current,
                                                rejected, proposed, log_q)
-            except TargetEvaluationError as exc:
+            except ModelEvaluationError as exc:
                 logger.warning("model failure at stage-%d point: %s", j + 1, exc)
                 return current, 0, attempted, accepted
             if _accept(rng, log_alpha):
@@ -351,7 +352,7 @@ class DiliKernel:
             if _accept(rng, log_alpha):
                 mid, lis_accepted = candidate, 1
                 r = r_prop
-        except TargetEvaluationError as exc:
+        except ModelEvaluationError as exc:
             logger.warning("model failure in subspace move: %s", exc)
 
         # Complement move at r fixed: pCN against the prior restricted to
@@ -373,7 +374,7 @@ class DiliKernel:
             log_alpha = candidate.log_posterior - mid.log_posterior + corr
             if _accept(rng, log_alpha):
                 return candidate, 1, attempted, np.array([lis_accepted, 1])
-        except TargetEvaluationError as exc:
+        except ModelEvaluationError as exc:
             logger.warning("model failure in complement move: %s", exc)
         return mid, lis_accepted, attempted, np.array([lis_accepted, 0])
 

@@ -23,16 +23,10 @@ DIRICHLET_TAGS = ("bottom", "top")
 
 
 class ModelEvaluationError(RuntimeError):
-    """The forward model could not be evaluated at the requested point."""
+    """The model cannot be evaluated at the requested point.
 
-
-class NonPositiveFluxError(RuntimeError):
-    """The boundary flux was non-positive, so its log is undefined."""
-
-
-# What a model evaluation raises at a point where the model cannot be
-# evaluated; callers reject the point instead of failing the run.
-MODEL_FAILURES = (np.linalg.LinAlgError, RuntimeError)
+    The one failure for which samplers and the MAP line search reject a point.
+    """
 
 
 class SolveCounter:
@@ -128,7 +122,6 @@ class PoissonState:
         if not np.isfinite(self.cost):
             raise ModelEvaluationError("misfit cost is not finite")
         self._p = None
-        self._grad = None
 
     # -- adjoint and gradient -------------------------------------------
 
@@ -151,10 +144,8 @@ class PoissonState:
 
     def gradient(self) -> np.ndarray:
         """Misfit gradient: entries <phi_j e^m grad u . grad p>."""
-        if self._grad is None:
-            self._grad = self.problem.assembler.P @ (
-                self.coeff * _triangle_dot(self.grad_u, self.grad_p))
-        return self._grad
+        return self.problem.assembler.P @ (
+            self.coeff * _triangle_dot(self.grad_u, self.grad_p))
 
     # -- Hessian action ---------------------------------------------------
 
@@ -190,7 +181,7 @@ class PoissonState:
         flux = float(np.sum(pr.bottom_lengths * self.coeff[pr.bottom_tris]
                             * (-(pr.bottom_grad_y @ self.u))))
         if -flux <= 0.0:
-            raise NonPositiveFluxError(f"bottom flux {flux:g} has no log")
+            raise ModelEvaluationError(f"bottom flux {flux:g} has no log")
         return float(np.log(-flux))
 
 
@@ -280,17 +271,14 @@ class LinearizedState:
             raise ModelEvaluationError("parameter field contains non-finite entries")
         self.u = problem.solve_forward(self.m)
         self.residual, self.cost = problem.residual_and_cost(self.u)
-        self._grad = None
 
     def gradient(self) -> np.ndarray:
-        if self._grad is None:
-            pr = self.problem
-            rhs = pr.obs_op_t @ (self.residual / pr.sigma**2)
-            rhs[pr.assembler.is_dirichlet] = 0.0
-            w = pr.solver.solve(rhs)
-            pr.counter.adjoint += 1
-            self._grad = pr.M @ w
-        return self._grad
+        pr = self.problem
+        rhs = pr.obs_op_t @ (self.residual / pr.sigma**2)
+        rhs[pr.assembler.is_dirichlet] = 0.0
+        w = pr.solver.solve(rhs)
+        pr.counter.adjoint += 1
+        return pr.M @ w
 
     def hessian_action(self, mhat: np.ndarray, gauss_newton: bool = False) -> np.ndarray:
         pr = self.problem
@@ -302,7 +290,7 @@ class LinearizedState:
         return pr.M @ what
 
     def qoi(self) -> float:
-        raise NonPositiveFluxError("linearized model defines no flux")
+        raise ModelEvaluationError("linearized model defines no flux")
 
 
 class LinearizedPoissonProblem(ObservedProblem):

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import MODEL_FAILURES
-
-
-class TargetEvaluationError(RuntimeError):
-    """The target could not be evaluated at the requested point."""
+from .models import ModelEvaluationError
 
 
 class ChainState:
@@ -67,16 +63,14 @@ class PosteriorTarget:
         return self.prior.dim
 
     def make_state(self, m: np.ndarray) -> ChainState:
-        try:
-            model_state = self.model.evaluate(m)
-        except MODEL_FAILURES as exc:
-            raise TargetEvaluationError(str(exc)) from exc
+        """The state at m; ModelEvaluationError if its log posterior is not finite."""
+        model_state = self.model.evaluate(m)
         # The prior cost 0.5 (m - mean)^T C^{-1} (m - mean), through the prior
         # gradient that fill_gradient reuses: one precision action per state.
         grad_prior = self.prior.grad(m)
         log_post = -model_state.cost - 0.5 * float((m - self.prior.mean) @ grad_prior)
         if not np.isfinite(log_post):
-            raise TargetEvaluationError(f"log posterior {log_post} at evaluated point")
+            raise ModelEvaluationError(f"log posterior {log_post} at evaluated point")
         return ChainState(self, np.asarray(m, dtype=float), log_post, model_state,
                           grad_prior)
 
@@ -87,7 +81,7 @@ class PosteriorTarget:
     def qoi(self, state: ChainState) -> float:
         try:
             return state.model_state.qoi()
-        except RuntimeError:
+        except ModelEvaluationError:
             return float("nan")
 
     @property

@@ -18,7 +18,8 @@ import scipy.linalg
 
 from pdebayes.fem import assemble_stiffness
 from pdebayes.mcmc import dr_accept_log_prob
-from pdebayes.targets import ChainState, TargetEvaluationError
+from pdebayes.models import ModelEvaluationError
+from pdebayes.targets import ChainState
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +197,12 @@ class CallableTarget:
         m = np.asarray(m, dtype=float)
         lp = float(self._logpdf(m))
         if np.isnan(lp):
-            raise TargetEvaluationError("log density is NaN")
+            raise ModelEvaluationError("log density is NaN")
         return ChainState(self, m, lp)
 
     def fill_gradient(self, state: ChainState) -> None:
         if self._grad is None:
-            raise TargetEvaluationError("target has no gradient")
+            raise ModelEvaluationError("target has no gradient")
         g = np.asarray(self._grad(state.m), dtype=float)
         state._grad_logpost = g
         state._grad_phi = -g

@@ -110,6 +110,10 @@ class TestRoundTrip:
 # A text that no key of the field's parse type accepts, by the default's type;
 # free-text keys (str without a list of allowed values) accept any text.
 WRONG_TYPE = {int: "1.5", float: "x", bool: "yes", type(None): "x", str: "1.5"}
+# Values of another type, set in code, that validate() rejects by the
+# default's type: a bool is not a number, and None fits only a None default.
+WRONG_VALUES = {int: (1.5, True, "8", None), float: ("x", True, None),
+                bool: (1, "true", None), type(None): ("x", True), str: (1.5, None)}
 # Candidates for an out-of-range value; every range check rejects one of them.
 OUT_OF_RANGE = ["-1", "0", "1.5", "1", "3"]
 
@@ -127,6 +131,11 @@ class TestEveryKey:
         assert lines[index].partition(" = ")[0] == self.key(f)
 
     def test_wrong_type_rejected_naming_key(self, index, f):
+        for value in WRONG_VALUES[type(f.default)]:
+            cfg = dataclasses.replace(ExperimentConfig(), **{f.name: value})
+            with pytest.raises(ConfigError) as err:
+                validate(cfg)
+            assert self.key(f) in str(err.value)
         check = f.metadata["check"]
         raw = WRONG_TYPE[type(f.default)]
         if type(f.default) is str and not isinstance(check, tuple):

@@ -11,7 +11,8 @@ import pytest
 import scipy.linalg
 
 from pdebayes.cli import main as cli_main
-from pdebayes.config import METHODS, MODEL_KINDS, ConfigError, parse_config
+from pdebayes.config import (METHODS, MODEL_KINDS, ConfigError, ExperimentConfig,
+                             parse_config)
 from pdebayes import driver
 from pdebayes.driver import (StageError, build_prior_for, run_experiment,
                              write_chain_csv)
@@ -306,6 +307,16 @@ class TestStageErrors:
         with pytest.raises(ConfigError):
             run_experiment(cfg, str(tmp_path))
         assert not (tmp_path / "chain_00.csv").exists()
+
+    def test_wrong_type_rejected_before_any_artifact(self, tmp_path):
+        # A float sample count used to pass validate() and fail only when
+        # the chains stage sized its arrays.
+        cfg = ExperimentConfig(mesh_n=8, data_count=30, eig_k=20,
+                               eig_oversampling=10, mcmc_chains=2,
+                               mcmc_samples=10.5, mcmc_project_dim=6)
+        with pytest.raises(ConfigError, match="mcmc.samples"):
+            run_experiment(cfg, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:

@@ -97,9 +97,11 @@ class TestComputeMap:
         result = compute_map(problem, prior)
         assert result.grad_norm <= max(1e-12, 1e-6 * g0)
 
-    def test_programming_error_in_line_search_propagates(self, linear_setup):
-        # Only model failures reject a trial point; any other error is a
-        # defect and must surface instead of stalling the line search.
+    @pytest.mark.parametrize("error", [TypeError, RuntimeError])
+    def test_programming_error_in_line_search_propagates(self, linear_setup, error):
+        # Only ModelEvaluationError rejects a trial point; any other error,
+        # a plain RuntimeError included, is a defect and must surface
+        # instead of stalling the line search.
         prior, model, _, _, _, _ = linear_setup
 
         class BrokenTrials:
@@ -109,10 +111,10 @@ class TestComputeMap:
             def evaluate(self, m):
                 self.calls += 1
                 if self.calls > 1:
-                    raise TypeError("defect in the model code")
+                    raise error("defect in the model code")
                 return model.evaluate(m)
 
-        with pytest.raises(TypeError):
+        with pytest.raises(error, match="defect in the model code"):
             compute_map(BrokenTrials(), prior)
 
     def test_out_of_range_setting_rejected_before_any_evaluation(self, linear_setup):

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import pdebayes.mcmc as mc
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.laplace import LaplaceApprox
-from pdebayes.models import LinearizedPoissonProblem
+from pdebayes.models import LinearizedPoissonProblem, ModelEvaluationError
 from pdebayes.prior import BiLaplacianPrior
-from pdebayes.targets import PosteriorTarget
+from pdebayes.targets import ChainState, PosteriorTarget
 
 from helpers import (CallableTarget, DenseGaussian, DenseLinearModel,
                      TableProposal, dense_gaussian_posterior, dr_accept_prob)
@@ -298,6 +299,63 @@ class TestThreeStateEnumeration:
         assert dr_accept_prob([uniform, uniform], a, [b], c) == 0.0
 
 
+def dr_transition_matrix(log_pi, tables):
+    """One-step transition matrix of delayed rejection over states 0..K-1.
+
+    Enumerates every path of stage-k proposals y_k ~ tables[k][i], each
+    rejected with probability 1 - alpha_k before the next stage; a path
+    rejected at every stage stays at i.
+    """
+    k = len(log_pi)
+    target = CallableTarget(lambda m: log_pi[int(m[0])], dim=1)
+    states = [target.make_state(np.array([float(s)])) for s in range(k)]
+    props = [TableProposal(range(k), table) for table in tables]
+    t = np.zeros((k, k))
+
+    def walk(i, rejected, weight):
+        stage = len(rejected)
+        if stage == len(props):
+            t[i, i] += weight
+            return
+        for j in range(k):
+            alpha = dr_accept_prob(props, states[i], rejected, states[j])
+            w = weight * tables[stage][i, j]
+            t[i, j] += w * alpha
+            walk(i, rejected + [states[j]], w * (1.0 - alpha))
+
+    for i in range(k):
+        walk(i, [], 1.0)
+    return t
+
+
+@st.composite
+def finite_targets(draw, n_stages):
+    """A target on K in 2..5 states and n_stages strictly positive tables."""
+    k = draw(st.integers(2, 5))
+    log_pi = draw(st.lists(st.floats(-5, 5), min_size=k, max_size=k))
+    rows = st.lists(st.floats(0.05, 1), min_size=k, max_size=k)
+    tables = [np.array(draw(st.lists(rows, min_size=k, max_size=k)))
+              for _ in range(n_stages)]
+    return log_pi, [table / table.sum(axis=1, keepdims=True) for table in tables]
+
+
+# The stage count is a parameter, not drawn, so that every count gets its
+# share of cases. Fixed examples and no example database: the same cases
+# run every time.
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(data=st.data())
+def test_dr_kernel_satisfies_detailed_balance(n_stages, data):
+    log_pi, tables = data.draw(finite_targets(n_stages))
+    t = dr_transition_matrix(log_pi, tables)
+    pi = np.exp(np.array(log_pi) - max(log_pi))
+    pi /= pi.sum()
+    assert np.all(t >= 0.0)
+    np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    flow = pi[:, None] * t
+    assert np.abs(flow - flow.T).max() <= 1e-12
+
+
 class TestSteps:
     def test_always_accept_path(self):
         prior = DenseGaussian(np.zeros(2), np.diag([1.0, 2.0]))
@@ -427,6 +485,66 @@ class TestSteps:
         allc = np.concatenate([r.coords for r in recs])
         se = np.sqrt(np.diag(cov)) / np.sqrt(len(allc) / 10.0)
         assert np.abs(allc.mean(axis=0) - mean).max() <= 4 * np.abs(se).max()
+
+
+class FailingModel:
+    """Evaluates like model at start and raises error everywhere else."""
+
+    def __init__(self, model, start, error):
+        self.model = model
+        self.start = start
+        self.error = error
+
+    def evaluate(self, m):
+        if not np.array_equal(m, self.start):
+            raise self.error("cannot evaluate here")
+        return self.model.evaluate(m)
+
+
+class TestModelFailures:
+    """ModelEvaluationError rejects a point; any other error stops the run."""
+
+    @pytest.fixture(params=["mh", "dili"])
+    def kernel(self, request, gauss2d):
+        laplace = gauss2d[2]
+        if request.param == "mh":
+            return mc.MHKernel(mc.AutoregressiveProposal(laplace, 0.5))
+        return mc.DiliKernel(laplace, lis_step=0.4, cs_beta=0.7, lis_center="map")
+
+    def test_model_failure_rejects_and_is_logged(self, gauss2d, kernel, caplog):
+        model, prior = gauss2d[0].model, gauss2d[1]
+        start = np.zeros(2)
+        target = PosteriorTarget(FailingModel(model, start, ModelEvaluationError),
+                                 prior)
+        with caplog.at_level(logging.WARNING, logger=mc.__name__):
+            rec = mc.run_chain(target, kernel, start, 5, seed=19)
+        assert rec.accepted.tolist() == [0] * 5
+        failures = [r for r in caplog.records
+                    if r.getMessage().startswith("model failure")]
+        assert len(failures) == 5 * kernel.n_stages
+
+    def test_other_runtime_error_stops_the_chain(self, gauss2d, kernel):
+        model, prior = gauss2d[0].model, gauss2d[1]
+        start = np.zeros(2)
+        target = PosteriorTarget(FailingModel(model, start, RuntimeError), prior)
+        with pytest.raises(RuntimeError, match="cannot evaluate here") as err:
+            mc.run_chain(target, kernel, start, 5, seed=19)
+        assert not isinstance(err.value, ModelEvaluationError)
+
+    def test_qoi_failure_is_nan_and_other_errors_propagate(self, gauss2d):
+        target = gauss2d[0]
+
+        class NoQoi:
+            def __init__(self, error):
+                self.error = error
+
+            def qoi(self):
+                raise self.error("no quantity of interest")
+
+        m = np.zeros(2)
+        assert math.isnan(ChainState(target, m, 0.0, NoQoi(ModelEvaluationError)).qoi())
+        with pytest.raises(RuntimeError, match="no quantity of interest"):
+            ChainState(target, m, 0.0, NoQoi(RuntimeError)).qoi()
 
 
 class TestPosteriorGradientConsistency:
