@@ -19,6 +19,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+# Override flag -> (ExperimentConfig field, argparse options).
+_OVERRIDES = {
+    "seed": ("mcmc_seed", {"type": int}),
+    "chains": ("mcmc_chains", {"type": int}),
+    "samples": ("mcmc_samples", {"type": int}),
+    "method": ("mcmc_method", {"choices": METHODS}),
+    "output": ("output_dir", {}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -27,11 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="run the full inversion pipeline")
     solve.add_argument("--config", help="path to the experiment configuration")
-    solve.add_argument("--seed", type=int, help="override mcmc.seed")
-    solve.add_argument("--chains", type=int, help="override mcmc.chains")
-    solve.add_argument("--samples", type=int, help="override mcmc.samples")
-    solve.add_argument("--method", choices=METHODS, help="override mcmc.method")
-    solve.add_argument("--output", help="override output.dir")
+    for flag, (name, options) in _OVERRIDES.items():
+        solve.add_argument(f"--{flag}", help=f"override {name.replace('_', '.', 1)}",
+                           **options)
     solve.add_argument("--verbose", action="store_true")
     return parser
 
@@ -44,16 +51,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.seed is not None:
-            cfg.mcmc_seed = args.seed
-        if args.chains is not None:
-            cfg.mcmc_chains = args.chains
-        if args.samples is not None:
-            cfg.mcmc_samples = args.samples
-        if args.method is not None:
-            cfg.mcmc_method = args.method
-        if args.output is not None:
-            cfg.output_dir = args.output
+        for flag, (name, _) in _OVERRIDES.items():
+            if getattr(args, flag) is not None:
+                setattr(cfg, name, getattr(args, flag))
         validate(cfg)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -101,9 +101,18 @@ def build_unit_square_mesh(n: int) -> Mesh:
                 boundary_edges=edges, areas=areas, grads=grads)
 
 
-def _coo_to_csr(mesh_nv, rows, cols, data) -> sp.csr_matrix:
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(mesh_nv, mesh_nv))
-    return mat.tocsr()
+def _block_pattern(cells: np.ndarray):
+    """COO rows and columns of the k x k element blocks of k-vertex cells,
+    in the order of blocks.ravel() for blocks of shape (num_cells, k, k)."""
+    k = cells.shape[1]
+    return np.repeat(cells, k, axis=1).ravel(), np.tile(cells, (1, k)).ravel()
+
+
+def _assemble_blocks(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum the element blocks of the cells into an (N, N) CSR matrix."""
+    rows, cols = _block_pattern(cells)
+    nv = mesh.num_vertices
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
 def _stiffness_entries(mesh: Mesh, coefficient) -> np.ndarray:
@@ -138,11 +147,7 @@ def assemble_stiffness(mesh: Mesh, coefficient=1.0) -> sp.csr_matrix:
     coefficient may be a scalar, a per-triangle array (one-point quadrature
     values), or a constant symmetric positive definite 2x2 tensor.
     """
-    blocks = _stiffness_entries(mesh, coefficient)
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    return _coo_to_csr(mesh.num_vertices, rows, cols, blocks.ravel())
+    return _assemble_blocks(mesh, mesh.triangles, _stiffness_entries(mesh, coefficient))
 
 
 def assemble_mass(mesh: Mesh, lumped: bool = False) -> sp.csr_matrix:
@@ -153,11 +158,8 @@ def assemble_mass(mesh: Mesh, lumped: bool = False) -> sp.csr_matrix:
                   np.repeat(mesh.areas / 3.0, 3))
         return sp.diags(diag, format="csr")
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    blocks = local[None, :, :] * mesh.areas[:, None, None]
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    return _coo_to_csr(mesh.num_vertices, rows, cols, blocks.ravel())
+    return _assemble_blocks(mesh, mesh.triangles,
+                            local[None, :, :] * mesh.areas[:, None, None])
 
 
 def assemble_boundary_mass(mesh: Mesh, tags) -> sp.csr_matrix:
@@ -168,19 +170,11 @@ def assemble_boundary_mass(mesh: Mesh, tags) -> sp.csr_matrix:
     unknown = tags.difference(BOUNDARY_TAGS)
     if unknown:
         raise ValueError(f"unknown boundary tags: {sorted(unknown)}")
-    rows, cols, data = [], [], []
+    edges = np.concatenate([mesh.boundary_edges[tag] for tag in sorted(tags)])
+    lengths = np.linalg.norm(
+        mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
     local = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    for tag in sorted(tags):
-        edges = mesh.boundary_edges[tag]
-        lengths = np.linalg.norm(
-            mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
-        blocks = local[None, :, :] * lengths[:, None, None]
-        rows.append(np.repeat(edges, 2, axis=1).ravel())
-        cols.append(np.tile(edges, (1, 2)).ravel())
-        data.append(blocks.ravel())
-    return _coo_to_csr(mesh.num_vertices,
-                       np.concatenate(rows), np.concatenate(cols),
-                       np.concatenate(data))
+    return _assemble_blocks(mesh, edges, local[None, :, :] * lengths[:, None, None])
 
 
 def point_observation_operator(mesh: Mesh, points) -> sp.csr_matrix:
@@ -268,8 +262,6 @@ class SpdSolver:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._factor.shape[1]:
             raise ValueError("right-hand side has wrong length")
-        if b.ndim == 1 and not b.any():
-            return np.zeros_like(b)
         x, info = dpbtrs(self._factor, b, lower=1)
         if info != 0:
             raise ValueError(f"band Cholesky solve failed (LAPACK info {info})")
@@ -320,12 +312,9 @@ class StiffnessAssembler:
 
         # Lower-triangle entries (i >= j) of the element blocks, with the
         # triangle each belongs to.
-        geo = np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
-        geo *= mesh.areas[:, None, None]
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
+        rows, cols = _block_pattern(tris)
         lower = rows >= cols
-        self._geo_lower = geo.ravel()[lower]
+        self._geo_lower = _stiffness_entries(mesh, 1.0).ravel()[lower]
         self._tri_lower = np.repeat(np.arange(nt), 9)[lower]
         rows = rows[lower]
         cols = cols[lower]

@@ -20,6 +20,7 @@ import scipy.linalg
 
 from .config import ExperimentConfig, validate
 from .models import ModelEvaluationError
+from .targets import PosteriorTarget
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +90,8 @@ def _cg_newton_direction(hess_apply, grad, forcing, max_iters, precond):
 
 def compute_map(model, prior, m0: np.ndarray | None = None,
                 cfg: ExperimentConfig | None = None) -> MapResult:
-    """Minimize misfit(m) + prior.cost(m) by inexact Newton-PCG.
+    """Minimize the negative log-posterior of PosteriorTarget(model, prior)
+    by inexact Newton-PCG.
 
     CG is preconditioned by the prior covariance C, as in hIPPYlib, so its
     iteration count is bounded by the number of data-informed directions
@@ -103,25 +105,27 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
     """
     cfg = cfg or ExperimentConfig()
     validate(cfg)
-    m = np.array(prior.mean if m0 is None else m0, dtype=float)
-
-    state = model.evaluate(m)
-    cost = state.cost + prior.cost(m)
-    grad = state.gradient() + prior.grad(m)
+    target = PosteriorTarget(model, prior)
+    state = target.make_state(
+        np.array(prior.mean if m0 is None else m0, dtype=float))
+    cost = -state.log_posterior
+    grad = -state.grad_log_posterior
     gnorm0 = float(np.linalg.norm(grad))
     tol = max(cfg.newton_grad_abs_tol, cfg.newton_grad_rel_tol * gnorm0)
     history = [cost]
     cg_total = 0
 
-    for it in range(cfg.newton_max_iters):
+    for it in range(cfg.newton_max_iters + 1):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            return MapResult(m, cost, gnorm, it, True, history, cg_total)
+            return MapResult(state.m, cost, gnorm, it, True, history, cg_total)
+        if it == cfg.newton_max_iters:
+            raise MapConvergenceError(gnorm, it, state.m)
 
         gauss_newton = it < cfg.newton_gn_iters
         forcing = min(0.5, math.sqrt(gnorm / gnorm0))
 
-        def hess_apply(v, _state=state, _gn=gauss_newton):
+        def hess_apply(v, _state=state.model_state, _gn=gauss_newton):
             return _state.hessian_action(v, gauss_newton=_gn) + prior.apply_precision(v)
 
         direction, cg_iters = _cg_newton_direction(
@@ -139,11 +143,10 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             try:
-                trial_state = model.evaluate(m + alpha * direction)
-                trial_cost = trial_state.cost + prior.cost(m + alpha * direction)
+                trial = target.make_state(state.m + alpha * direction)
+                trial_cost = -trial.log_posterior
             except ModelEvaluationError:
                 trial_cost = np.inf
-                trial_state = None
             if trial_cost <= cost + cfg.newton_armijo_c * alpha * slope + cost_slack:
                 break
             alpha *= cfg.newton_backtrack
@@ -152,20 +155,12 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
             # the best point rather than looping without progress.
             logger.warning("line search stalled at iteration %d, |grad| = %.3e",
                            it, gnorm)
-            return MapResult(m, cost, gnorm, it, False, history, cg_total,
+            return MapResult(state.m, cost, gnorm, it, False, history, cg_total,
                              reason="line_search_stall")
 
-        m = m + alpha * direction
-        state = trial_state
-        cost = trial_cost
-        grad = state.gradient() + prior.grad(m)
+        state, cost = trial, trial_cost
+        grad = -state.grad_log_posterior
         history.append(cost)
-
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm <= tol:
-        return MapResult(m, cost, gnorm, cfg.newton_max_iters, True, history,
-                         cg_total)
-    raise MapConvergenceError(gnorm, cfg.newton_max_iters, m)
 
 
 def _chol_qr(Y: np.ndarray, inner_apply) -> np.ndarray:
@@ -276,9 +271,8 @@ class LaplaceApprox:
 
     def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
         """Factor S with S S^T = H^{-1}, built from the prior factor."""
-        if self.rank:
-            corr = (1.0 / np.sqrt(1.0 + self.lam)) - 1.0
-            z = z + self._u @ (corr * (self._u.T @ z))
+        corr = (1.0 / np.sqrt(1.0 + self.lam)) - 1.0
+        z = z + self._u @ (corr * (self._u.T @ z))
         return self.prior.apply_cov_factor(z)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -287,8 +281,6 @@ class LaplaceApprox:
 
     def log_density(self, m: np.ndarray) -> float:
         d = m - self.m_map
-        quad = d @ self.prior.apply_precision(d)
-        if self.rank:
-            c = self._w.T @ d
-            quad += float(self.lam @ (c * c))
+        c = self._w.T @ d
+        quad = d @ self.prior.apply_precision(d) + float(self.lam @ (c * c))
         return -0.5 * float(quad)

@@ -97,6 +97,12 @@ class ObservedProblem:
         residual = self.observe(u) - self.data
         return residual, 0.5 * float(residual @ residual) / self.sigma**2
 
+    def _solve(self, solver, rhs: np.ndarray, kind: str) -> np.ndarray:
+        """Solve with rhs's Dirichlet rows zeroed in place; counts one `kind` solve."""
+        rhs[self.assembler.is_dirichlet] = 0.0
+        setattr(self.counter, kind, getattr(self.counter, kind) + 1)
+        return solver.solve(rhs)
+
 
 def _triangle_dot(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
     """Per-triangle dot product of two gradients stacked as the rows of G."""
@@ -128,10 +134,9 @@ class PoissonState:
     @property
     def adjoint(self) -> np.ndarray:
         if self._p is None:
-            rhs = -(self.problem.obs_op_t @ (self.residual / self.problem.sigma**2))
-            rhs[self.problem.assembler.is_dirichlet] = 0.0
-            self._p = self.solver.solve(rhs)
-            self.problem.counter.adjoint += 1
+            pr = self.problem
+            rhs = -(pr.obs_op_t @ (self.residual / pr.sigma**2))
+            self._p = pr._solve(self.solver, rhs, "adjoint")
         return self._p
 
     @cached_property
@@ -156,16 +161,12 @@ class PoissonState:
         mhat_c = asm.centroid_values(np.asarray(mhat, dtype=float))
         w = asm.gradient_weights(self.coeff * mhat_c)
 
-        rhs = -(asm.GT @ (w * self.grad_u))
-        rhs[asm.is_dirichlet] = 0.0
-        uhat = self.solver.solve(rhs)
+        uhat = pr._solve(self.solver, -(asm.GT @ (w * self.grad_u)), "incremental")
 
         rhs = -(pr.obs_op_t @ (pr.observe(uhat) / pr.sigma**2))
         if not gauss_newton:
             rhs -= asm.GT @ (w * self.grad_p)
-        rhs[asm.is_dirichlet] = 0.0
-        phat = self.solver.solve(rhs)
-        pr.counter.incremental += 2
+        phat = pr._solve(self.solver, rhs, "incremental")
 
         per_tri = _triangle_dot(self.grad_u, asm.G @ phat)
         if not gauss_newton:
@@ -275,19 +276,13 @@ class LinearizedState:
     def gradient(self) -> np.ndarray:
         pr = self.problem
         rhs = pr.obs_op_t @ (self.residual / pr.sigma**2)
-        rhs[pr.assembler.is_dirichlet] = 0.0
-        w = pr.solver.solve(rhs)
-        pr.counter.adjoint += 1
-        return pr.M @ w
+        return pr.M @ pr._solve(pr.solver, rhs, "adjoint")
 
     def hessian_action(self, mhat: np.ndarray, gauss_newton: bool = False) -> np.ndarray:
         pr = self.problem
-        uhat = pr.solve_forward(np.asarray(mhat, dtype=float), count="incremental")
+        uhat = pr._solve(pr.solver, pr.M @ np.asarray(mhat, dtype=float), "incremental")
         rhs = pr.obs_op_t @ (pr.observe(uhat) / pr.sigma**2)
-        rhs[pr.assembler.is_dirichlet] = 0.0
-        what = pr.solver.solve(rhs)
-        pr.counter.incremental += 1
-        return pr.M @ what
+        return pr.M @ pr._solve(pr.solver, rhs, "incremental")
 
     def qoi(self) -> float:
         raise ModelEvaluationError("linearized model defines no flux")
@@ -307,11 +302,8 @@ class LinearizedPoissonProblem(ObservedProblem):
         self.M = assemble_mass(mesh)
         self.solver = self.assembler.factorize(np.ones(mesh.num_triangles))
 
-    def solve_forward(self, m: np.ndarray, count: str = "forward") -> np.ndarray:
-        rhs = self.M @ m
-        rhs[self.assembler.is_dirichlet] = 0.0
-        setattr(self.counter, count, getattr(self.counter, count) + 1)
-        return self.solver.solve(rhs)
+    def solve_forward(self, m: np.ndarray) -> np.ndarray:
+        return self._solve(self.solver, self.M @ m, "forward")
 
     def evaluate(self, m: np.ndarray) -> LinearizedState:
         if self.data is None:

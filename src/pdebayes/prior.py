@@ -85,11 +85,8 @@ class BiLaplacianPrior:
 
     # -- quadratic form -------------------------------------------------
 
-    def cost(self, m: np.ndarray) -> float:
-        d = m - self.mean
-        return 0.5 * float(d @ self.apply_precision(d))
-
     def grad(self, m: np.ndarray) -> np.ndarray:
+        """C^{-1} (m - mean), the gradient of 0.5 (m - mean)^T C^{-1} (m - mean)."""
         return self.apply_precision(m - self.mean)
 
     # -- operator actions ------------------------------------------------

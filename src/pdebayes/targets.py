@@ -1,8 +1,10 @@
-"""Posterior targets and chain states for the samplers.
+"""Posterior targets and chain states for the samplers and the MAP.
 
 A target turns parameter vectors into ChainStates carrying the cached
 log-posterior and (lazily) the gradients that gradient-based proposals
-need. PosteriorTarget composes a forward model with a Gaussian prior.
+need. PosteriorTarget composes a forward model with a Gaussian prior; the
+samplers and the Newton-CG MAP (laplace.compute_map) both evaluate the
+posterior through it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class ChainState:
 
 
 class PosteriorTarget:
-    """Unnormalized posterior -misfit(m) - prior.cost(m) over a forward model."""
+    """Unnormalized log posterior -misfit(m) - 0.5 |m - mean|^2_{C^{-1}} over a
+    forward model."""
 
     supports_gradient = True
 
@@ -65,7 +68,7 @@ class PosteriorTarget:
     def make_state(self, m: np.ndarray) -> ChainState:
         """The state at m; ModelEvaluationError if its log posterior is not finite."""
         model_state = self.model.evaluate(m)
-        # The prior cost 0.5 (m - mean)^T C^{-1} (m - mean), through the prior
+        # The prior quadratic 0.5 (m - mean)^T C^{-1} (m - mean), through the prior
         # gradient that fill_gradient reuses: one precision action per state.
         grad_prior = self.prior.grad(m)
         log_post = -model_state.cost - 0.5 * float((m - self.prior.mean) @ grad_prior)

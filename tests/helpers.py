@@ -80,6 +80,12 @@ def dense_prior_matrices(prior):
     return a, r, np.linalg.inv(r)
 
 
+def prior_cost(prior, m):
+    """The prior quadratic 0.5 (m - mean)^T C^{-1} (m - mean), as
+    PosteriorTarget.make_state forms it from the prior gradient."""
+    return 0.5 * float((m - prior.mean) @ prior.grad(m))
+
+
 # ---------------------------------------------------------------------------
 # Dense Poisson solves (reference forward/adjoint)
 # ---------------------------------------------------------------------------

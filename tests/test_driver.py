@@ -37,6 +37,11 @@ mcmc.samples = 60
 mcmc.project_dim = 4
 """
 
+MAP_NEVER_CONVERGES = """newton.max_iters = 1
+newton.grad_rel_tol = 1e-300
+newton.grad_abs_tol = 1e-300
+"""
+
 ORACLE_LINEARIZED = """
 mesh.n = 6
 model.kind = linearized
@@ -353,14 +358,30 @@ class TestCli:
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(FAST_POISSON
-                            + "newton.max_iters = 1\n"
-                            + "newton.grad_rel_tol = 1e-300\n"
-                            + "newton.grad_abs_tol = 1e-300\n")
+        cfg_file.write_text(FAST_POISSON + MAP_NEVER_CONVERGES)
         code = cli_main(["solve", "--config", str(cfg_file),
                          "--output", str(tmp_path / "out")])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, raw, field, value", [
+        ("--seed", "17", "mcmc_seed", 17),
+        ("--chains", "3", "mcmc_chains", 3),
+        ("--samples", "25", "mcmc_samples", 25),
+        ("--method", "dili", "mcmc_method", "dili"),
+        ("--output", "elsewhere", "output_dir", "elsewhere"),
+    ])
+    def test_each_override_lands_in_config_used(self, tmp_path, monkeypatch, capsys,
+                                                flag, raw, field, value):
+        # The run stops at the MAP, after config_used.txt is written.
+        monkeypatch.chdir(tmp_path)
+        base = FAST_POISSON + MAP_NEVER_CONVERGES + "output.dir = out\n"
+        Path("run.cfg").write_text(base)
+        assert getattr(parse_config(base), field) != value
+        assert cli_main(["solve", "--config", "run.cfg", flag, raw]) == 3
+        out = raw if flag == "--output" else "out"
+        used = parse_config(Path(out, "config_used.txt").read_text())
+        assert getattr(used, field) == value
 
     def test_successful_run_with_overrides(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

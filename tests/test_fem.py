@@ -236,6 +236,7 @@ class TestSparseSolve:
         k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
         x = SpdSolver(lower_band(k)).solve(np.zeros(mesh.num_vertices))
         assert np.all(x == 0.0)
+        assert not np.signbit(x).any()
 
     def test_indefinite_reported(self):
         indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -14,6 +14,7 @@ from pdebayes.laplace import (EigensolverBreakdown, LaplaceApprox,
 from pdebayes.models import (LinearizedPoissonProblem, PoissonProblem,
                              generate_synthetic_data)
 from pdebayes.prior import BiLaplacianPrior
+from pdebayes.targets import PosteriorTarget
 
 from helpers import DenseGaussian, dense_gaussian_posterior, dense_prior_matrices
 
@@ -96,6 +97,27 @@ class TestComputeMap:
         g0 = np.linalg.norm(state.gradient() + prior.grad(m0))
         result = compute_map(problem, prior)
         assert result.grad_norm <= max(1e-12, 1e-6 * g0)
+
+    def test_every_evaluation_is_a_posterior_state(self, poisson_setup, monkeypatch):
+        # The start and every line-search trial are evaluated through
+        # PosteriorTarget.make_state, once per model evaluation.
+        prior, problem = poisson_setup
+        evaluations, states = [], []
+        evaluate, make_state = problem.evaluate, PosteriorTarget.make_state
+
+        def counted_evaluate(m):
+            evaluations.append(m)
+            return evaluate(m)
+
+        def counted_make_state(target, m):
+            states.append(m)
+            return make_state(target, m)
+
+        monkeypatch.setattr(problem, "evaluate", counted_evaluate)
+        monkeypatch.setattr(PosteriorTarget, "make_state", counted_make_state)
+        result = compute_map(problem, prior)
+        assert len(evaluations) >= result.iterations + 1
+        assert len(states) == len(evaluations)
 
     @pytest.mark.parametrize("error", [TypeError, RuntimeError])
     def test_programming_error_in_line_search_propagates(self, linear_setup, error):
@@ -278,6 +300,9 @@ class TestLowRankPosterior:
         v = np.random.default_rng(9).standard_normal(prior.dim)
         np.testing.assert_allclose(la.apply_covariance(v),
                                    prior.apply_covariance(v), rtol=1e-12)
+        assert np.array_equal(la.apply_cov_factor(v), prior.apply_cov_factor(v))
+        d = v - la.m_map
+        assert la.log_density(v) == -0.5 * float(d @ prior.apply_precision(d))
         s1 = la.sample(np.random.default_rng(10))
         s2 = prior.sample(np.random.default_rng(10))
         np.testing.assert_allclose(s1 - la.m_map, s2 - prior.mean, rtol=1e-10)

@@ -16,7 +16,8 @@ from pdebayes.prior import BiLaplacianPrior
 from pdebayes.targets import ChainState, PosteriorTarget
 
 from helpers import (CallableTarget, DenseGaussian, DenseLinearModel,
-                     TableProposal, dense_gaussian_posterior, dr_accept_prob)
+                     TableProposal, dense_gaussian_posterior, dr_accept_prob,
+                     prior_cost)
 
 
 def make_dense_laplace(prior, mean, misfit_hessian):
@@ -576,7 +577,7 @@ class TestPriorTargetSampling:
         mesh = build_unit_square_mesh(4)
         prior = BiLaplacianPrior(mesh, 0.1, 0.5, theta1=2.0, theta2=0.5,
                                  alpha=np.pi / 4)
-        target = CallableTarget(lambda m: -prior.cost(m), dim=prior.dim)
+        target = CallableTarget(lambda m: -prior_cost(prior, m), dim=prior.dim)
         beta = 0.6
         kernel = mc.MHKernel(mc.AutoregressiveProposal(prior, beta))
         n_steps = 20000
@@ -830,7 +831,7 @@ class TestStepMemo:
         g = state.grad_log_posterior
         assert len(actions) == 1
         monkeypatch.undo()
-        assert state.log_posterior == -model.evaluate(m).cost - prior.cost(m)
+        assert state.log_posterior == -model.evaluate(m).cost - prior_cost(prior, m)
         assert np.array_equal(g, -model.evaluate(m).gradient() - prior.grad(m))
 
     def test_h_inf_mala_mean_reuses_the_prior_gradient(self, gauss2d, monkeypatch):

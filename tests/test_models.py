@@ -398,3 +398,16 @@ class TestSolveCounting:
         assert problem.counter.snapshot() == (1, 1, 0)
         state.hessian_action(m)
         assert problem.counter.snapshot() == (1, 1, 2)
+
+    def test_linearized_counts_by_kind(self, problem4):
+        problem = LinearizedPoissonProblem(problem4.mesh, problem4.obs_points,
+                                           problem4.sigma, data=problem4.data)
+        m = np.random.default_rng(22).standard_normal(problem.dim)
+        state = problem.evaluate(m)
+        assert problem.counter.snapshot() == (1, 0, 0)
+        state.gradient()
+        assert problem.counter.snapshot() == (1, 1, 0)
+        state.gradient()   # the linearized state keeps no adjoint
+        assert problem.counter.snapshot() == (1, 2, 0)
+        state.hessian_action(m)
+        assert problem.counter.snapshot() == (1, 2, 2)

@@ -6,10 +6,10 @@ builds the default experiment's prior, observation points and synthetic data
 default newton.* settings: one warm-up run, then REPEATS = 3 timed runs, of
 which it records the median and every value.
 For each case it also records the Newton iterations, the total CG iterations
-(MapResult.cg_iterations, null where MapResult has no such field), the number
-of model Hessian actions (one per CG iteration), the final gradient norm and
-whether the MAP converged; a MapConvergenceError is recorded with its
-iteration count and gradient norm, not raised. The counts are those of the
+(MapResult.cg_iterations), the number of model Hessian actions (one per CG
+iteration), the final gradient norm and whether the MAP converged; a
+MapConvergenceError is recorded with its iteration count and gradient norm,
+not raised. The counts are those of the
 warm-up run; compute_map is deterministic, so every run repeats them.
 
 The record, with the machine, Python, numpy, scipy and BLAS versions and the
@@ -98,7 +98,7 @@ def run_map(pb, problem, prior) -> dict:
                 "grad_norm": exc.grad_norm, "error": "MapConvergenceError"}
     return {"time_s": time.perf_counter() - t0, "converged": bool(res.converged),
             "newton_iterations": res.iterations,
-            "cg_iterations": getattr(res, "cg_iterations", None),
+            "cg_iterations": res.cg_iterations,
             "grad_norm": res.grad_norm}
 
 
