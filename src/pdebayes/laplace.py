@@ -239,6 +239,8 @@ class LaplaceApprox:
         self.vecs = vecs
         self.rank = lam.size
         self._d = lam / (1.0 + lam)
+        # S = S_prior (I + U diag(corr) U^T) is the sampling factor.
+        self._corr = 1.0 / np.sqrt(1.0 + lam) - 1.0
         # W = C^{-1} V drives precision actions and subspace projections;
         # U = M^{-1/2} A V is the orthonormal block of the sampling factor.
         self._w = prior.apply_precision(vecs)
@@ -271,9 +273,13 @@ class LaplaceApprox:
 
     def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
         """Factor S with S S^T = H^{-1}, built from the prior factor."""
-        corr = (1.0 / np.sqrt(1.0 + self.lam)) - 1.0
-        z = z + self._u @ (corr * (self._u.T @ z))
+        z = z + self._u @ (self._corr * (self._u.T @ z))
         return self.prior.apply_cov_factor(z)
+
+    def apply_cov_factor_t(self, v: np.ndarray) -> np.ndarray:
+        """S^T v = (I + U diag(corr) U^T) S_prior^T v."""
+        y = self.prior.apply_cov_factor_t(v)
+        return y + self._u @ (self._corr * (self._u.T @ y))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal(self.dim)

@@ -4,10 +4,17 @@ Seven Gaussian proposals (random walk, pCN, MALA, their curvature-informed
 counterparts using the low-rank posterior Gaussian, and the
 dimension-robust Langevin variants) share one template: a state-dependent
 mean plus a scaled reference covariance whose square root and precision are
-applied through prior or Laplace factor operations, never densely. The
-kernels (Metropolis-Hastings, delayed rejection, and the subspace
-Gibbs sampler over the likelihood-informed directions) combine freely with
-the proposals. All acceptance arithmetic is in log space.
+applied through prior or Laplace factor operations, never densely. A
+proposal enters the acceptance ratio through its log ratio
+log q(b -> a) - log q(a -> b), by default the difference of two log
+densities. MALA and H-MALA work through the reference's square-root factor
+S instead: each state keeps w = S^T grad log pi once, a move is one factor
+action, and the log ratio has a closed form in the gradients and w that
+needs no precision action. The kernels (Metropolis-Hastings, delayed
+rejection, and the subspace Gibbs sampler over the likelihood-informed
+directions) combine freely with the proposals; delayed rejection evaluates
+each density and log ratio once per step. All acceptance arithmetic is in
+log space.
 """
 
 from __future__ import annotations
@@ -44,10 +51,12 @@ class GaussianProposal:
     """Gaussian proposal with covariance scale^2 times a reference covariance.
 
     Subclasses define the state-dependent mean; a mean that costs operator
-    actions is computed once per state and kept, read-only, in state.means
+    actions is computed once per state and kept, read-only, in state.cache
     under its proposal. Log densities are reported up to the
     (state-independent) normalizing constant, evaluated through the
-    reference precision.
+    reference precision. sample draws z and hands it to draw, and log_ratio
+    is the proposal's term of the acceptance ratio; a subclass with a
+    cheaper closed form overrides those two, not sample or log_density.
     """
 
     requires_gradient = False
@@ -62,13 +71,24 @@ class GaussianProposal:
         raise NotImplementedError
 
     def sample(self, state: ChainState, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(self.reference.dim)
+        return self.draw(state, rng.standard_normal(self.reference.dim))
+
+    def draw(self, state: ChainState, z: np.ndarray) -> np.ndarray:
+        """The proposed point for the standard normal vector z."""
         return self.mean(state) + self.scale * self.reference.apply_cov_factor(z)
 
     def log_density(self, from_state: ChainState, to: np.ndarray) -> float:
         d = to - self.mean(from_state)
         quad = float(d @ self.reference.apply_precision(d))
         return -0.5 * quad / self.scale**2
+
+    def log_ratio(self, a: ChainState, b: ChainState, log_q) -> float:
+        """log q(b -> a) - log q(a -> b) for a move from state a to state b.
+
+        log_q(x, y) is the caller's evaluation of log_density from state x
+        to state y, which may be a memo.
+        """
+        return log_q(b, a) - log_q(a, b)
 
 
 class RandomWalkProposal(GaussianProposal):
@@ -101,7 +121,11 @@ class AutoregressiveProposal(GaussianProposal):
 class LangevinProposal(GaussianProposal):
     """One-step Euler-Maruyama Langevin move preconditioned by the reference.
 
-    Mean m + tau * Cov * grad log pi(m), covariance 2 tau Cov.
+    Mean m + tau * Cov * grad log pi(m), covariance 2 tau Cov. With S the
+    reference's square-root factor (S S^T = Cov) and w = S^T grad log pi(m),
+    kept once per state, a move is m + S (tau w + sqrt(2 tau) z): one factor
+    action. The acceptance ratio's proposal term has a closed form in the
+    gradients and w (log_ratio), with no reference precision action.
     """
 
     requires_gradient = True
@@ -113,12 +137,34 @@ class LangevinProposal(GaussianProposal):
         self.tau = tau
 
     def mean(self, state: ChainState) -> np.ndarray:
-        mu = state.means.get(self)
+        mu = state.cache.get(self)
         if mu is None:
-            mu = state.means[self] = _read_only(
+            mu = state.cache[self] = _read_only(
                 state.m + self.tau * self.reference.apply_covariance(
                     state.grad_log_posterior))
         return mu
+
+    def _whitened_gradient(self, state: ChainState) -> np.ndarray:
+        """w = S^T grad log pi(m), kept read-only in state.cache under the
+        reference, so proposals on one reference share it."""
+        ref = self.reference
+        w = state.cache.get(ref)
+        if w is None:
+            w = state.cache[ref] = _read_only(
+                ref.apply_cov_factor_t(state.grad_log_posterior))
+        return w
+
+    def draw(self, state: ChainState, z: np.ndarray) -> np.ndarray:
+        w = self._whitened_gradient(state)
+        return state.m + self.reference.apply_cov_factor(self.tau * w + self.scale * z)
+
+    def log_ratio(self, a: ChainState, b: ChainState, log_q=None) -> float:
+        """-(1/2) d.(g_a + g_b) - (tau/4)(|w_b|^2 - |w_a|^2), d = b - a: the
+        log_density difference in closed form, so log_q is not needed."""
+        w_a, w_b = self._whitened_gradient(a), self._whitened_gradient(b)
+        d = b.m - a.m
+        return (-0.5 * float(d @ (a.grad_log_posterior + b.grad_log_posterior))
+                - 0.25 * self.tau * (float(w_b @ w_b) - float(w_a @ w_a)))
 
 
 class DimensionRobustLangevinProposal(GaussianProposal):
@@ -144,7 +190,7 @@ class DimensionRobustLangevinProposal(GaussianProposal):
         self.informed = informed
 
     def mean(self, state: ChainState) -> np.ndarray:
-        mu = state.means.get(self)
+        mu = state.cache.get(self)
         if mu is not None:
             return mu
         ref = self.reference
@@ -152,7 +198,7 @@ class DimensionRobustLangevinProposal(GaussianProposal):
             drift = state.m - ref.apply_covariance(-state.grad_log_posterior)
         else:
             drift = ref.mean - ref.apply_covariance(state.grad_misfit)
-        mu = state.means[self] = _read_only(
+        mu = state.cache[self] = _read_only(
             self._keep * state.m + 0.5 * self.beta * math.sqrt(self.h) * drift)
         return mu
 
@@ -162,34 +208,37 @@ class DimensionRobustLangevinProposal(GaussianProposal):
 # ---------------------------------------------------------------------------
 
 def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
-                       proposed: ChainState, log_q=None) -> float:
+                       proposed: ChainState, log_q=None, log_r=None) -> float:
     """Recursive stage acceptance probability of the delayed rejection rule.
 
     rejected holds the states turned down at stages 1..j-1; proposed is the
     stage-j candidate. log_q(k, a, b) is the stage-(k+1) proposal log density
-    from state a to state b; by default it is evaluated on every call, and
-    DRKernel.step passes a memo of the step, since the recursion asks for the
-    same densities many times. A unit acceptance probability in a denominator
-    forces rejection of the branch (the event has probability zero in the
-    continuous setting, so stationarity is unaffected). A NaN ratio is
-    returned as NaN, for _accept to reject.
+    from state a to state b, and log_r(k, a, b) that proposal's log_ratio
+    log q(b -> a) - log q(a -> b), given log_q for its densities. By default
+    both are evaluated on every call; DRKernel.step passes memos of the step,
+    since the recursion asks for the same terms many times. A unit acceptance
+    probability in a denominator forces rejection of the branch (the event
+    has probability zero in the continuous setting, so stationarity is
+    unaffected). A NaN ratio is returned as NaN, for _accept to reject.
     """
     if log_q is None:
         def log_q(k, a, b):
             return proposals[k].log_density(a, b.m)
+    if log_r is None:
+        def log_r(k, a, b):
+            return proposals[k].log_ratio(a, b, lambda x, y: log_q(k, x, y))
     j = len(rejected) + 1
     log_gamma = (proposed.log_posterior - current.log_posterior
-                 + log_q(j - 1, proposed, current)
-                 - log_q(j - 1, current, proposed))
+                 + log_r(j - 1, current, proposed))
     for k in range(1, j):
         log_gamma += (log_q(k - 1, proposed, rejected[j - k - 1])
                       - log_q(k - 1, current, rejected[k - 1]))
         # Reversed path: from the stage-j candidate back through the
         # rejected states in reverse order.
         fwd = dr_accept_log_prob(proposals, proposed, rejected[j - k:][::-1],
-                                 rejected[j - k - 1], log_q)
+                                 rejected[j - k - 1], log_q, log_r)
         bwd = dr_accept_log_prob(proposals, current, rejected[:k - 1],
-                                 rejected[k - 1], log_q)
+                                 rejected[k - 1], log_q, log_r)
         log_num = _log1m_exp(fwd)
         log_den = _log1m_exp(bwd)
         if log_den == -math.inf:
@@ -198,6 +247,21 @@ def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
     if math.isnan(log_gamma):
         return log_gamma   # min(0.0, nan) would be 0.0
     return min(0.0, log_gamma)
+
+
+def _step_memo(fn):
+    """fn(k, a, b) evaluated once per stage and pair of states. The keys are
+    state identities, so one memo serves one step, whose states it outlives."""
+    memo = {}
+
+    def cached(k, a, b):
+        key = (k, id(a), id(b))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(k, a, b)
+        return value
+
+    return cached
 
 
 def _accept(rng: np.random.Generator, log_alpha: float) -> bool:
@@ -231,23 +295,18 @@ class DRKernel:
         attempted = np.zeros(self.n_stages, dtype=np.int64)
         accepted = np.zeros(self.n_stages, dtype=np.int64)
         rejected = []
-        # Proposal log densities of this step, keyed by stage and state
-        # identity; every keyed state lives until the step returns.
-        memo = {}
-
-        def log_q(k, a, b):
-            key = (k, id(a), id(b))
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self.proposals[k].log_density(a, b.m)
-            return value
+        proposals = self.proposals
+        # Proposal log densities and log ratios of this step.
+        log_q = _step_memo(lambda k, a, b: proposals[k].log_density(a, b.m))
+        log_r = _step_memo(lambda k, a, b: proposals[k].log_ratio(
+            a, b, lambda x, y: log_q(k, x, y)))
 
         for j, proposal in enumerate(self.proposals):
             attempted[j] = 1
             try:
                 proposed = target.make_state(proposal.sample(current, rng))
-                log_alpha = dr_accept_log_prob(self.proposals, current,
-                                               rejected, proposed, log_q)
+                log_alpha = dr_accept_log_prob(proposals, current, rejected,
+                                               proposed, log_q, log_r)
             except ModelEvaluationError as exc:
                 logger.warning("model failure at stage-%d point: %s", j + 1, exc)
                 return current, 0, attempted, accepted

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse
 
 from .fem import (BOUNDARY_TAGS, Mesh, SpdSolver, assemble_boundary_mass,
                   assemble_mass, assemble_stiffness, lower_band)
@@ -71,6 +72,10 @@ class BiLaplacianPrior:
             self.A = (self.A + robin_beta
                       * assemble_boundary_mass(mesh, BOUNDARY_TAGS)).tocsr()
         self._solver = SpdSolver(lower_band(self.A))
+        # The precision stencil Q = A M_l^{-1} A, at most 19 diagonals in the
+        # mesh's vertex order, applied as one DIA product.
+        self._precision = scipy.sparse.dia_array(
+            self.A @ scipy.sparse.diags_array(self._ml_inv) @ self.A)
 
         mean = np.asarray(mean, dtype=float)
         if mean.ndim == 0:
@@ -92,16 +97,20 @@ class BiLaplacianPrior:
     # -- operator actions ------------------------------------------------
 
     def apply_covariance(self, v: np.ndarray) -> np.ndarray:
-        """C v = A^{-1} M_l A^{-1} v."""
-        return self._solver.solve(self.lumped_mass * self._solver.solve(v))
+        """C v = A^{-1} M_l A^{-1} v, for a vector or an (N, b) block."""
+        return self._solver.solve((self.lumped_mass * self._solver.solve(v).T).T)
 
     def apply_precision(self, v: np.ndarray) -> np.ndarray:
         """C^{-1} v = A M_l^{-1} A v, for a vector or an (N, b) block."""
-        return self.A @ (self._ml_inv * (self.A @ v).T).T
+        return self._precision @ v
 
     def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
         """Square root factor S z = A^{-1} M_l^{1/2} z with S S^T = C."""
         return self._solver.solve(self._ml_sqrt * z)
+
+    def apply_cov_factor_t(self, v: np.ndarray) -> np.ndarray:
+        """S^T v = M_l^{1/2} A^{-1} v, for a vector or an (N, b) block."""
+        return (self._ml_sqrt * self._solver.solve(v).T).T
 
     def apply_cov_factor_inv(self, v: np.ndarray) -> np.ndarray:
         """S^{-1} v = M_l^{-1/2} A v, for a vector or an (N, b) block."""

@@ -17,12 +17,13 @@ from .models import ModelEvaluationError
 class ChainState:
     """One evaluated point of a target, with lazy gradient caches.
 
-    means holds the state-dependent proposal means computed at this point,
-    keyed by proposal (see pdebayes.mcmc).
+    cache holds proposal quantities computed at this point: means keyed by
+    proposal, Langevin whitened gradients keyed by reference (see
+    pdebayes.mcmc).
     """
 
     __slots__ = ("target", "m", "log_posterior", "_grad_phi", "_grad_logpost",
-                 "_grad_prior", "model_state", "means")
+                 "_grad_prior", "model_state", "cache")
 
     def __init__(self, target, m, log_posterior, model_state=None,
                  grad_prior=None):
@@ -33,7 +34,7 @@ class ChainState:
         self._grad_phi = None
         self._grad_logpost = None
         self._grad_prior = grad_prior
-        self.means = {}
+        self.cache = {}
 
     @property
     def grad_log_posterior(self) -> np.ndarray:

@@ -271,6 +271,9 @@ class DenseGaussian:
     def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
         return self._chol @ z
 
+    def apply_cov_factor_t(self, v: np.ndarray) -> np.ndarray:
+        return self._chol.T @ v
+
     def apply_cov_factor_inv(self, v: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_triangular(self._chol, v, lower=True)
 
@@ -306,6 +309,9 @@ class TableProposal:
         j = self._index(to)
         p = self.table[i, j]
         return float(np.log(p)) if p > 0 else -np.inf
+
+    def log_ratio(self, a, b, log_q):
+        return log_q(b, a) - log_q(a, b)
 
 
 def dr_accept_prob(proposals, current, rejected, proposed) -> float:

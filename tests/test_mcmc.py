@@ -9,8 +9,10 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import pdebayes.mcmc as mc
+from pdebayes import driver
+from pdebayes.config import ExperimentConfig
 from pdebayes.fem import build_unit_square_mesh
-from pdebayes.laplace import LaplaceApprox
+from pdebayes.laplace import LaplaceApprox, compute_map, doublepass_randomized_eig
 from pdebayes.models import LinearizedPoissonProblem, ModelEvaluationError
 from pdebayes.prior import BiLaplacianPrior
 from pdebayes.targets import ChainState, PosteriorTarget
@@ -677,6 +679,76 @@ class TestSolveCounting:
 
 
 # ---------------------------------------------------------------------------
+# Langevin moves through the reference factor
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["dense", "linearized", "poisson"])
+def langevin_setup(request, gauss2d):
+    """(target, prior, laplace): the dense 2-dim problem, or the default
+    experiment's pipeline at mesh n = 8 for either PDE model."""
+    if request.param == "dense":
+        target, prior, laplace, _, _ = gauss2d
+        return target, prior, laplace
+    cfg = ExperimentConfig(model_kind=request.param, mesh_n=8, data_count=30,
+                           eig_k=20, eig_oversampling=10)
+    mesh = build_unit_square_mesh(cfg.mesh_n)
+    prior = driver.build_prior_for(cfg, mesh)
+    problem = driver.PROBLEMS[cfg.model_kind](
+        mesh, driver.draw_observation_points(cfg), cfg.data_sigma)
+    problem.set_data(driver.synthesize_data(cfg, problem, prior)[2])
+    m_map = compute_map(problem, prior, cfg=cfg).m
+    map_state = problem.evaluate(m_map)
+    lam, vecs = doublepass_randomized_eig(
+        map_state.hessian_action, prior, k=cfg.eig_k, p=cfg.eig_oversampling,
+        rng=np.random.default_rng(cfg.eig_seed))
+    laplace = LaplaceApprox.from_spectrum(prior, m_map, lam, vecs,
+                                          threshold=cfg.eig_threshold)
+    return PosteriorTarget(problem, prior), prior, laplace
+
+
+class TestLangevinFactorForm:
+    """MALA (prior reference) and H-MALA (Laplace reference) move through the
+    reference factor and accept through a closed-form log ratio; both must
+    equal the Gaussian proposal they stand for."""
+
+    @staticmethod
+    def proposal(name, prior, laplace):
+        if name == "mala":
+            return mc.LangevinProposal(prior, 1e-3)
+        return mc.LangevinProposal(laplace, 0.2)
+
+    @pytest.mark.parametrize("name", ["mala", "h-mala"])
+    def test_log_ratio_equals_density_difference(self, langevin_setup, name):
+        target, prior, laplace = langevin_setup
+        prop = self.proposal(name, prior, laplace)
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            a = target.make_state(laplace.sample(rng))
+            b = target.make_state(prop.sample(a, rng))
+            expected = prop.log_density(b, a.m) - prop.log_density(a, b.m)
+            assert abs(expected) > 1e-3
+            assert prop.log_ratio(a, b) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["mala", "h-mala"])
+    def test_draw_equals_mean_plus_scaled_factor(self, langevin_setup, name):
+        target, prior, laplace = langevin_setup
+        prop = self.proposal(name, prior, laplace)
+        rng = np.random.default_rng(32)
+        for _ in range(4):
+            state = target.make_state(laplace.sample(rng))
+            z = rng.standard_normal(prior.dim)
+            expected = prop.mean(state) + prop.scale * prop.reference.apply_cov_factor(z)
+            drawn = prop.draw(state, z)
+            # The Laplace actions take a low-rank part off prior-scale terms,
+            # so their rounding is relative to the size of those terms.
+            size = (np.linalg.norm(state.m)
+                    + prop.tau * np.linalg.norm(prior.apply_covariance(
+                        state.grad_log_posterior))
+                    + prop.scale * np.linalg.norm(prior.apply_cov_factor(z)))
+            assert np.linalg.norm(drawn - expected) <= 1e-12 * size
+
+
+# ---------------------------------------------------------------------------
 # Per-step and per-state memos: each density and mean is computed once
 # ---------------------------------------------------------------------------
 
@@ -776,21 +848,24 @@ class TestStepMemo:
             codes.append(code)
         assert set(codes) == set(range(n_stages + 1))
 
-    def test_stage_two_evaluates_four_new_densities(self, gauss2d, monkeypatch):
-        # Stage 1 evaluates q1(x->y1) and q1(y1->x); stage 2 adds q2(y2->x),
-        # q2(x->y2), q1(y2->y1) and q1(y1->y2), and looks the rest up.
+    def test_stage_two_adds_two_densities_and_one_ratio(self, gauss2d, monkeypatch):
+        # Stage 1 evaluates q1(x->y1) and q1(y1->x); stage 2 adds q1(y2->y1),
+        # q1(y1->y2) and one closed-form H-MALA log ratio, evaluates no
+        # stage-2 density, and looks the rest up.
         target, prior, laplace, _, _ = gauss2d
         proposals = [mc.AutoregressiveProposal(prior, 1.0),
                      mc.LangevinProposal(laplace, 0.2)]
         calls = [count_calls(monkeypatch, p, "log_density") for p in proposals]
+        ratios = count_calls(monkeypatch, proposals[1], "log_ratio")
         n = 200
         rec = mc.run_chain(target, mc.DRKernel(proposals), laplace.mean, n, seed=23)
         reached = int(rec.stage_attempts[1])
         assert 0 < reached < n
         assert len(calls[0]) == 2 * n + 2 * reached
-        assert len(calls[1]) == 2 * reached
+        assert calls[1] == []
+        assert len(ratios) == reached
 
-    @pytest.mark.parametrize("name", ["mala", "inf-mala", "h-mala", "h-inf-mala"])
+    @pytest.mark.parametrize("name", ["inf-mala", "h-inf-mala"])
     def test_langevin_mean_computed_once_per_state(self, gauss2d, monkeypatch, name):
         target, prior, laplace, _, _ = gauss2d
         prop = make_proposal(name, prior, laplace)
@@ -803,6 +878,24 @@ class TestStepMemo:
         assert len(computed) == len({id(state) for state in asked})
         assert len(computed) < 2 * n
         assert not prop.mean(asked[-1]).flags.writeable
+
+    @pytest.mark.parametrize("name", ["mala", "h-mala"])
+    def test_langevin_factor_transpose_once_per_state(self, gauss2d, monkeypatch,
+                                                       name):
+        # An MH step draws through the reference factor from the kept
+        # w = S^T grad log pi and accepts through the closed-form log ratio:
+        # S^T is applied once per state (the start and each proposed point),
+        # and no mean or covariance action is computed.
+        target, prior, laplace, _, _ = gauss2d
+        prop = make_proposal(name, prior, laplace)
+        factor_t = count_calls(monkeypatch, prop.reference, "apply_cov_factor_t")
+        covariance = count_calls(monkeypatch, prop.reference, "apply_covariance")
+        means = count_calls(monkeypatch, prop, "mean")
+        n = 100
+        rec = mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=24)
+        assert 0 < rec.stage_accepts[0] < n
+        assert len(factor_t) == n + 1
+        assert covariance == [] and means == []
 
     def test_autoregressive_mh_step_keeps_every_call(self, gauss2d, monkeypatch):
         # The pCN mean is not cached: an MH step still makes two log_density

@@ -155,6 +155,19 @@ class TestOperatorActions:
             assert np.array_equal(action(block), loop)
 
 
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_precision_stencil_equals_two_products(self, prior4, cols):
+        shape = (prior4.dim,) if cols is None else (prior4.dim, cols)
+        v = np.random.default_rng(11).standard_normal(shape)
+        a = prior4.A
+        expected = a @ ((1.0 / prior4.lumped_mass) * (a @ v).T).T
+        got = prior4.apply_precision(v)
+        assert got.shape == shape
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        back = prior4.apply_covariance(got)
+        assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
+
+
 class TestSampling:
     def test_reproducible(self, prior4):
         s1 = prior4.sample(np.random.default_rng(42))

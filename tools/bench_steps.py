@@ -8,10 +8,14 @@ default step sizes) builds the kernel with pdebayes.driver.build_kernel and
 runs chains of STEPS steps from the MAP with pdebayes.mcmc.run_chain.
 
 One counted chain records, per step: PDE solves (ChainRecord.solves),
-proposal log_density calls, proposal mean calls and prior precision actions
-(counting wrappers on GaussianProposal.log_density, on the mean of each
-proposal class and on BiLaplacianPrior.apply_precision, as the benchmark's
-trace wraps them), and the acceptance rate of each stage. The
+proposal log_density calls, proposal mean calls, prior precision actions and
+the covariance, factor and factor-transpose actions (apply_covariance,
+apply_cov_factor, apply_cov_factor_t) of the prior and of the Laplace
+approximation, each class counted on its own, so a Laplace action that calls
+the prior's counts once on both; the counting wrappers sit on
+GaussianProposal.log_density, on the mean of each proposal class and on the
+operator methods, as the benchmark's trace wraps them. It also records the
+acceptance rate of each stage. A method that a checkout lacks counts 0. The
 counts repeat exactly, since a chain is deterministic for its seed. The
 wrappers are then removed, and REPEATS timed chains of the same seed give the
 median microseconds per step and every value.
@@ -49,31 +53,38 @@ REPEATS = 3
 CHAIN_SEED = 1
 
 
+OPERATOR_ACTIONS = ("apply_covariance", "apply_cov_factor", "apply_cov_factor_t")
+
+
 class CallCounter:
-    """Counts proposal log_density and mean calls and prior precision actions
-    while installed."""
+    """Counts proposal log_density and mean calls, prior precision actions and
+    the reference operators' covariance and factor actions while installed."""
 
     def __init__(self, pb):
         mcmc = pb.mcmc
-        self.calls = {"log_density": 0, "mean": 0, "apply_precision": 0}
-        owners = [(mcmc.GaussianProposal, "log_density"),
-                  (pb.prior.BiLaplacianPrior, "apply_precision")] + [
-            (cls, "mean") for cls in (mcmc.RandomWalkProposal,
-                                      mcmc.AutoregressiveProposal,
-                                      mcmc.LangevinProposal,
-                                      mcmc.DimensionRobustLangevinProposal)]
-        self._originals = [(cls, attr, cls.__dict__[attr]) for cls, attr in owners]
+        owners = [("log_density", mcmc.GaussianProposal, "log_density"),
+                  ("apply_precision", pb.prior.BiLaplacianPrior, "apply_precision")]
+        owners += [("mean", cls, "mean")
+                   for cls in (mcmc.RandomWalkProposal, mcmc.AutoregressiveProposal,
+                               mcmc.LangevinProposal,
+                               mcmc.DimensionRobustLangevinProposal)]
+        for label, cls in (("prior", pb.prior.BiLaplacianPrior),
+                           ("laplace", pb.laplace.LaplaceApprox)):
+            owners += [(f"{label}.{attr}", cls, attr) for attr in OPERATOR_ACTIONS]
+        self.calls = dict.fromkeys([key for key, _, _ in owners], 0)
+        self._originals = [(key, cls, attr, cls.__dict__[attr])
+                           for key, cls, attr in owners if attr in cls.__dict__]
 
     def install(self):
-        for cls, attr, method in self._originals:
-            def counted(*args, _method=method, _attr=attr, **kwargs):
-                self.calls[_attr] += 1
+        for key, cls, attr, method in self._originals:
+            def counted(*args, _method=method, _key=key, **kwargs):
+                self.calls[_key] += 1
                 return _method(*args, **kwargs)
 
             setattr(cls, attr, counted)
 
     def remove(self):
-        for cls, attr, method in self._originals:
+        for _, cls, attr, method in self._originals:
             setattr(cls, attr, method)
 
 
@@ -122,7 +133,7 @@ def bench_method(pb, counter, setup, kind: str, method: str) -> dict:
         t0 = time.perf_counter()
         chain()
         times.append(time.perf_counter() - t0)
-    return {"kind": kind, "method": method, "n": MESH_N, "steps": STEPS,
+    case = {"kind": kind, "method": method, "n": MESH_N, "steps": STEPS,
             "us_per_step": statistics.median(times) / STEPS * 1e6,
             "times_s": times,
             "solves_per_step": record.solves / STEPS,
@@ -130,6 +141,11 @@ def bench_method(pb, counter, setup, kind: str, method: str) -> dict:
             "mean_per_step": counter.calls["mean"] / STEPS,
             "prior_precision_per_step": counter.calls["apply_precision"] / STEPS,
             "acceptance": record.acceptance_rates().tolist()}
+    for label in ("prior", "laplace"):
+        for attr in OPERATOR_ACTIONS:
+            name = attr.removeprefix("apply_")
+            case[f"{label}_{name}_per_step"] = counter.calls[f"{label}.{attr}"] / STEPS
+    return case
 
 
 def main() -> int:
