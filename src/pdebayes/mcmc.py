@@ -425,10 +425,8 @@ class DiliKernel:
             candidate = target.make_state(mid.m + (c_prop - c))
             d_fwd = c_prop - self._c_prior - keep * (c - self._c_prior)
             d_bwd = c - self._c_prior - keep * (c_prop - self._c_prior)
-            # One block action; contiguous rows keep each dot product's BLAS
-            # path, and so its rounding, that of a single-vector action.
-            p_bwd, p_fwd = np.ascontiguousarray(
-                self.prior.apply_precision(np.column_stack([d_bwd, d_fwd])).T)
+            p_bwd = self.prior.apply_precision(d_bwd)
+            p_fwd = self.prior.apply_precision(d_fwd)
             corr = -0.5 / beta**2 * (float(d_bwd @ p_bwd) - float(d_fwd @ p_fwd))
             log_alpha = candidate.log_posterior - mid.log_posterior + corr
             if _accept(rng, log_alpha):

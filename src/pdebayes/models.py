@@ -57,8 +57,7 @@ class ObservedProblem:
     hessian_action() and qoi().
     """
 
-    def __init__(self, mesh: Mesh, obs_points, sigma: float,
-                 data: np.ndarray | None = None):
+    def __init__(self, mesh: Mesh, obs_points, sigma: float):
         if sigma <= 0:
             raise ValueError("noise standard deviation must be positive")
         self.mesh = mesh
@@ -72,8 +71,6 @@ class ObservedProblem:
             mesh, mesh.boundary_vertices(DIRICHLET_TAGS))
         self.counter = SolveCounter()
         self.data = None
-        if data is not None:
-            self.set_data(data)
 
     @property
     def dim(self) -> int:
@@ -127,17 +124,14 @@ class PoissonState:
         self.residual, self.cost = problem.residual_and_cost(self.u)
         if not np.isfinite(self.cost):
             raise ModelEvaluationError("misfit cost is not finite")
-        self._p = None
 
     # -- adjoint and gradient -------------------------------------------
 
-    @property
+    @cached_property
     def adjoint(self) -> np.ndarray:
-        if self._p is None:
-            pr = self.problem
-            rhs = -(pr.obs_op_t @ (self.residual / pr.sigma**2))
-            self._p = pr._solve(self.solver, rhs, "adjoint")
-        return self._p
+        pr = self.problem
+        rhs = -(pr.obs_op_t @ (self.residual / pr.sigma**2))
+        return pr._solve(self.solver, rhs, "adjoint")
 
     @cached_property
     def grad_u(self) -> np.ndarray:
@@ -189,9 +183,8 @@ class PoissonState:
 class PoissonProblem(ObservedProblem):
     """Coefficient inversion setup: mesh, boundary data, observations, noise."""
 
-    def __init__(self, mesh: Mesh, obs_points, sigma: float,
-                 data: np.ndarray | None = None):
-        super().__init__(mesh, obs_points, sigma, data)
+    def __init__(self, mesh: Mesh, obs_points, sigma: float):
+        super().__init__(mesh, obs_points, sigma)
         self.dirichlet_values = np.zeros(mesh.num_vertices)
         self.dirichlet_values[mesh.boundary_vertices(["top"])] = 1.0
         # Gradient of the Dirichlet lift, fixed per problem: the forward
@@ -296,9 +289,8 @@ class LinearizedPoissonProblem(ObservedProblem):
     matrix for oracle computations on small meshes.
     """
 
-    def __init__(self, mesh: Mesh, obs_points, sigma: float,
-                 data: np.ndarray | None = None):
-        super().__init__(mesh, obs_points, sigma, data)
+    def __init__(self, mesh: Mesh, obs_points, sigma: float):
+        super().__init__(mesh, obs_points, sigma)
         self.M = assemble_mass(mesh)
         self.solver = self.assembler.factorize(np.ones(mesh.num_triangles))
 

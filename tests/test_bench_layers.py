@@ -1,0 +1,114 @@
+"""tools/bench_layers.py: its call counter, its output file and its set-up.
+
+The tool is imported from its file; nothing here times anything.
+"""
+
+import filecmp
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pdebayes
+import pdebayes.driver  # the one layer the package itself does not import
+from pdebayes.config import parse_config
+from pdebayes.driver import run_experiment
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+
+SMALL_LINEARIZED = """
+mesh.n = 6
+model.kind = linearized
+data.count = 20
+eig.k = 10
+eig.oversampling = 5
+mcmc.chains = 2
+mcmc.samples = 10
+mcmc.project_dim = 3
+"""
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_layers = load_tool()
+
+
+class Counted:
+    def double(self, x):
+        return 2 * x
+
+    def triple(self, x):
+        return 3 * x
+
+
+class Inherits(Counted):
+    pass
+
+
+OWNERS = [("mult", Counted, "double"), ("mult", Counted, "triple"),
+          ("inherited", Inherits, "double"), ("absent", Counted, "missing")]
+
+
+def all_owners():
+    return OWNERS + bench_layers.map_owners(pdebayes) + bench_layers.step_owners(pdebayes)
+
+
+class TestCallCounter:
+    def test_counts_inside_the_block_only(self):
+        obj = Counted()
+        obj.double(1)
+        with bench_layers.CallCounter(OWNERS) as counter:
+            assert obj.double(2) == 4
+            assert obj.triple(2) == 6
+            assert Inherits().double(3) == 6
+        obj.triple(1)
+        assert counter.calls == {"mult": 3, "inherited": 0, "absent": 0}
+
+    def test_restores_every_attribute_after_normal_exit(self):
+        owners = all_owners()
+        originals = [cls.__dict__.get(attr) for _, cls, attr in owners]
+        with bench_layers.CallCounter(owners):
+            assert Counted.__dict__["double"] is not originals[0]
+        for (_, cls, attr), original in zip(owners, originals):
+            assert cls.__dict__.get(attr) is original
+        assert "missing" not in Counted.__dict__
+        assert "double" not in Inherits.__dict__
+
+    def test_restores_every_attribute_after_an_exception(self):
+        owners = all_owners()
+        originals = [cls.__dict__.get(attr) for _, cls, attr in owners]
+        with pytest.raises(ZeroDivisionError):
+            with bench_layers.CallCounter(owners):
+                Counted().double(1 / 0)
+        for (_, cls, attr), original in zip(owners, originals):
+            assert cls.__dict__.get(attr) is original
+
+
+def test_write_record_keeps_other_labels(tmp_path):
+    out = tmp_path / "bench.json"
+    bench_layers.write_record(str(out), "parent", {"cases": [1]})
+    bench_layers.write_record(str(out), "change", {"cases": [2]})
+    bench_layers.write_record(str(out), "parent", {"cases": [3]})
+    assert json.loads(out.read_text()) == {"parent": {"cases": [3]},
+                                           "change": {"cases": [2]}}
+
+
+def test_setup_matches_run_experiment(tmp_path):
+    """The tool's set-up is the driver's: the same MAP and the same artifacts."""
+    cfg = parse_config(SMALL_LINEARIZED)
+    run_dir, setup_dir = tmp_path / "run", tmp_path / "setup"
+    run_experiment(cfg, str(run_dir))
+    setup_dir.mkdir()
+    prior, problem, laplace, projector = bench_layers.build_sampling_setup(
+        pdebayes, cfg, str(setup_dir))
+    assert np.array_equal(laplace.m_map, np.loadtxt(run_dir / "map.txt"))
+    names = ["truth.txt", "data.txt", "map.txt", "eigenvalues.txt"]
+    assert filecmp.cmpfiles(run_dir, setup_dir, names, shallow=False)[0] == names
+    assert projector(laplace.m_map).shape == (cfg.mcmc_project_dim,)

@@ -140,8 +140,8 @@ class TestOracleMode:
         mesh = build_unit_square_mesh(cfg.mesh_n)
         prior = build_prior_for(cfg, mesh)
         table = np.loadtxt(tmp_path / "data.txt", ndmin=2)
-        problem = LinearizedPoissonProblem(mesh, table[:, :2], cfg.data_sigma,
-                                           table[:, 2])
+        problem = LinearizedPoissonProblem(mesh, table[:, :2], cfg.data_sigma)
+        problem.set_data(table[:, 2])
         f = problem.dense_forward_matrix()
         _, r, c = dense_prior_matrices(prior)
         mean, _ = dense_gaussian_posterior(f, problem.data, cfg.data_sigma,

@@ -388,7 +388,8 @@ class TestLowRankPosterior:
         for n in (8, 16):
             mesh = build_unit_square_mesh(n)
             prior = BiLaplacianPrior(mesh, **PRIOR_PARAMS)
-            problem = PoissonProblem(mesh, pts, sigma=0.05, data=d)
+            problem = PoissonProblem(mesh, pts, sigma=0.05)
+            problem.set_data(d)
             result = compute_map(
                 problem, prior, cfg=ExperimentConfig(newton_grad_rel_tol=1e-8))
             state = problem.evaluate(result.m)

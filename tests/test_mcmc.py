@@ -938,15 +938,16 @@ class TestStepMemo:
         mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=28)
         assert len(actions) == 3 * n + 1
 
-    def test_dili_complement_move_is_one_block_action(self, dili_setup, monkeypatch):
+    def test_dili_complement_move_is_two_vector_actions(self, dili_setup, monkeypatch):
         # One action per evaluated state (start, subspace and complement
-        # candidates) and one (N, 2) block for the complement correction.
+        # candidates) and one per direction of the complement correction,
+        # each on a single vector.
         target, prior, laplace, kernel = dili_setup
         actions = count_calls(monkeypatch, prior, "apply_precision")
         n = 100
         mc.run_chain(target, kernel, laplace.mean, n, seed=29)
-        assert len(actions) == 3 * n + 1
-        assert [np.shape(v) for v in actions].count((prior.dim, 2)) == n
+        assert len(actions) == 4 * n + 1
+        assert all(np.shape(v) == (prior.dim,) for v in actions)
 
     def test_kept_state_repeats_previous_row(self):
         qoi_calls = []

@@ -68,8 +68,8 @@ class TestAdjointAndCost:
     def test_zero_misfit_gives_zero_adjoint(self, problem4):
         m = 0.3 * np.random.default_rng(3).standard_normal(problem4.dim)
         u = problem4.solve_forward(m)
-        exact = PoissonProblem(problem4.mesh, problem4.obs_points,
-                               problem4.sigma, data=problem4.observe(u))
+        exact = PoissonProblem(problem4.mesh, problem4.obs_points, problem4.sigma)
+        exact.set_data(problem4.observe(u))
         state = exact.evaluate(m)
         assert state.cost == pytest.approx(0.0, abs=1e-18)
         assert np.abs(state.adjoint).max() < 1e-12
@@ -81,8 +81,10 @@ class TestAdjointAndCost:
         u = problem4.solve_forward(m)
         d = problem4.observe(u)
         shift = np.random.default_rng(5).standard_normal(d.size)
-        p1 = PoissonProblem(mesh, pts, problem4.sigma, data=d - shift)
-        p2 = PoissonProblem(mesh, pts, problem4.sigma, data=d - 2 * shift)
+        p1 = PoissonProblem(mesh, pts, problem4.sigma)
+        p1.set_data(d - shift)
+        p2 = PoissonProblem(mesh, pts, problem4.sigma)
+        p2.set_data(d - 2 * shift)
         adj1 = p1.evaluate(m).adjoint
         adj2 = p2.evaluate(m).adjoint
         np.testing.assert_allclose(adj2, 2 * adj1, rtol=1e-10, atol=1e-14)
@@ -181,8 +183,8 @@ class TestDerivatives:
     def test_gauss_newton_equals_full_at_zero_misfit(self, setup8):
         problem, m0 = setup8
         u = problem.solve_forward(m0)
-        exact = PoissonProblem(problem.mesh, problem.obs_points, problem.sigma,
-                               data=problem.observe(u))
+        exact = PoissonProblem(problem.mesh, problem.obs_points, problem.sigma)
+        exact.set_data(problem.observe(u))
         state = exact.evaluate(m0)
         v = np.random.default_rng(13).standard_normal(problem.dim)
         full = state.hessian_action(v, gauss_newton=False)
@@ -387,8 +389,8 @@ class TestLinearizedModel:
 
 class TestSolveCounting:
     def test_counts_by_kind(self, problem4):
-        problem = PoissonProblem(problem4.mesh, problem4.obs_points,
-                                 problem4.sigma, data=problem4.data)
+        problem = PoissonProblem(problem4.mesh, problem4.obs_points, problem4.sigma)
+        problem.set_data(problem4.data)
         m = 0.1 * np.random.default_rng(21).standard_normal(problem.dim)
         state = problem.evaluate(m)
         assert problem.counter.snapshot() == (1, 0, 0)
@@ -401,7 +403,8 @@ class TestSolveCounting:
 
     def test_linearized_counts_by_kind(self, problem4):
         problem = LinearizedPoissonProblem(problem4.mesh, problem4.obs_points,
-                                           problem4.sigma, data=problem4.data)
+                                           problem4.sigma)
+        problem.set_data(problem4.data)
         m = np.random.default_rng(22).standard_normal(problem.dim)
         state = problem.evaluate(m)
         assert problem.counter.snapshot() == (1, 0, 0)

@@ -1,0 +1,262 @@
+"""Time the layers of the default experiment: the Newton-CG MAP and one MCMC step.
+
+One run records two sets of cases:
+
+- map: for each model kind (Poisson, linearized) and mesh n in {16, 32, 64},
+  pdebayes.laplace.compute_map with the config's default newton.* settings:
+  one counted warm-up run, then REPEATS = 3 timed runs, of which it records
+  the median and every value. A case records the Newton iterations, the total
+  CG iterations (MapResult.cg_iterations), the number of model Hessian
+  actions (one per CG iteration), the final gradient norm and whether the MAP
+  converged; a MapConvergenceError is recorded with its iteration count and
+  gradient norm, not raised.
+- steps: for each model kind at n = 32 and each of the 9 methods
+  (pdebayes.config.METHODS, with the config's default step sizes), the kernel
+  of pdebayes.driver.build_kernel runs one counted chain of STEPS steps from
+  the MAP with pdebayes.mcmc.run_chain, then REPEATS timed chains of the same
+  seed, of which it records the median microseconds per step and every value.
+  The counted chain gives, per step: PDE solves (ChainRecord.solves), proposal
+  log_density and mean calls, prior precision actions, the covariance, factor
+  and factor-transpose actions of the prior and of the Laplace approximation
+  (each class counted on its own, so a Laplace action that calls the prior's
+  counts once on both), and the acceptance rate of each stage.
+
+Every set-up is built by the driver's own functions (build_prior_for,
+draw_observation_points, stage_data, stage_map, stage_eig), which write their
+artifacts into a temporary directory. Counts come from the warm-up run or the
+counted chain, inside a CallCounter; the timed runs are never wrapped. MAP and
+chains are deterministic, so every run repeats the counts.
+
+The record, with the machine, Python, numpy, scipy and BLAS versions and the
+BLAS thread count, is stored under --label in the JSON file --out (other
+labels already in the file are kept), so one file can hold the numbers of two
+checkouts whose driver has these functions:
+
+    python3 tools/bench_layers.py --src /path/to/parent/src --label parent --out BENCH.json
+    python3 tools/bench_layers.py --label change --out BENCH.json
+
+The two checkouts are timed one after the other, so their timings carry the
+host's drift between the runs; only the counts compare exactly. BLAS runs one
+thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set
+before the run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+KINDS = ("poisson", "linearized")
+MAP_SIZES = (16, 32, 64)
+STEP_N = 32
+STEPS = 300
+REPEATS = 3
+CHAIN_SEED = 1
+OPERATOR_ACTIONS = ("apply_covariance", "apply_cov_factor", "apply_cov_factor_t")
+
+
+def machine_record() -> dict:
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS},
+            "nproc": len(os.sched_getaffinity(0)), "cpu": cpu}
+
+
+class CallCounter:
+    """Counts calls of class methods while its with block runs.
+
+    owners lists (key, class, method name); the calls of all methods under one
+    key add up in calls[key]. On enter, each method found in its class's own
+    __dict__ is wrapped; on exit, also after an exception, the original is put
+    back. A method that a class lacks counts 0.
+    """
+
+    def __init__(self, owners):
+        self.owners = owners
+        self.calls = dict.fromkeys([key for key, _, _ in self.owners], 0)
+
+    def __enter__(self):
+        self._originals = [(key, cls, attr, cls.__dict__[attr])
+                           for key, cls, attr in self.owners if attr in cls.__dict__]
+        for key, cls, attr, method in self._originals:
+            def counted(*args, _method=method, _key=key, **kwargs):
+                self.calls[_key] += 1
+                return _method(*args, **kwargs)
+
+            setattr(cls, attr, counted)
+        return self
+
+    def __exit__(self, *exc_info):
+        for _, cls, attr, method in self._originals:
+            setattr(cls, attr, method)
+
+
+def map_owners(pb) -> list:
+    return [("hessian_action", cls, "hessian_action")
+            for cls in (pb.models.PoissonState, pb.models.LinearizedState)]
+
+
+def step_owners(pb) -> list:
+    mcmc = pb.mcmc
+    owners = [("log_density", mcmc.GaussianProposal, "log_density"),
+              ("apply_precision", pb.prior.BiLaplacianPrior, "apply_precision")]
+    owners += [("mean", cls, "mean")
+               for cls in (mcmc.RandomWalkProposal, mcmc.AutoregressiveProposal,
+                           mcmc.LangevinProposal, mcmc.DimensionRobustLangevinProposal)]
+    for label, cls in (("prior", pb.prior.BiLaplacianPrior),
+                       ("laplace", pb.laplace.LaplaceApprox)):
+        owners += [(f"{label}.{attr}", cls, attr) for attr in OPERATOR_ACTIONS]
+    return owners
+
+
+def build_problem(pb, cfg, out_dir: str):
+    """(prior, problem with data) of cfg, from the driver's set-up and data stage."""
+    mesh = pb.fem.build_unit_square_mesh(cfg.mesh_n)
+    prior = pb.driver.build_prior_for(cfg, mesh)
+    points = pb.driver.draw_observation_points(cfg)
+    return prior, pb.driver.stage_data(cfg, mesh, prior, points, out_dir)
+
+
+def build_sampling_setup(pb, cfg, out_dir: str):
+    """(prior, problem, laplace, projector) of cfg, from the driver's stages
+    up to the eigensolve."""
+    prior, problem = build_problem(pb, cfg, out_dir)
+    map_result = pb.driver.stage_map(cfg, problem, prior, out_dir)
+    laplace, vecs = pb.driver.stage_eig(cfg, problem, prior, map_result, out_dir)
+    # The projector of driver.stage_chains, which is not used itself because
+    # its CSV writing would add to every timed chain.
+    w_proj = prior.apply_precision(vecs[:, :min(cfg.mcmc_project_dim, vecs.shape[1])])
+    return prior, problem, laplace, lambda m: w_proj.T @ m
+
+
+def run_map(pb, cfg, problem, prior) -> dict:
+    t0 = time.perf_counter()
+    try:
+        res = pb.laplace.compute_map(problem, prior, cfg=cfg)
+    except pb.laplace.MapConvergenceError as exc:
+        return {"time_s": time.perf_counter() - t0, "converged": False,
+                "newton_iterations": exc.iterations, "cg_iterations": None,
+                "grad_norm": exc.grad_norm, "error": "MapConvergenceError"}
+    return {"time_s": time.perf_counter() - t0, "converged": bool(res.converged),
+            "newton_iterations": res.iterations,
+            "cg_iterations": res.cg_iterations,
+            "grad_norm": res.grad_norm}
+
+
+def bench_map(pb, kind: str, n: int, out_dir: str) -> dict:
+    cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=n)
+    prior, problem = build_problem(pb, cfg, out_dir)
+    with CallCounter(map_owners(pb)) as counter:
+        record = run_map(pb, cfg, problem, prior)
+    record["hessian_actions"] = counter.calls["hessian_action"]
+    times = [run_map(pb, cfg, problem, prior)["time_s"] for _ in range(REPEATS)]
+    record.pop("time_s")
+    record.update({"kind": kind, "n": n, "dim": prior.dim,
+                   "median_s": statistics.median(times), "times_s": times})
+    return record
+
+
+def bench_step(pb, setup, kind: str, method: str) -> dict:
+    prior, problem, laplace, projector = setup
+    cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=STEP_N,
+                                     mcmc_method=method)
+    kernel = pb.driver.build_kernel(cfg, prior, laplace)
+    target = pb.targets.PosteriorTarget(problem, prior)
+
+    def chain():
+        return pb.mcmc.run_chain(target, kernel, laplace.m_map, STEPS,
+                                 seed=CHAIN_SEED, projector=projector)
+
+    with CallCounter(step_owners(pb)) as counter:
+        record = chain()
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        chain()
+        times.append(time.perf_counter() - t0)
+    calls = counter.calls
+    case = {"kind": kind, "method": method, "n": STEP_N, "steps": STEPS,
+            "us_per_step": statistics.median(times) / STEPS * 1e6,
+            "times_s": times,
+            "solves_per_step": record.solves / STEPS,
+            "log_density_per_step": calls["log_density"] / STEPS,
+            "mean_per_step": calls["mean"] / STEPS,
+            "prior_precision_per_step": calls["apply_precision"] / STEPS,
+            "acceptance": record.acceptance_rates().tolist()}
+    for label in ("prior", "laplace"):
+        for attr in OPERATOR_ACTIONS:
+            name = attr.removeprefix("apply_")
+            case[f"{label}_{name}_per_step"] = calls[f"{label}.{attr}"] / STEPS
+    return case
+
+
+def write_record(path: str, label: str, record: dict) -> None:
+    """Store record under label in the JSON file path, keeping its other labels."""
+    results = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            results = json.load(fh)
+    results[label] = record
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
+                        help="directory that holds the pdebayes package "
+                             "(default: src/ of this checkout)")
+    parser.add_argument("--label", required=True,
+                        help="key under which the record is stored in --out")
+    parser.add_argument("--out", required=True, help="JSON file to update")
+    args = parser.parse_args()
+
+    # Before numpy is imported, so that BLAS starts with one thread.
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, os.path.abspath(args.src))
+    pb = importlib.import_module("pdebayes")
+    for layer in ("config", "driver", "fem", "laplace", "mcmc", "models", "prior",
+                  "targets"):
+        importlib.import_module(f"pdebayes.{layer}")
+
+    record = {"machine": machine_record(), "repeats": REPEATS, "map": [], "steps": []}
+    with tempfile.TemporaryDirectory() as out_dir:
+        for kind in KINDS:
+            for n in MAP_SIZES:
+                record["map"].append(bench_map(pb, kind, n, out_dir))
+                print(json.dumps(record["map"][-1]), flush=True)
+        for kind in KINDS:
+            cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=STEP_N)
+            setup = build_sampling_setup(pb, cfg, out_dir)
+            for method in pb.config.METHODS:
+                record["steps"].append(bench_step(pb, setup, kind, method))
+                print(json.dumps(record["steps"][-1]), flush=True)
+    write_record(args.out, args.label, record)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
