@@ -24,7 +24,6 @@ METHODS = ("rw", "pcn", "mala", "inf-mala", "h-pcn", "h-mala", "h-inf-mala",
            "dr", "dili")
 START_MODES = ("laplace_sample", "prior_sample", "map")
 DR_STAGE2 = ("h-mala", "h-inf-mala")
-DILI_CENTERS = ("map", "current", "prior")
 MODEL_KINDS = ("poisson", "linearized")
 
 
@@ -47,7 +46,7 @@ def _fraction(v):
 def _key(default, check=None, text: str = ""):
     """A config field: its default, its range check (a predicate, or a tuple
     of the allowed values) and the text of the valid range. The parse type
-    is the default's; a None default means a number or 'auto'."""
+    is the default's."""
     return field(default=default, metadata={"check": check, "text": text})
 
 
@@ -64,8 +63,6 @@ class ExperimentConfig:
     model_kind: str = _key("poisson", MODEL_KINDS)
     prior_gamma: float = _key(0.1, _positive, "positive")
     prior_delta: float = _key(0.5, _positive, "positive")
-    # None means sqrt(gamma*delta)/1.42
-    prior_robin_beta: float | None = _key(None, _nonnegative, "nonnegative or 'auto'")
     prior_theta1: float = _key(2.0, _positive, "positive")
     prior_theta2: float = _key(0.5, _positive, "positive")
     prior_alpha: float = _key(math.pi / 4)
@@ -81,10 +78,6 @@ class ExperimentConfig:
     newton_grad_rel_tol: float = _key(1e-6, _positive, "positive")
     newton_grad_abs_tol: float = _key(1e-12, _positive, "positive")
     newton_max_iters: int = _key(50, _positive, "positive integer")
-    newton_max_cg_iters: int = _key(200, _positive, "positive integer")
-    newton_armijo_c: float = _key(1e-4, _positive, "positive")
-    newton_backtrack: float = _key(0.5, lambda v: 0 < v < 1, "in (0, 1)")
-    newton_gn_iters: int = _key(5, _nonnegative, "nonnegative integer")
     eig_k: int = _key(100, _positive, "positive integer")
     eig_oversampling: int = _key(20, _positive, "positive integer")
     eig_threshold: float = _key(1.0, _nonnegative, "nonnegative")
@@ -98,7 +91,6 @@ class ExperimentConfig:
     mcmc_dr_stage2: str = _key("h-mala", DR_STAGE2)
     mcmc_dili_beta: float = _key(0.8, _unit_interval, "in (0, 1]")
     mcmc_dili_tau: float = _key(0.1, _unit_interval, "in (0, 1]")
-    mcmc_dili_center: str = _key("map", DILI_CENTERS)
     # The diagnostics need at least 2 chains (between-chain covariance) and
     # 4 samples per chain (effective sample size).
     mcmc_chains: int = _key(4, lambda v: v >= 2, "integer >= 2")
@@ -110,8 +102,8 @@ class ExperimentConfig:
 
 
 # What a key of each parse type (its default's type) holds.
-_EXPECTS = {int: "an integer", float: "a number", type(None): "a number or 'auto'",
-           bool: "true or false", str: "text"}
+_EXPECTS = {int: "an integer", float: "a number", bool: "true or false",
+            str: "text"}
 
 
 def _convert(f, raw: str, line: int):
@@ -122,8 +114,6 @@ def _convert(f, raw: str, line: int):
         if raw.lower() not in ("true", "false"):
             raise ConfigError(f"{key} expects {_EXPECTS[bool]}, got '{raw}'", line)
         return raw.lower() == "true"
-    if f.default is None and raw.lower() == "auto":
-        return None
     try:
         return int(raw) if kind is int else float(raw)
     except ValueError:
@@ -131,13 +121,12 @@ def _convert(f, raw: str, line: int):
 
 
 def _has_type(f, value) -> bool:
-    """Whether value is of f's parse type; a bool is not a number, and None
-    only fits a None default."""
+    """Whether value is of f's parse type; a bool is not a number."""
     kind = type(f.default)
     if kind in (bool, str):
         return isinstance(value, kind)
-    if value is None or isinstance(value, bool):
-        return value is None and f.default is None
+    if isinstance(value, bool):
+        return False
     return isinstance(value, numbers.Integral if kind is int else numbers.Real)
 
 
@@ -186,7 +175,7 @@ def validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
                 raise ConfigError(
                     f"{key} must be one of {', '.join(check)}; got '{value}'",
                     lines.get(key))
-        elif check is not None and value is not None and not check(value):
+        elif check is not None and not check(value):
             raise ConfigError(f"{key} = {value} out of range ({f.metadata['text']})",
                               lines.get(key))
     if cfg.data_box_lo >= cfg.data_box_hi:
@@ -208,7 +197,7 @@ def serialize(cfg: ExperimentConfig) -> str:
         elif kind is float:
             text = repr(float(value))
         else:
-            text = "auto" if value is None else str(value)
+            text = str(value)
         lines.append(f"{_name(f)} = {text}")
     return "\n".join(lines) + "\n"
 

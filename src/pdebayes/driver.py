@@ -51,7 +51,6 @@ def _write_lines(path: str, lines) -> None:
 def build_prior_for(cfg: ExperimentConfig, mesh) -> BiLaplacianPrior:
     return BiLaplacianPrior(
         mesh, cfg.prior_gamma, cfg.prior_delta,
-        robin_beta=cfg.prior_robin_beta,
         theta1=cfg.prior_theta1, theta2=cfg.prior_theta2,
         alpha=cfg.prior_alpha, mean=cfg.prior_mean)
 
@@ -102,8 +101,7 @@ def build_kernel(cfg: ExperimentConfig, prior, laplace):
             mcmc.AutoregressiveProposal(laplace, cfg.mcmc_dr_beta),
             build_proposal(cfg.mcmc_dr_stage2, cfg, prior, laplace)])
     if method == "dili":
-        return mcmc.DiliKernel(laplace, cfg.mcmc_dili_tau, cfg.mcmc_dili_beta,
-                               cfg.mcmc_dili_center)
+        return mcmc.DiliKernel(laplace, cfg.mcmc_dili_tau, cfg.mcmc_dili_beta)
     return mcmc.MHKernel(build_proposal(method, cfg, prior, laplace))
 
 

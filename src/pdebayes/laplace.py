@@ -24,7 +24,11 @@ from .targets import PosteriorTarget
 
 logger = logging.getLogger(__name__)
 
-MAX_BACKTRACKS = 30    # backtracking steps before the line search counts as stalled
+GAUSS_NEWTON_ITERS = 5  # leading Newton steps that use the Gauss-Newton Hessian
+MAX_CG_ITERS = 200      # inner CG iterations per Newton step
+ARMIJO_C = 1e-4         # sufficient-decrease constant of the line search
+BACKTRACK = 0.5         # step-length factor per backtracking step
+MAX_BACKTRACKS = 30     # backtracking steps before the line search counts as stalled
 
 
 class MapConvergenceError(RuntimeError):
@@ -95,13 +99,13 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
 
     CG is preconditioned by the prior covariance C, as in hIPPYlib, so its
     iteration count is bounded by the number of data-informed directions
-    rather than by the mesh size. The settings are cfg's newton.* keys
-    (default ExperimentConfig()), validated first. Uses the Gauss-Newton
-    Hessian for the first cfg.newton_gn_iters iterations, Eisenstat-Walker
-    forcing min(0.5, sqrt(|g|/|g0|)) on the C-norm of the inner residual, and
-    Armijo backtracking with slack for the rounding error of the cost. The
-    outer stopping test is on the Euclidean |g|. Raises MapConvergenceError if
-    the gradient norm target is not reached.
+    rather than by the mesh size. The tolerances and iteration limit are
+    cfg's newton.* keys (default ExperimentConfig()), validated first. Uses
+    the Gauss-Newton Hessian for the first GAUSS_NEWTON_ITERS iterations,
+    Eisenstat-Walker forcing min(0.5, sqrt(|g|/|g0|)) on the C-norm of the
+    inner residual, and Armijo backtracking with slack for the rounding error
+    of the cost. The outer stopping test is on the Euclidean |g|. Raises
+    MapConvergenceError if the gradient norm target is not reached.
     """
     cfg = cfg or ExperimentConfig()
     validate(cfg)
@@ -122,14 +126,14 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
         if it == cfg.newton_max_iters:
             raise MapConvergenceError(gnorm, it, state.m)
 
-        gauss_newton = it < cfg.newton_gn_iters
+        gauss_newton = it < GAUSS_NEWTON_ITERS
         forcing = min(0.5, math.sqrt(gnorm / gnorm0))
 
         def hess_apply(v, _state=state.model_state, _gn=gauss_newton):
             return _state.hessian_action(v, gauss_newton=_gn) + prior.apply_precision(v)
 
         direction, cg_iters = _cg_newton_direction(
-            hess_apply, grad, forcing, cfg.newton_max_cg_iters, prior.apply_covariance)
+            hess_apply, grad, forcing, MAX_CG_ITERS, prior.apply_covariance)
         cg_total += cg_iters
         slope = float(grad @ direction)
         if slope >= 0:
@@ -147,9 +151,9 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
                 trial_cost = -trial.log_posterior
             except ModelEvaluationError:
                 trial_cost = np.inf
-            if trial_cost <= cost + cfg.newton_armijo_c * alpha * slope + cost_slack:
+            if trial_cost <= cost + ARMIJO_C * alpha * slope + cost_slack:
                 break
-            alpha *= cfg.newton_backtrack
+            alpha *= BACKTRACK
         else:
             # Sufficient decrease is unattainable at this precision; stop at
             # the best point rather than looping without progress.

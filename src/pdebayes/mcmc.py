@@ -341,49 +341,40 @@ class DiliKernel:
     retained curvature directions (C^{-1}-orthonormal) and c the oblique
     complement. The r move is Metropolis with a Gaussian proposal whose
     covariance is the subspace posterior Gaussian (1+lam)^{-1} scaled by the
-    step lis_step, centered at lis_center (map, current or prior); the c move
-    is pCN with parameter cs_beta against the prior restricted to the
-    complement. Both acceptances evaluate the full posterior at the
-    recombined point.
+    step lis_step, autoregressive about the MAP coefficients (Cui, Law and
+    Marzouk, J. Comput. Phys. 2016), so it is reversible with respect to the
+    Laplace approximation restricted to the subspace; the c move is pCN with
+    parameter cs_beta against the prior restricted to the complement. Both
+    acceptances evaluate the full posterior at the recombined point.
     """
 
     n_stages = 2
     proposals = ()      # neither move uses gradients
 
-    def __init__(self, laplace, lis_step: float, cs_beta: float, lis_center: str):
+    def __init__(self, laplace, lis_step: float, cs_beta: float):
         if laplace.rank < 1:
             raise ValueError("subspace kernel needs at least one retained direction")
         if not 0 < cs_beta <= 1:
             raise ValueError("complement-space beta must be in (0, 1]")
-        if lis_step <= 0:
-            raise ValueError("subspace step must be positive")
-        if lis_center == "map" and not 0 < lis_step <= 1:
-            raise ValueError("map-centered subspace step must be in (0, 1]")
-        if lis_center not in ("map", "current", "prior"):
-            raise ValueError(f"unknown subspace centering '{lis_center}'")
+        if not 0 < lis_step <= 1:
+            raise ValueError("subspace step must be in (0, 1]")
         self.laplace = laplace
         self.prior = laplace.prior
         self.lis_step = lis_step
         self.cs_beta = cs_beta
-        self.lis_center = lis_center
         self.vecs = laplace.vecs
         lam = laplace.lam
         self._lis_sd = np.sqrt(lis_step / (1.0 + lam))
         self._lis_prec = (1.0 + lam) / lis_step
         self._r_map = laplace.project(laplace.m_map)
-        self._r_prior = laplace.project(self.prior.mean)
-        self._c_prior = self.prior.mean - self.vecs @ self._r_prior
+        self._c_prior = self.prior.mean - self.vecs @ laplace.project(self.prior.mean)
 
     def split(self, m: np.ndarray):
         r = self.laplace.project(m)
         return r, m - self.vecs @ r
 
     def _lis_mean(self, r: np.ndarray) -> np.ndarray:
-        if self.lis_center == "map":
-            return self._r_map + math.sqrt(1.0 - self.lis_step) * (r - self._r_map)
-        if self.lis_center == "prior":
-            return self._r_prior + math.sqrt(max(0.0, 1.0 - self.lis_step)) * (r - self._r_prior)
-        return r
+        return self._r_map + math.sqrt(1.0 - self.lis_step) * (r - self._r_map)
 
     def _lis_log_density(self, r_from: np.ndarray, r_to: np.ndarray) -> float:
         d = r_to - self._lis_mean(r_from)

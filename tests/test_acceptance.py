@@ -245,8 +245,7 @@ def test_criterion_4b_all_kernels_gaussian_target():
             truncated, 1.2, informed=True)),
         "dr": mc.DRKernel([mc.AutoregressiveProposal(truncated, 1.0),
                            mc.LangevinProposal(truncated, 0.25)]),
-        "dili": mc.DiliKernel(truncated, lis_step=0.5, cs_beta=0.8,
-                              lis_center="map"),
+        "dili": mc.DiliKernel(truncated, lis_step=0.5, cs_beta=0.8),
     }
     worst = {}
     for name, kernel in kernels.items():

@@ -411,4 +411,4 @@ def test_artifact_digests_tool_runs():
     assert all(len(line.split()) == 5 for line in lines), lines
     assert not [line for line in lines if line.split()[3] == "error"]
     configs = {line.split()[4] for line in lines if line.split()[3] == "config"}
-    assert len(configs) == 30
+    assert len(configs) == 26

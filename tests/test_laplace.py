@@ -146,9 +146,9 @@ class TestComputeMap:
             def evaluate(self, m):
                 raise AssertionError("model evaluated")
 
-        with pytest.raises(ConfigError, match="newton.backtrack"):
+        with pytest.raises(ConfigError, match="newton.grad_rel_tol"):
             compute_map(NoEvaluations(), prior,
-                        cfg=ExperimentConfig(newton_backtrack=1.5))
+                        cfg=ExperimentConfig(newton_grad_rel_tol=-1.0))
 
     def test_nonconvergence_reported(self, poisson_setup):
         prior, problem = poisson_setup

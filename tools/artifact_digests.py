@@ -4,10 +4,10 @@ Runs pdebayes.driver.run_experiment for every MCMC method under both model
 kinds at mesh n=8, 30 observations, eig.k 20 + 10 oversampling, 2 chains of
 80 samples and 6 projected coordinates, each in a temporary directory. Under
 both model kinds it also runs the paths that matrix leaves out: chains
-started from a prior sample or the MAP, data from a truth mesh of n=16,
-delayed rejection with an H-inf-MALA second stage, and DILI centred at the
-current state or the prior mean. Prints one line per artifact of each config,
-in name order, then one line for the config itself:
+started from a prior sample or the MAP, data from a truth mesh of n=16, and
+delayed rejection with an H-inf-MALA second stage: 26 configs in all. Prints
+one line per artifact of each config, in name order, then one line for the
+config itself:
 
     <model.kind> <mcmc.method> <override or -> <artifact name> <sha256>
     <model.kind> <mcmc.method> <override or -> config <sha256>
@@ -53,8 +53,6 @@ OVERRIDES = [
     ("h-pcn", "mcmc_start", "map"),
     ("h-pcn", "data_truth_mesh", 16),
     ("dr", "mcmc_dr_stage2", "h-inf-mala"),
-    ("dili", "mcmc_dili_center", "current"),
-    ("dili", "mcmc_dili_center", "prior"),
 ]
 
 
