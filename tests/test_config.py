@@ -110,21 +110,39 @@ WRONG_VALUES = {int: (1.5, True, "8", None), float: ("x", True, None),
                 bool: (1, "true", None), str: (1.5, None)}
 # Candidates for an out-of-range value; every range check rejects one of them.
 OUT_OF_RANGE = ["-1", "0", "1.5", "1", "3"]
+# Every key the config has had, in serialized order; a new key is appended.
+# A key's cases are named by its place in this list and its field, so that
+# removing a key renames no other key's cases.
+KEY_HISTORY = [
+    "mesh_n", "model_kind", "prior_gamma", "prior_delta", "prior_robin_beta",
+    "prior_theta1", "prior_theta2", "prior_alpha", "prior_mean", "data_count",
+    "data_sigma", "data_box_lo", "data_box_hi", "data_seed", "data_truth_mesh",
+    "data_exact", "newton_grad_rel_tol", "newton_grad_abs_tol",
+    "newton_max_iters", "newton_max_cg_iters", "newton_armijo_c",
+    "newton_backtrack", "newton_gn_iters", "eig_k", "eig_oversampling",
+    "eig_threshold", "eig_seed", "mcmc_method", "mcmc_step", "mcmc_beta",
+    "mcmc_tau", "mcmc_h", "mcmc_dr_beta", "mcmc_dr_stage2", "mcmc_dili_beta",
+    "mcmc_dili_tau", "mcmc_dili_center", "mcmc_chains", "mcmc_samples",
+    "mcmc_seed", "mcmc_start", "mcmc_project_dim", "output_dir"]
+FIELDS = dataclasses.fields(ExperimentConfig)
 # Former keys: the Newton line-search and CG settings are constants in
 # pdebayes.laplace, the Robin coefficient is derived from gamma and delta, and
 # DILI has one subspace move. A config that names one is rejected.
-REMOVED_KEYS = ["prior.robin_beta", "newton.max_cg_iters", "newton.armijo_c",
-                "newton.backtrack", "newton.gn_iters", "mcmc.dili_center"]
+REMOVED_KEYS = [name.replace("_", ".", 1) for name in KEY_HISTORY
+                if name not in {f.name for f in FIELDS}]
+
+
+def test_key_history_lists_every_field_in_order():
+    assert [n for n in KEY_HISTORY if n in {f.name for f in FIELDS}] == \
+        [f.name for f in FIELDS]
 
 
 def _keys(select):
     """Parametrize over the fields whose range check select accepts, one case
-    per field named by the field alone, so that adding or removing a key
-    renames no other key's cases."""
+    per field named by its place in KEY_HISTORY and the field."""
     return pytest.mark.parametrize(
-        "f", [f for f in dataclasses.fields(ExperimentConfig)
-              if select(f.metadata["check"])],
-        ids=lambda f: f.name)
+        "f", [f for f in FIELDS if select(f.metadata["check"])],
+        ids=lambda f: f"{KEY_HISTORY.index(f.name)}-{f.name}")
 
 
 EVERY_KEY = _keys(lambda check: True)
@@ -137,9 +155,8 @@ class TestEveryKey:
     @EVERY_KEY
     def test_serialized_in_field_order(self, f):
         lines = serialize(ExperimentConfig()).splitlines()
-        every = dataclasses.fields(ExperimentConfig)
-        assert len(lines) == len(every)
-        assert lines[every.index(f)].partition(" = ")[0] == self.key(f)
+        assert len(lines) == len(FIELDS)
+        assert lines[FIELDS.index(f)].partition(" = ")[0] == self.key(f)
 
     @EVERY_KEY
     def test_wrong_type_rejected_naming_key(self, f):
@@ -185,7 +202,7 @@ def test_removed_key_rejected_as_unknown(key):
     assert f"unknown key '{key}'" in str(err.value)
 
 
-FLOAT_FIELDS = [f for f in dataclasses.fields(ExperimentConfig)
+FLOAT_FIELDS = [f for f in FIELDS
                 if type(f.default) is float]
 
 
