@@ -8,7 +8,7 @@ diagnostics, plus a CLI driving the full pipeline.
 
 from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      serialize, validate)
-from .diagnostics import (DiagnosticsReport, acf_estimate, ess, mpsrf,
+from .diagnostics import (DiagnosticsReport, autocorrelation, ess, mpsrf,
                           qoi_moments, summarize, vhat, within_between_cov)
 from .fem import (Mesh, SpdSolver, assemble_boundary_mass, assemble_mass,
                   assemble_stiffness, build_unit_square_mesh, lower_band,

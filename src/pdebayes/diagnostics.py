@@ -69,31 +69,21 @@ def mpsrf(w: np.ndarray, b: np.ndarray, n: int, m: int) -> float:
     return float(np.sqrt((n - 1) / n + (m + 1) / (m * n) * lam_max))
 
 
-def variogram(coords: np.ndarray, coordinate: int, lag: int) -> float:
-    """Multi-chain lag-t squared-increment average v_it."""
-    coords = np.asarray(coords, dtype=float)
-    m_chains, n = coords.shape[0], coords.shape[1]
-    if not 0 <= lag < n:
-        raise ValueError("lag must satisfy 0 <= t < N")
-    if lag == 0:
-        return 0.0
-    x = coords[:, :, coordinate]
-    diff = x[:, lag:] - x[:, :-lag]
-    return float(np.sum(diff * diff) / (m_chains * (n - lag)))
+def autocorrelation(series: np.ndarray, lag: int, vhat_ii: float) -> float:
+    """Variogram autocorrelation 1 - v_t / (2 Vhat_ii) of (M, N) chains.
 
-
-def acf_estimate(coords: np.ndarray, coordinate: int, lag: int,
-                 vhat_ii: float | None = None) -> float:
-    """Variogram-based autocorrelation estimate 1 - v_it / (2 Vhat_ii)."""
-    coords = np.asarray(coords, dtype=float)
-    if vhat_ii is None:
-        w, b = within_between_cov(coords)
-        vh = vhat(w, b, coords.shape[1], coords.shape[0])
-        vhat_ii = float(vh[coordinate, coordinate])
+    v_t is the multi-chain lag-t squared-increment average.
+    """
+    m_chains, n = series.shape
     if vhat_ii == 0.0:
         raise ZeroDivisionError(
             "pooled variance is zero (constant chains); autocorrelation undefined")
-    return 1.0 - variogram(coords, coordinate, lag) / (2.0 * vhat_ii)
+    if not 0 <= lag < n:
+        raise ValueError("lag must satisfy 0 <= t < N")
+    if lag == 0:
+        return 1.0
+    d = series[:, lag:] - series[:, :-lag]
+    return 1.0 - float(np.sum(d * d) / (m_chains * (n - lag))) / (2.0 * vhat_ii)
 
 
 def ess(coords: np.ndarray, coordinate: int,
@@ -112,10 +102,12 @@ def ess(coords: np.ndarray, coordinate: int,
         w, b = within_between_cov(coords)
         vh = vhat(w, b, n, m_chains)
         vhat_ii = float(vh[coordinate, coordinate])
+    # One copy, so that no lag reads the coordinate through the K stride.
+    series = np.ascontiguousarray(coords[:, :, coordinate])
 
     rho = []    # rho[t] at lag t, filled pair by pair
     for t_trunc in range((n - 1) // 2):
-        rho += [acf_estimate(coords, coordinate, t, vhat_ii=vhat_ii)
+        rho += [autocorrelation(series, t, vhat_ii)
                 for t in (2 * t_trunc, 2 * t_trunc + 1)]
         if rho[-2] + rho[-1] < 0.0:
             break

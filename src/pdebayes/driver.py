@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mcmc
 from .config import ExperimentConfig, serialize, validate
-from .diagnostics import acf_estimate, summarize, vhat, within_between_cov
+from .diagnostics import autocorrelation, summarize, vhat, within_between_cov
 from .fem import build_unit_square_mesh
 from .laplace import LaplaceApprox, compute_map, doublepass_randomized_eig
 from .models import (LinearizedPoissonProblem, PoissonProblem,
@@ -133,11 +133,10 @@ def _write_qoi_tables(out_dir: str, qoi: np.ndarray, max_lag: int = 500):
     finite = np.isfinite(qoi)
     acf = ["# lag rho"]
     if finite.all():
-        shaped = qoi[:, :, None]
-        w, b = within_between_cov(shaped)
+        w, b = within_between_cov(qoi[:, :, None])
         vh = float(vhat(w, b, qoi.shape[1], qoi.shape[0])[0, 0])
         if vh > 0:
-            acf += [f"{t} {_fmt(acf_estimate(shaped, 0, t, vhat_ii=vh))}"
+            acf += [f"{t} {_fmt(autocorrelation(qoi, t, vh))}"
                     for t in range(0, min(max_lag, qoi.shape[1] - 1) + 1)]
     else:
         acf.append("# skipped: QoI contains failed samples")

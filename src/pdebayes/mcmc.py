@@ -19,6 +19,7 @@ log space.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -249,21 +250,6 @@ def dr_accept_log_prob(proposals, current: ChainState, rejected: list,
     return min(0.0, log_gamma)
 
 
-def _step_memo(fn):
-    """fn(k, a, b) evaluated once per stage and pair of states. The keys are
-    state identities, so one memo serves one step, whose states it outlives."""
-    memo = {}
-
-    def cached(k, a, b):
-        key = (k, id(a), id(b))
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = fn(k, a, b)
-        return value
-
-    return cached
-
-
 def _accept(rng: np.random.Generator, log_alpha: float) -> bool:
     """The Metropolis test: accept with probability exp(min(0, log_alpha)).
 
@@ -296,10 +282,15 @@ class DRKernel:
         accepted = np.zeros(self.n_stages, dtype=np.int64)
         rejected = []
         proposals = self.proposals
-        # Proposal log densities and log ratios of this step.
-        log_q = _step_memo(lambda k, a, b: proposals[k].log_density(a, b.m))
-        log_r = _step_memo(lambda k, a, b: proposals[k].log_ratio(
-            a, b, lambda x, y: log_q(k, x, y)))
+        # Proposal log densities and log ratios of this step, each evaluated
+        # once per stage and pair of states (ChainState hashes by identity).
+        @functools.cache
+        def log_q(k, a, b):
+            return proposals[k].log_density(a, b.m)
+
+        @functools.cache
+        def log_r(k, a, b):
+            return proposals[k].log_ratio(a, b, lambda x, y: log_q(k, x, y))
 
         for j, proposal in enumerate(self.proposals):
             attempted[j] = 1

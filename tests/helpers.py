@@ -8,7 +8,8 @@ assembled sparse stiffness (itself checked against the loop assembly).
 It also holds what only the tests use of the sampler interface: a target
 over a plain log-density function, a dense Gaussian with the field prior's
 operator interface, the delayed-rejection acceptance probability, and
-readers of the chain CSVs and the report.
+readers of the chain CSVs and the report; and, as the reference for exact
+equality, the strided ESS code that wrote the existing artifacts.
 """
 
 import math
@@ -16,6 +17,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from pdebayes.diagnostics import vhat, within_between_cov
 from pdebayes.fem import assemble_stiffness
 from pdebayes.mcmc import dr_accept_log_prob
 from pdebayes.models import ModelEvaluationError
@@ -382,6 +384,70 @@ def ref_ess(coords, i):
     total = m * n
     denom = 1.0 + 2.0 * sum(rho[1:t_trunc + 1])
     if denom <= 0:
+        return float(total)
+    return float(min(total / denom, total))
+
+
+# ---------------------------------------------------------------------------
+# Strided diagnostics (verbatim): the vectorized variogram, acf_estimate and
+# ess that wrote every artifact before diagnostics.autocorrelation replaced
+# the first two. Each slices the (M, N, K) array at every lag.
+# ---------------------------------------------------------------------------
+
+def strided_variogram(coords: np.ndarray, coordinate: int, lag: int) -> float:
+    """Multi-chain lag-t squared-increment average v_it."""
+    coords = np.asarray(coords, dtype=float)
+    m_chains, n = coords.shape[0], coords.shape[1]
+    if not 0 <= lag < n:
+        raise ValueError("lag must satisfy 0 <= t < N")
+    if lag == 0:
+        return 0.0
+    x = coords[:, :, coordinate]
+    diff = x[:, lag:] - x[:, :-lag]
+    return float(np.sum(diff * diff) / (m_chains * (n - lag)))
+
+
+def strided_acf_estimate(coords: np.ndarray, coordinate: int, lag: int,
+                         vhat_ii: float | None = None) -> float:
+    """Variogram-based autocorrelation estimate 1 - v_it / (2 Vhat_ii)."""
+    coords = np.asarray(coords, dtype=float)
+    if vhat_ii is None:
+        w, b = within_between_cov(coords)
+        vh = vhat(w, b, coords.shape[1], coords.shape[0])
+        vhat_ii = float(vh[coordinate, coordinate])
+    if vhat_ii == 0.0:
+        raise ZeroDivisionError(
+            "pooled variance is zero (constant chains); autocorrelation undefined")
+    return 1.0 - strided_variogram(coords, coordinate, lag) / (2.0 * vhat_ii)
+
+
+def strided_ess(coords: np.ndarray, coordinate: int,
+                vhat_ii: float | None = None) -> float:
+    """Effective sample size MN / (1 + 2 sum_{t=1}^{t'} rho_t).
+
+    The truncation lag t' is the first index T at which the successive pair
+    rho_{2T} + rho_{2T+1} turns negative; the result is clamped to (0, MN].
+    """
+    coords = np.asarray(coords, dtype=float)
+    m_chains, n = coords.shape[0], coords.shape[1]
+    if n < 4:
+        raise ValueError("effective sample size needs at least 4 samples")
+    total = m_chains * n
+    if vhat_ii is None:
+        w, b = within_between_cov(coords)
+        vh = vhat(w, b, n, m_chains)
+        vhat_ii = float(vh[coordinate, coordinate])
+
+    rho = []    # rho[t] at lag t, filled pair by pair
+    for t_trunc in range((n - 1) // 2):
+        rho += [strided_acf_estimate(coords, coordinate, t, vhat_ii=vhat_ii)
+                for t in (2 * t_trunc, 2 * t_trunc + 1)]
+        if rho[-2] + rho[-1] < 0.0:
+            break
+    acf_sum = sum(rho[1:t_trunc + 1])
+
+    denom = 1.0 + 2.0 * acf_sum
+    if denom <= 0.0:
         return float(total)
     return float(min(total / denom, total))
 

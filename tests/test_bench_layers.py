@@ -4,6 +4,7 @@ The tool is imported from its file; nothing here times anything.
 """
 
 import filecmp
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -14,7 +15,8 @@ import pytest
 import pdebayes
 import pdebayes.driver  # the one layer the package itself does not import
 from pdebayes.config import parse_config
-from pdebayes.driver import run_experiment
+from pdebayes.diagnostics import summarize
+from pdebayes.driver import _write_qoi_tables, run_experiment
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
@@ -112,3 +114,22 @@ def test_setup_matches_run_experiment(tmp_path):
     names = ["truth.txt", "data.txt", "map.txt", "eigenvalues.txt"]
     assert filecmp.cmpfiles(run_dir, setup_dir, names, shallow=False)[0] == names
     assert projector(laplace.m_map).shape == (cfg.mcmc_project_dim,)
+
+
+def test_diagnostics_case_reports_summarize_and_acf_table(tmp_path):
+    """At a small shape: the case's report values are summarize's, its digest
+    is that of the acf_qoi.txt the driver writes, and the records repeat."""
+    shape = {"chains": 3, "steps": 80, "coords": 4}
+    case = bench_layers.bench_diagnostics(pdebayes, str(tmp_path), **shape)
+    records = bench_layers.ar1_records(pdebayes, *shape.values())
+    assert [r.coords.shape for r in records] == [(80, 4)] * 3
+    report = summarize(records)
+    assert case["ess_values"] == report.ess_values.tolist()
+    assert (case["mpsrf"], case["ess_min"], case["ess_avg"], case["ess_max"]) == (
+        report.mpsrf, report.ess_min, report.ess_avg, report.ess_max)
+    _write_qoi_tables(str(tmp_path), np.stack([r.qoi for r in records]))
+    digest = hashlib.sha256((tmp_path / "acf_qoi.txt").read_bytes()).hexdigest()
+    assert case["acf_qoi_sha256"] == digest
+    for name in ("summarize", "qoi_tables"):
+        assert len(case[f"{name}_times_s"]) == bench_layers.REPEATS
+        assert case[f"{name}_median_s"] > 0

@@ -65,10 +65,6 @@ class TestErrors:
         with pytest.raises(ConfigError):
             parse_config("data.sigma = -0.1\n")
 
-    def test_bad_method(self):
-        with pytest.raises(ConfigError):
-            parse_config("mcmc.method = hmc\n")
-
     def test_missing_equals(self):
         with pytest.raises(ConfigError) as err:
             parse_config("mesh.n 4\n")

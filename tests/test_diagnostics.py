@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdebayes.diagnostics import (acf_estimate, ess, mpsrf, qoi_moments,
-                                  summarize, variogram, vhat,
-                                  within_between_cov)
+from pdebayes.diagnostics import (autocorrelation, ess, mpsrf, qoi_moments,
+                                  summarize, vhat, within_between_cov)
+from pdebayes.driver import _fmt, _write_qoi_tables
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.prior import BiLaplacianPrior
 from pdebayes.laplace import LaplaceApprox
 from pdebayes.mcmc import ChainRecord
 
-from helpers import (ar1_chains, dense_prior_matrices, ref_ess,
-                     ref_mpsrf, ref_vhat, ref_within_between)
+from helpers import (ar1_chains, dense_prior_matrices, ref_acf, ref_ess,
+                     ref_mpsrf, ref_vhat, ref_within_between,
+                     strided_acf_estimate, strided_ess)
 
 
 class TestWithinBetween:
@@ -139,25 +140,36 @@ def test_mpsrf_floor_and_ess_bounds_on_random_chains(m, n, k, phi, spread, seed,
         assert 0 < ess(coords, i) <= m * n
 
 
+def pooled_variance(coords, i):
+    """Vhat_ii of coordinate i of (M, N, K) chains, from the loop oracles."""
+    m, n, _ = coords.shape
+    return float(ref_vhat(*ref_within_between(coords), n, m)[i, i])
+
+
 class TestAcf:
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(7)
         coords = rng.standard_normal((4, 100, 1))
-        rho0 = acf_estimate(coords, 0, 0)
+        rho0 = autocorrelation(coords[:, :, 0], 0, pooled_variance(coords, 0))
         assert 0.99 <= rho0 <= 1.0
 
     def test_variogram_matches_loop(self):
         rng = np.random.default_rng(8)
         coords = rng.standard_normal((3, 30, 2))
+        vii = pooled_variance(coords, 1)
         for t in (1, 3, 7):
-            from helpers import ref_variogram
-            assert variogram(coords, 1, t) == pytest.approx(
-                ref_variogram(coords, 1, t), rel=1e-12)
+            assert autocorrelation(coords[:, :, 1], t, vii) == pytest.approx(
+                ref_acf(coords, 1, t, vii), rel=1e-12)
 
     def test_constant_chains_flagged(self):
         coords = np.ones((3, 20, 1))
         with pytest.raises(ZeroDivisionError):
-            acf_estimate(coords, 0, 1)
+            autocorrelation(coords[:, :, 0], 1, pooled_variance(coords, 0))
+
+    @pytest.mark.parametrize("lag", [-1, 20])
+    def test_lag_outside_chain_rejected(self, lag):
+        with pytest.raises(ValueError, match="lag"):
+            autocorrelation(np.arange(60.0).reshape(3, 20), lag, 1.0)
 
     def test_ar1_decay(self):
         # Averaged over replicates the estimate tracks phi^t.
@@ -167,15 +179,50 @@ class TestAcf:
         reps = 50
         estimates = np.zeros((reps, len(lags)))
         for r in range(reps):
-            coords = ar1_chains(4, 400, phi, rng)[:, :, None]
-            w, b = within_between_cov(coords)
+            series = ar1_chains(4, 400, phi, rng)
+            w, b = within_between_cov(series[:, :, None])
             vii = float(vhat(w, b, 400, 4)[0, 0])
             for c, t in enumerate(lags):
-                estimates[r, c] = acf_estimate(coords, 0, t, vhat_ii=vii)
+                estimates[r, c] = autocorrelation(series, t, vii)
         mean_est = estimates.mean(axis=0)
         se = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
         for c, t in enumerate(lags):
             assert abs(mean_est[c] - phi**t) <= 5 * se[c]
+
+
+class TestExactAgainstStridedCode:
+    """ess and acf_qoi.txt equal, to the last bit, the strided code of
+    tests/helpers.py that wrote every existing artifact."""
+
+    @pytest.fixture(scope="class")
+    def coords(self):
+        # (M, N, K) as summarize stacks it: each coordinate is a strided view.
+        rng = np.random.default_rng(18)
+        return np.stack([ar1_chains(4, 1500, 0.98, rng) for _ in range(3)], axis=2)
+
+    def test_ess_on_strided_coordinates(self, coords):
+        assert not coords[:, :, 0].flags.c_contiguous
+        w, b = within_between_cov(coords)
+        vh = vhat(w, b, coords.shape[1], coords.shape[0])
+        for i in range(coords.shape[2]):
+            assert ess(coords, i) == strided_ess(coords, i)
+            vii = float(vh[i, i])
+            assert ess(coords, i, vhat_ii=vii) == strided_ess(coords, i, vhat_ii=vii)
+
+    def test_ess_on_qoi_layout(self, coords):
+        shaped = np.ascontiguousarray(coords[:, :, 1])[:, :, None]
+        assert ess(shaped, 0) == strided_ess(shaped, 0)
+
+    def test_every_acf_qoi_value(self, coords, tmp_path):
+        qoi = np.ascontiguousarray(coords[:, :, 2])
+        _write_qoi_tables(str(tmp_path), qoi)
+        rows = (tmp_path / "acf_qoi.txt").read_text().splitlines()
+        w, b = within_between_cov(qoi[:, :, None])
+        vii = float(vhat(w, b, qoi.shape[1], qoi.shape[0])[0, 0])
+        expect = [strided_acf_estimate(qoi[:, :, None], 0, t, vhat_ii=vii)
+                  for t in range(501)]
+        # %.17g writes each double exactly.
+        assert rows == ["# lag rho"] + [f"{t} {_fmt(v)}" for t, v in enumerate(expect)]
 
 
 class TestEss:

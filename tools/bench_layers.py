@@ -1,6 +1,7 @@
-"""Time the layers of the default experiment: the Newton-CG MAP and one MCMC step.
+"""Time the layers of the default experiment: the Newton-CG MAP, one MCMC step
+and the diagnostics.
 
-One run records two sets of cases:
+One run records three sets of cases:
 
 - map: for each model kind (Poisson, linearized) and mesh n in {16, 32, 64},
   pdebayes.laplace.compute_map with the config's default newton.* settings:
@@ -20,6 +21,13 @@ One run records two sets of cases:
   and factor-transpose actions of the prior and of the Laplace approximation
   (each class counted on its own, so a Laplace action that calls the prior's
   counts once on both), and the acceptance rate of each stage.
+- diagnostics: seeded stationary AR(1) chains (phi = DIAG_PHI) shaped like
+  the default run's records: DIAG_CHAINS mcmc.ChainRecords of DIAG_STEPS steps
+  with DIAG_COORDS projected coordinates and a QoI. It records the median and
+  every value of REPEATS timed runs of pdebayes.diagnostics.summarize(records)
+  and of pdebayes.driver._write_qoi_tables(out_dir, qoi), with the report's
+  MPSRF and ESS values and the sha256 of acf_qoi.txt, which two checkouts
+  that keep the estimators' arithmetic give identically.
 
 Every set-up is built by the driver's own functions (build_prior_for,
 draw_observation_points, stage_data, stage_map, stage_eig), which write their
@@ -44,6 +52,7 @@ before the run.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -62,6 +71,11 @@ STEPS = 300
 REPEATS = 3
 CHAIN_SEED = 1
 OPERATOR_ACTIONS = ("apply_covariance", "apply_cov_factor", "apply_cov_factor_t")
+DIAG_CHAINS = 4
+DIAG_STEPS = 5000
+DIAG_COORDS = 25
+DIAG_PHI = 0.98
+DIAG_SEED = 1
 
 
 def machine_record() -> dict:
@@ -177,6 +191,16 @@ def bench_map(pb, kind: str, n: int, out_dir: str) -> dict:
     return record
 
 
+def timed(fn) -> list:
+    """Wall times of REPEATS calls of fn()."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
 def bench_step(pb, setup, kind: str, method: str) -> dict:
     prior, problem, laplace, projector = setup
     cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=STEP_N,
@@ -190,11 +214,7 @@ def bench_step(pb, setup, kind: str, method: str) -> dict:
 
     with CallCounter(step_owners(pb)) as counter:
         record = chain()
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        chain()
-        times.append(time.perf_counter() - t0)
+    times = timed(chain)
     calls = counter.calls
     case = {"kind": kind, "method": method, "n": STEP_N, "steps": STEPS,
             "us_per_step": statistics.median(times) / STEPS * 1e6,
@@ -209,6 +229,46 @@ def bench_step(pb, setup, kind: str, method: str) -> dict:
             name = attr.removeprefix("apply_")
             case[f"{label}_{name}_per_step"] = calls[f"{label}.{attr}"] / STEPS
     return case
+
+
+def ar1_records(pb, chains: int, steps: int, coords: int) -> list:
+    """chains ChainRecords of stationary AR(1) series with coefficient
+    DIAG_PHI: coords projected coordinates, and the QoI as one more series."""
+    import numpy as np
+
+    rng = np.random.default_rng(DIAG_SEED)
+    x = np.empty((chains, steps, coords + 1))
+    x[:, 0] = rng.standard_normal((chains, coords + 1))
+    innov = np.sqrt(1.0 - DIAG_PHI**2) * rng.standard_normal(x.shape)
+    for t in range(1, steps):
+        x[:, t] = DIAG_PHI * x[:, t - 1] + innov[:, t]
+    return [pb.mcmc.ChainRecord(
+        coords=x[j, :, :coords], qoi=x[j, :, coords].copy(),
+        log_posterior=np.zeros(steps), accepted=np.zeros(steps, dtype=np.int64),
+        stage_attempts=np.array([steps]), stage_accepts=np.array([steps // 4]),
+        solves=steps, seed=j, kernel_name="ar1") for j in range(chains)]
+
+
+def bench_diagnostics(pb, out_dir: str, chains: int = DIAG_CHAINS,
+                      steps: int = DIAG_STEPS, coords: int = DIAG_COORDS) -> dict:
+    import numpy as np
+
+    records = ar1_records(pb, chains, steps, coords)
+    qoi = np.stack([r.qoi for r in records])
+    report = pb.diagnostics.summarize(records)
+    pb.driver._write_qoi_tables(out_dir, qoi)
+    with open(os.path.join(out_dir, "acf_qoi.txt"), "rb") as fh:
+        acf_digest = hashlib.sha256(fh.read()).hexdigest()
+    summarize_times = timed(lambda: pb.diagnostics.summarize(records))
+    qoi_times = timed(lambda: pb.driver._write_qoi_tables(out_dir, qoi))
+    return {"chains": chains, "steps": steps, "coords": coords, "phi": DIAG_PHI,
+            "summarize_median_s": statistics.median(summarize_times),
+            "summarize_times_s": summarize_times,
+            "qoi_tables_median_s": statistics.median(qoi_times),
+            "qoi_tables_times_s": qoi_times,
+            "mpsrf": report.mpsrf, "ess_values": report.ess_values.tolist(),
+            "ess_min": report.ess_min, "ess_avg": report.ess_avg,
+            "ess_max": report.ess_max, "acf_qoi_sha256": acf_digest}
 
 
 def write_record(path: str, label: str, record: dict) -> None:
@@ -254,6 +314,8 @@ def main() -> int:
             for method in pb.config.METHODS:
                 record["steps"].append(bench_step(pb, setup, kind, method))
                 print(json.dumps(record["steps"][-1]), flush=True)
+        record["diagnostics"] = bench_diagnostics(pb, out_dir)
+        print(json.dumps(record["diagnostics"]), flush=True)
     write_record(args.out, args.label, record)
     return 0
 
