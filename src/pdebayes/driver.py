@@ -18,7 +18,8 @@ from . import mcmc
 from .config import ExperimentConfig, serialize, validate
 from .diagnostics import autocorrelation, summarize, vhat, within_between_cov
 from .fem import build_unit_square_mesh
-from .laplace import LaplaceApprox, compute_map, doublepass_randomized_eig
+from .laplace import (LaplaceApprox, MapConvergenceError, compute_map,
+                      doublepass_randomized_eig)
 from .models import (LinearizedPoissonProblem, PoissonProblem,
                      generate_synthetic_data)
 from .prior import BiLaplacianPrior
@@ -111,11 +112,10 @@ def write_chain_csv(record: mcmc.ChainRecord, path: str) -> None:
     cols = ["iter", "accepted", "log_posterior", "qoi"] + [
         f"c_{j + 1}" for j in range(k)]
     lines = [f"# seed={record.seed}, kernel={record.kernel_name}", ",".join(cols)]
-    for i in range(record.n_steps):
-        row = [str(i), str(int(record.accepted[i])),
-               _fmt(record.log_posterior[i]), _fmt(record.qoi[i])]
-        row.extend(_fmt(v) for v in record.coords[i])
-        lines.append(",".join(row))
+    row = "%d,%d," + ",".join([FLOAT_FMT] * (k + 2))
+    rows = zip(record.accepted.tolist(), record.log_posterior.tolist(),
+               record.qoi.tolist(), record.coords.tolist())
+    lines += [row % (i, a, lp, q, *c) for i, (a, lp, q, c) in enumerate(rows)]
     _write_lines(path, lines)
 
 
@@ -165,8 +165,10 @@ def stage_data(cfg: ExperimentConfig, mesh, prior, points, out_dir: str):
 
 
 def stage_map(cfg: ExperimentConfig, problem, prior, out_dir: str):
-    """Newton-CG MAP, written to map.txt; the MapResult."""
+    """Newton-CG MAP, written to map.txt; the MapResult, if it converged."""
     map_result = compute_map(problem, prior, cfg=cfg)
+    if not map_result.converged:
+        raise MapConvergenceError(map_result)
     _write_field(os.path.join(out_dir, "map.txt"), map_result.m,
                  f"MAP field, mesh n={cfg.mesh_n}")
     return map_result
@@ -174,8 +176,8 @@ def stage_map(cfg: ExperimentConfig, problem, prior, out_dir: str):
 
 def stage_eig(cfg: ExperimentConfig, problem, prior, map_result, out_dir: str):
     """Curvature spectrum at the MAP, written to eigenvalues.txt; the
-    LaplaceApprox and the eigenvectors."""
-    map_state = problem.evaluate(map_result.m)
+    LaplaceApprox and the eigenvectors. The Hessian is the MAP state's own."""
+    map_state = map_result.state.model_state
     lam, vecs = doublepass_randomized_eig(
         lambda v: map_state.hessian_action(v, gauss_newton=False),
         prior, k=cfg.eig_k, p=cfg.eig_oversampling,

@@ -11,18 +11,15 @@ H^{-1} = C - V diag(lam/(1+lam)) V^T.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .config import ExperimentConfig, validate
 from .models import ModelEvaluationError
-from .targets import PosteriorTarget
-
-logger = logging.getLogger(__name__)
+from .targets import ChainState, PosteriorTarget
 
 GAUSS_NEWTON_ITERS = 5  # leading Newton steps that use the Gauss-Newton Hessian
 MAX_CG_ITERS = 200      # inner CG iterations per Newton step
@@ -32,13 +29,11 @@ MAX_BACKTRACKS = 30     # backtracking steps before the line search counts as st
 
 
 class MapConvergenceError(RuntimeError):
-    def __init__(self, grad_norm, iterations, m):
-        super().__init__(
-            f"Newton iteration did not converge in {iterations} steps; "
-            f"final gradient norm {grad_norm:.3e}")
-        self.grad_norm = grad_norm
-        self.iterations = iterations
-        self.m = m
+    def __init__(self, result):
+        super().__init__(f"MAP stopped short ({result.reason}) after {result.iterations} "
+                         f"Newton steps; final gradient norm {result.grad_norm:.3e}")
+        self.grad_norm = result.grad_norm
+        self.iterations = result.iterations
 
 
 class EigensolverBreakdown(RuntimeError):
@@ -47,14 +42,16 @@ class EigensolverBreakdown(RuntimeError):
 
 @dataclass
 class MapResult:
-    m: np.ndarray
-    cost: float
-    grad_norm: float
+    state: ChainState   # where the iteration stopped
+    reason: str         # "gradient" (converged), "iteration_cap" or "line_search_stall"
     iterations: int
-    converged: bool
-    cost_history: list = field(default_factory=list)
-    cg_iterations: int = 0
-    reason: str = "gradient"
+    grad_norm: float
+    cg_iterations: int
+    cost_history: list
+
+    m = property(lambda self: self.state.m)
+    cost = property(lambda self: -self.state.log_posterior)
+    converged = property(lambda self: self.reason == "gradient")
 
 
 def _cg_newton_direction(hess_apply, grad, forcing, max_iters, precond):
@@ -104,8 +101,8 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
     the Gauss-Newton Hessian for the first GAUSS_NEWTON_ITERS iterations,
     Eisenstat-Walker forcing min(0.5, sqrt(|g|/|g0|)) on the C-norm of the
     inner residual, and Armijo backtracking with slack for the rounding error
-    of the cost. The outer stopping test is on the Euclidean |g|. Raises
-    MapConvergenceError if the gradient norm target is not reached.
+    of the cost. The outer stopping test is on the Euclidean |g|. Every stop
+    returns a MapResult; none raises.
     """
     cfg = cfg or ExperimentConfig()
     validate(cfg)
@@ -122,9 +119,11 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
     for it in range(cfg.newton_max_iters + 1):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            return MapResult(state.m, cost, gnorm, it, True, history, cg_total)
+            reason = "gradient"
+            break
         if it == cfg.newton_max_iters:
-            raise MapConvergenceError(gnorm, it, state.m)
+            reason = "iteration_cap"
+            break
 
         gauss_newton = it < GAUSS_NEWTON_ITERS
         forcing = min(0.5, math.sqrt(gnorm / gnorm0))
@@ -157,14 +156,13 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
         else:
             # Sufficient decrease is unattainable at this precision; stop at
             # the best point rather than looping without progress.
-            logger.warning("line search stalled at iteration %d, |grad| = %.3e",
-                           it, gnorm)
-            return MapResult(state.m, cost, gnorm, it, False, history, cg_total,
-                             reason="line_search_stall")
+            reason = "line_search_stall"
+            break
 
         state, cost = trial, trial_cost
         grad = -state.grad_log_posterior
         history.append(cost)
+    return MapResult(state, reason, it, gnorm, cg_total, history)
 
 
 def _chol_qr(Y: np.ndarray, inner_apply) -> np.ndarray:

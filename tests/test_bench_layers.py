@@ -116,6 +116,21 @@ def test_setup_matches_run_experiment(tmp_path):
     assert projector(laplace.m_map).shape == (cfg.mcmc_project_dim,)
 
 
+@pytest.mark.parametrize("extra, converged, reason", [
+    ("", True, "gradient"),
+    ("newton.max_iters = 1\nnewton.grad_rel_tol = 1e-300\n"
+     "newton.grad_abs_tol = 1e-300\n", False, "iteration_cap")],
+    ids=["converged", "iteration_cap"])
+def test_map_case_records_why_the_map_stopped(tmp_path, extra, converged, reason):
+    cfg = parse_config(SMALL_LINEARIZED + extra)
+    prior, problem = bench_layers.build_problem(pdebayes, cfg, str(tmp_path))
+    case = bench_layers.run_map(pdebayes, cfg, problem, prior)
+    assert (case["converged"], case["reason"]) == (converged, reason)
+    assert "error" not in case
+    if not converged:
+        assert case["newton_iterations"] == 1
+
+
 def test_diagnostics_case_reports_summarize_and_acf_table(tmp_path):
     """At a small shape: the case's report values are summarize's, its digest
     is that of the acf_qoi.txt the driver writes, and the records repeat."""

@@ -17,9 +17,11 @@ from pdebayes import driver
 from pdebayes.driver import (StageError, build_prior_for, run_experiment,
                              write_chain_csv)
 from pdebayes.fem import build_unit_square_mesh
-from pdebayes.laplace import MapConvergenceError
+from pdebayes.laplace import (MAX_BACKTRACKS, MapConvergenceError,
+                              doublepass_randomized_eig)
 from pdebayes.mcmc import ChainRecord
-from pdebayes.models import LinearizedPoissonProblem
+from pdebayes.models import LinearizedPoissonProblem, ModelEvaluationError
+from pdebayes.targets import PosteriorTarget
 
 from helpers import (dense_gaussian_posterior, dense_prior_matrices,
                      read_chain_csv, read_report)
@@ -228,6 +230,40 @@ class TestTruthMesh:
         assert len(truth) == 1 + (n_truth + 1) ** 2
 
 
+class TestMapStateHandOff:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_eig_stage_reuses_the_map_state(self, tmp_path, monkeypatch, kind):
+        # stage_eig takes the Hessian at the state compute_map stopped at: no
+        # model evaluation and no forward or adjoint solve, only the two
+        # incremental solves of each of the eigensolver's 2(k+p) Hessian
+        # actions, and the same eigenpairs as a fresh evaluation at the MAP.
+        cfg = parse_config(FAST_POISSON + f"model.kind = {kind}\n")
+        mesh = build_unit_square_mesh(cfg.mesh_n)
+        prior = build_prior_for(cfg, mesh)
+        points = driver.draw_observation_points(cfg)
+        problem = driver.stage_data(cfg, mesh, prior, points, str(tmp_path))
+        map_result = driver.stage_map(cfg, problem, prior, str(tmp_path))
+        evaluate = problem.evaluate
+
+        def no_evaluation(m):
+            raise AssertionError("model evaluated in stage_eig")
+
+        monkeypatch.setattr(problem, "evaluate", no_evaluation)
+        before = problem.counter.snapshot()
+        laplace, vecs = driver.stage_eig(cfg, problem, prior, map_result,
+                                         str(tmp_path))
+        solves = [a - b for a, b in zip(problem.counter.snapshot(), before)]
+        assert solves == [0, 0, 4 * (cfg.eig_k + cfg.eig_oversampling)]
+
+        fresh = evaluate(map_result.m)
+        lam, fresh_vecs = doublepass_randomized_eig(
+            lambda v: fresh.hessian_action(v, gauss_newton=False), prior,
+            k=cfg.eig_k, p=cfg.eig_oversampling,
+            rng=np.random.default_rng(cfg.eig_seed))
+        assert np.array_equal(fresh_vecs, vecs)
+        assert np.array_equal(lam[:laplace.rank], laplace.lam)
+
+
 class TestWriteChainCsv:
     def test_single_sample_layout(self, tmp_path):
         rec = ChainRecord(
@@ -304,6 +340,29 @@ class TestStageErrors:
         assert isinstance(err.value.cause, MapConvergenceError)
         assert (tmp_path / "truth.txt").exists()
         assert not (tmp_path / "map.txt").exists()
+
+    def test_line_search_stall_ends_the_run_at_map(self, tmp_path, monkeypatch):
+        # Every line-search trial fails, so the Newton iteration stalls at its
+        # start: the run stops before map.txt instead of sampling from there.
+        make_state, states = PosteriorTarget.make_state, []
+
+        def start_state_only(target, m):
+            states.append(m)
+            if len(states) > 1:
+                raise ModelEvaluationError("trial point rejected")
+            return make_state(target, m)
+
+        monkeypatch.setattr(PosteriorTarget, "make_state", start_state_only)
+        with pytest.raises(StageError) as err:
+            run_experiment(parse_config(FAST_POISSON), str(tmp_path))
+        assert err.value.stage == "map"
+        assert isinstance(err.value.cause, MapConvergenceError)
+        assert "line_search_stall" in str(err.value.cause)
+        assert len(states) == 1 + MAX_BACKTRACKS
+        assert (tmp_path / "truth.txt").exists()
+        assert not (tmp_path / "map.txt").exists()
+        assert not (tmp_path / "eigenvalues.txt").exists()
+        assert not list(tmp_path.glob("chain_*.csv"))
 
     def test_invalid_config_rejected_before_any_work(self, tmp_path):
         # a config built in code skips parse_config's validation

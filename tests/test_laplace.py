@@ -8,9 +8,8 @@ from pdebayes import driver
 from pdebayes.config import ConfigError, ExperimentConfig
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.laplace import (EigensolverBreakdown, LaplaceApprox,
-                              MapConvergenceError, _cg_newton_direction,
-                              compute_map, doublepass_randomized_eig,
-                              truncate_spectrum)
+                              _cg_newton_direction, compute_map,
+                              doublepass_randomized_eig, truncate_spectrum)
 from pdebayes.models import (LinearizedPoissonProblem, PoissonProblem,
                              generate_synthetic_data)
 from pdebayes.prior import BiLaplacianPrior
@@ -71,6 +70,8 @@ class TestComputeMap:
         rel = np.linalg.norm(result.m - mean_dense) / np.linalg.norm(mean_dense)
         assert rel <= 1e-8
         assert result.converged
+        assert result.reason == "gradient"
+        assert result.m is result.state.m
 
     def test_converges_next_to_minimizer(self, linear_setup):
         # 1e-9 from the minimizer the Armijo decrease is below the rounding
@@ -89,6 +90,7 @@ class TestComputeMap:
         costs = np.array(result.cost_history)
         assert np.all(np.diff(costs) < 0)
         assert result.cost <= result.cost_history[0]
+        assert result.cost == -result.state.log_posterior == result.cost_history[-1]
 
     def test_gradient_norm_criterion(self, poisson_setup):
         prior, problem = poisson_setup
@@ -151,12 +153,15 @@ class TestComputeMap:
                         cfg=ExperimentConfig(newton_grad_rel_tol=-1.0))
 
     def test_nonconvergence_reported(self, poisson_setup):
+        # The iteration cap is a stop like any other: a result, not a raise.
         prior, problem = poisson_setup
         cfg = ExperimentConfig(newton_grad_rel_tol=1e-14,
                                newton_grad_abs_tol=1e-16, newton_max_iters=1)
-        with pytest.raises(MapConvergenceError) as err:
-            compute_map(problem, prior, cfg=cfg)
-        assert err.value.grad_norm > 0
+        result = compute_map(problem, prior, cfg=cfg)
+        assert not result.converged
+        assert result.reason == "iteration_cap"
+        assert result.iterations == 1
+        assert result.grad_norm > 0
 
 
 def random_spd(rng, n, cond=1e3):

@@ -8,9 +8,11 @@ One run records three sets of cases:
   one counted warm-up run, then REPEATS = 3 timed runs, of which it records
   the median and every value. A case records the Newton iterations, the total
   CG iterations (MapResult.cg_iterations), the number of model Hessian
-  actions (one per CG iteration), the final gradient norm and whether the MAP
-  converged; a MapConvergenceError is recorded with its iteration count and
-  gradient norm, not raised.
+  actions (one per CG iteration), the final gradient norm, whether the MAP
+  converged and why it stopped (MapResult.reason: gradient, iteration_cap or
+  line_search_stall). On an older checkout whose compute_map raises
+  MapConvergenceError at the iteration cap, the record reads that reason, no
+  CG count and the error's name.
 - steps: for each model kind at n = 32 and each of the 9 methods
   (pdebayes.config.METHODS, with the config's default step sizes), the kernel
   of pdebayes.driver.build_kernel runs one counted chain of STEPS steps from
@@ -170,10 +172,11 @@ def run_map(pb, cfg, problem, prior) -> dict:
         res = pb.laplace.compute_map(problem, prior, cfg=cfg)
     except pb.laplace.MapConvergenceError as exc:
         return {"time_s": time.perf_counter() - t0, "converged": False,
-                "newton_iterations": exc.iterations, "cg_iterations": None,
-                "grad_norm": exc.grad_norm, "error": "MapConvergenceError"}
+                "reason": "iteration_cap", "newton_iterations": exc.iterations,
+                "cg_iterations": None, "grad_norm": exc.grad_norm,
+                "error": "MapConvergenceError"}
     return {"time_s": time.perf_counter() - t0, "converged": bool(res.converged),
-            "newton_iterations": res.iterations,
+            "reason": res.reason, "newton_iterations": res.iterations,
             "cg_iterations": res.cg_iterations,
             "grad_norm": res.grad_norm}
 
