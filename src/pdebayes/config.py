@@ -39,10 +39,6 @@ def _unit_interval(v):
     return 0 < v <= 1
 
 
-def _fraction(v):
-    return 0 <= v <= 1
-
-
 def _key(default, check=None, text: str = ""):
     """A config field: its default, its range check (a predicate, or a tuple
     of the allowed values) and the text of the valid range. The parse type
@@ -69,12 +65,9 @@ class ExperimentConfig:
     prior_mean: float = _key(0.0)
     data_count: int = _key(300, _positive, "positive integer")
     data_sigma: float = _key(0.005, _positive, "positive")
-    data_box_lo: float = _key(0.05, _fraction, "in [0, 1]")
-    data_box_hi: float = _key(0.95, _fraction, "in [0, 1]")
     data_seed: int = _key(1, _nonnegative, "nonnegative integer")
     # 0 means the inversion mesh
     data_truth_mesh: int = _key(0, _nonnegative, "nonnegative integer")
-    data_exact: bool = _key(False)
     newton_grad_rel_tol: float = _key(1e-6, _positive, "positive")
     newton_grad_abs_tol: float = _key(1e-12, _positive, "positive")
     newton_max_iters: int = _key(50, _positive, "positive integer")
@@ -102,18 +95,13 @@ class ExperimentConfig:
 
 
 # What a key of each parse type (its default's type) holds.
-_EXPECTS = {int: "an integer", float: "a number", bool: "true or false",
-            str: "text"}
+_EXPECTS = {int: "an integer", float: "a number", str: "text"}
 
 
 def _convert(f, raw: str, line: int):
     key, kind = _name(f), type(f.default)
     if kind is str:
         return raw
-    if kind is bool:
-        if raw.lower() not in ("true", "false"):
-            raise ConfigError(f"{key} expects {_EXPECTS[bool]}, got '{raw}'", line)
-        return raw.lower() == "true"
     try:
         return int(raw) if kind is int else float(raw)
     except ValueError:
@@ -123,8 +111,8 @@ def _convert(f, raw: str, line: int):
 def _has_type(f, value) -> bool:
     """Whether value is of f's parse type; a bool is not a number."""
     kind = type(f.default)
-    if kind in (bool, str):
-        return isinstance(value, kind)
+    if kind is str:
+        return isinstance(value, str)
     if isinstance(value, bool):
         return False
     return isinstance(value, numbers.Integral if kind is int else numbers.Real)
@@ -178,8 +166,6 @@ def validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
         elif check is not None and not check(value):
             raise ConfigError(f"{key} = {value} out of range ({f.metadata['text']})",
                               lines.get(key))
-    if cfg.data_box_lo >= cfg.data_box_hi:
-        raise ConfigError("data.box_lo must be below data.box_hi")
     dim = (cfg.mesh_n + 1) ** 2
     if cfg.eig_k + cfg.eig_oversampling > dim:
         raise ConfigError(
@@ -191,13 +177,8 @@ def serialize(cfg: ExperimentConfig) -> str:
     """Emit every key at full precision; parse(serialize(cfg)) == cfg."""
     lines = []
     for f in fields(cfg):
-        value, kind = getattr(cfg, f.name), type(f.default)
-        if kind is bool:
-            text = "true" if value else "false"
-        elif kind is float:
-            text = repr(float(value))
-        else:
-            text = str(value)
+        value = getattr(cfg, f.name)
+        text = repr(float(value)) if type(f.default) is float else str(value)
         lines.append(f"{_name(f)} = {text}")
     return "\n".join(lines) + "\n"
 

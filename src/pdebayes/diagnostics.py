@@ -137,23 +137,22 @@ class DiagnosticsReport:
     qoi_missing: np.ndarray       # per-chain missing counts
 
 
-def qoi_moments(qoi: np.ndarray, orders=(1, 2, 3)):
-    """Per-chain moment estimates of the QoI, skipping NaN entries.
+def qoi_moments(qoi: np.ndarray):
+    """Per-chain first three raw moments of the QoI, skipping NaN entries.
 
-    Returns (moments (M, len(orders)), missing counts (M,)). A chain with no
+    Returns (moments (M, 3), missing counts (M,)). A chain with no
     valid entries is flagged with NaN moments and a warning.
     """
     qoi = np.atleast_2d(np.asarray(qoi, dtype=float))
     m_chains = qoi.shape[0]
     missing = np.sum(np.isnan(qoi), axis=1)
-    out = np.full((m_chains, len(orders)), np.nan)
+    out = np.full((m_chains, 3), np.nan)
     for j in range(m_chains):
         valid = qoi[j][~np.isnan(qoi[j])]
         if valid.size == 0:
             logger.warning("chain %d has no valid QoI samples", j)
             continue
-        for c, k in enumerate(orders):
-            out[j, c] = float(np.mean(valid**k))
+        out[j] = [np.mean(valid**k) for k in (1, 2, 3)]
     return out, missing
 
 

@@ -28,6 +28,9 @@ from .targets import PosteriorTarget
 logger = logging.getLogger(__name__)
 
 FLOAT_FMT = "%.17g"
+# Observation points are uniform on OBS_BOX squared, clear of the boundary.
+OBS_BOX = (0.05, 0.95)
+ACF_MAX_LAG = 500
 
 PROBLEMS = {"poisson": PoissonProblem, "linearized": LinearizedPoissonProblem}
 
@@ -58,7 +61,7 @@ def build_prior_for(cfg: ExperimentConfig, mesh) -> BiLaplacianPrior:
 
 def draw_observation_points(cfg: ExperimentConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.data_seed)
-    return rng.uniform(cfg.data_box_lo, cfg.data_box_hi, size=(cfg.data_count, 2))
+    return rng.uniform(*OBS_BOX, size=(cfg.data_count, 2))
 
 
 def synthesize_data(cfg: ExperimentConfig, problem, prior):
@@ -74,8 +77,7 @@ def synthesize_data(cfg: ExperimentConfig, problem, prior):
         prior = build_prior_for(cfg, mesh_t)
         problem = type(problem)(mesh_t, problem.obs_points, problem.sigma)
     m_true = prior.sample(np.random.default_rng(cfg.data_seed + 1))
-    d = generate_synthetic_data(problem, m_true, seed=cfg.data_seed + 2,
-                                exact=cfg.data_exact)
+    d = generate_synthetic_data(problem, m_true, seed=cfg.data_seed + 2)
     return n_truth, m_true, d
 
 
@@ -129,7 +131,7 @@ def _write_field(path: str, values: np.ndarray, header: str) -> None:
     _write_lines(path, [f"# {header}"] + [_fmt(v) for v in values])
 
 
-def _write_qoi_tables(out_dir: str, qoi: np.ndarray, max_lag: int = 500):
+def _write_qoi_tables(out_dir: str, qoi: np.ndarray):
     finite = np.isfinite(qoi)
     acf = ["# lag rho"]
     if finite.all():
@@ -137,7 +139,7 @@ def _write_qoi_tables(out_dir: str, qoi: np.ndarray, max_lag: int = 500):
         vh = float(vhat(w, b, qoi.shape[1], qoi.shape[0])[0, 0])
         if vh > 0:
             acf += [f"{t} {_fmt(autocorrelation(qoi, t, vh))}"
-                    for t in range(0, min(max_lag, qoi.shape[1] - 1) + 1)]
+                    for t in range(0, min(ACF_MAX_LAG, qoi.shape[1] - 1) + 1)]
     else:
         acf.append("# skipped: QoI contains failed samples")
     _write_lines(os.path.join(out_dir, "acf_qoi.txt"), acf)
@@ -174,9 +176,10 @@ def stage_map(cfg: ExperimentConfig, problem, prior, out_dir: str):
     return map_result
 
 
-def stage_eig(cfg: ExperimentConfig, problem, prior, map_result, out_dir: str):
+def stage_eig(cfg: ExperimentConfig, prior, map_result, out_dir: str):
     """Curvature spectrum at the MAP, written to eigenvalues.txt; the
-    LaplaceApprox and the eigenvectors. The Hessian is the MAP state's own."""
+    LaplaceApprox and the chains' projector, the first mcmc.project_dim
+    eigenvectors times the prior precision. The Hessian is the MAP state's own."""
     map_state = map_result.state.model_state
     lam, vecs = doublepass_randomized_eig(
         lambda v: map_state.hessian_action(v, gauss_newton=False),
@@ -187,20 +190,15 @@ def stage_eig(cfg: ExperimentConfig, problem, prior, map_result, out_dir: str):
                      f"{i} {_fmt(lv)}" for i, lv in enumerate(lam, start=1)])
     laplace = LaplaceApprox.from_spectrum(prior, map_result.m, lam, vecs,
                                           threshold=cfg.eig_threshold)
-    return laplace, vecs
+    w_proj = prior.apply_precision(vecs[:, :cfg.mcmc_project_dim])
+    return laplace, lambda m: w_proj.T @ m
 
 
-def stage_chains(cfg: ExperimentConfig, problem, prior, map_result, laplace,
-                 vecs, out_dir: str):
-    """Run the chains, one chain_XX.csv each; the ChainRecords and the
-    number of projected coordinates."""
+def stage_chains(cfg: ExperimentConfig, problem, prior, laplace, projector,
+                 out_dir: str):
+    """Run the chains, one chain_XX.csv each; the ChainRecords."""
     kernel = build_kernel(cfg, prior, laplace)
     target = PosteriorTarget(problem, prior)
-    k_proj = min(cfg.mcmc_project_dim, vecs.shape[1])
-    w_proj = prior.apply_precision(vecs[:, :k_proj])
-
-    def projector(m):
-        return w_proj.T @ m
 
     records = []
     for i in range(cfg.mcmc_chains):
@@ -210,17 +208,17 @@ def stage_chains(cfg: ExperimentConfig, problem, prior, map_result, laplace,
         elif cfg.mcmc_start == "prior_sample":
             start = prior.sample(start_rng)
         else:
-            start = map_result.m
+            start = laplace.m_map
         rec = mcmc.run_chain(target, kernel, start, cfg.mcmc_samples,
                              seed=cfg.mcmc_seed + i, projector=projector,
                              kernel_name=cfg.mcmc_method)
         records.append(rec)
         write_chain_csv(rec, os.path.join(out_dir, f"chain_{i:02d}.csv"))
-    return records, k_proj
+    return records
 
 
-def stage_diagnostics(cfg: ExperimentConfig, prior, map_result, laplace,
-                      records, k_proj: int, setup_solves: int, out_dir: str):
+def stage_diagnostics(cfg: ExperimentConfig, map_result, laplace, records,
+                      setup_solves: int, out_dir: str):
     """Summarize the chains, write the QoI tables and report.txt; the report
     entries."""
     report_data = summarize(records)
@@ -230,12 +228,12 @@ def stage_diagnostics(cfg: ExperimentConfig, prior, map_result, laplace,
         "chains": cfg.mcmc_chains,
         "samples": cfg.mcmc_samples,
         "mesh_n": cfg.mesh_n,
-        "parameter_dim": prior.dim,
+        "parameter_dim": laplace.dim,
         "map_iterations": map_result.iterations,
         "map_cg_iterations": map_result.cg_iterations,
         "map_grad_norm": map_result.grad_norm,
         "eig_rank_retained": laplace.rank,
-        "project_dim": k_proj,
+        "project_dim": records[0].coords.shape[1],
         "mpsrf": report_data.mpsrf,
         "ess_min": report_data.ess_min,
         "ess_min_index": report_data.ess_min_index + 1,
@@ -282,10 +280,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     points = _stage("setup", draw_observation_points, cfg)
     problem = _stage("data", stage_data, cfg, mesh, prior, points, out_dir)
     map_result = _stage("map", stage_map, cfg, problem, prior, out_dir)
-    laplace, vecs = _stage("eig", stage_eig, cfg, problem, prior, map_result,
-                           out_dir)
+    laplace, projector = _stage("eig", stage_eig, cfg, prior, map_result, out_dir)
     setup_solves = problem.counter.total
-    records, k_proj = _stage("chains", stage_chains, cfg, problem, prior,
-                             map_result, laplace, vecs, out_dir)
-    return _stage("diagnostics", stage_diagnostics, cfg, prior, map_result,
-                  laplace, records, k_proj, setup_solves, out_dir)
+    records = _stage("chains", stage_chains, cfg, problem, prior, laplace,
+                     projector, out_dir)
+    return _stage("diagnostics", stage_diagnostics, cfg, map_result, laplace,
+                  records, setup_solves, out_dir)

@@ -192,6 +192,32 @@ class TestStartModes:
         entries = run_experiment(cfg, str(tmp_path / mode))
         assert entries["samples"] == cfg.mcmc_samples
 
+    def test_map_start_is_the_written_map(self, tmp_path, monkeypatch):
+        starts = []
+        run_chain = driver.mcmc.run_chain
+
+        def recording_run_chain(target, kernel, start, *args, **kwargs):
+            starts.append(start.copy())
+            return run_chain(target, kernel, start, *args, **kwargs)
+
+        monkeypatch.setattr(driver.mcmc, "run_chain", recording_run_chain)
+        cfg = parse_config(FAST_POISSON + "mcmc.start = map\n")
+        run_experiment(cfg, str(tmp_path))
+        m_map = np.loadtxt(tmp_path / "map.txt")
+        assert len(starts) == cfg.mcmc_chains
+        assert all(np.array_equal(start, m_map) for start in starts)
+
+
+class TestProjectDim:
+    def test_project_dim_above_eig_k_projects_on_every_eigenvector(self, tmp_path):
+        # mcmc.project_dim = 4 exceeds the 3 eigenvectors there are.
+        cfg = parse_config(FAST_POISSON.replace("eig.k = 15", "eig.k = 3"))
+        run_experiment(cfg, str(tmp_path))
+        for i in range(cfg.mcmc_chains):
+            _, names, _ = read_chain_csv(str(tmp_path / f"chain_{i:02d}.csv"))
+            assert names[4:] == ["c_1", "c_2", "c_3"]
+        assert read_report(str(tmp_path / "report.txt"))["project_dim"] == "3"
+
 
 TRUTH_MESH_CONFIG = FAST_POISSON.replace("mesh.n = 6", "mesh.n = 8")
 
@@ -250,8 +276,8 @@ class TestMapStateHandOff:
 
         monkeypatch.setattr(problem, "evaluate", no_evaluation)
         before = problem.counter.snapshot()
-        laplace, vecs = driver.stage_eig(cfg, problem, prior, map_result,
-                                         str(tmp_path))
+        laplace, projector = driver.stage_eig(cfg, prior, map_result,
+                                              str(tmp_path))
         solves = [a - b for a, b in zip(problem.counter.snapshot(), before)]
         assert solves == [0, 0, 4 * (cfg.eig_k + cfg.eig_oversampling)]
 
@@ -260,8 +286,10 @@ class TestMapStateHandOff:
             lambda v: fresh.hessian_action(v, gauss_newton=False), prior,
             k=cfg.eig_k, p=cfg.eig_oversampling,
             rng=np.random.default_rng(cfg.eig_seed))
-        assert np.array_equal(fresh_vecs, vecs)
+        assert np.array_equal(fresh_vecs[:, :laplace.rank], laplace.vecs)
         assert np.array_equal(lam[:laplace.rank], laplace.lam)
+        w_proj = prior.apply_precision(fresh_vecs[:, :cfg.mcmc_project_dim])
+        assert np.array_equal(w_proj.T @ map_result.m, projector(map_result.m))
 
 
 class TestWriteChainCsv:

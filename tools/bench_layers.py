@@ -10,9 +10,7 @@ One run records three sets of cases:
   CG iterations (MapResult.cg_iterations), the number of model Hessian
   actions (one per CG iteration), the final gradient norm, whether the MAP
   converged and why it stopped (MapResult.reason: gradient, iteration_cap or
-  line_search_stall). On an older checkout whose compute_map raises
-  MapConvergenceError at the iteration cap, the record reads that reason, no
-  CG count and the error's name.
+  line_search_stall).
 - steps: for each model kind at n = 32 and each of the 9 methods
   (pdebayes.config.METHODS, with the config's default step sizes), the kernel
   of pdebayes.driver.build_kernel runs one counted chain of STEPS steps from
@@ -33,16 +31,18 @@ One run records three sets of cases:
 
 Every set-up is built by the driver's own functions (build_prior_for,
 draw_observation_points, stage_data, stage_map, stage_eig), which write their
-artifacts into a temporary directory. Counts come from the warm-up run or the
+artifacts into a temporary directory; the chains project with the projector
+that stage_eig returns. Counts come from the warm-up run or the
 counted chain, inside a CallCounter; the timed runs are never wrapped. MAP and
 chains are deterministic, so every run repeats the counts.
 
 The record, with the machine, Python, numpy, scipy and BLAS versions and the
 BLAS thread count, is stored under --label in the JSON file --out (other
 labels already in the file are kept), so one file can hold the numbers of two
-checkouts whose driver has these functions:
+checkouts. Time each checkout with its own copy of the tool, which calls that
+checkout's driver:
 
-    python3 tools/bench_layers.py --src /path/to/parent/src --label parent --out BENCH.json
+    python3 /path/to/parent/tools/bench_layers.py --label parent --out BENCH.json
     python3 tools/bench_layers.py --label change --out BENCH.json
 
 The two checkouts are timed one after the other, so their timings carry the
@@ -159,22 +159,13 @@ def build_sampling_setup(pb, cfg, out_dir: str):
     up to the eigensolve."""
     prior, problem = build_problem(pb, cfg, out_dir)
     map_result = pb.driver.stage_map(cfg, problem, prior, out_dir)
-    laplace, vecs = pb.driver.stage_eig(cfg, problem, prior, map_result, out_dir)
-    # The projector of driver.stage_chains, which is not used itself because
-    # its CSV writing would add to every timed chain.
-    w_proj = prior.apply_precision(vecs[:, :min(cfg.mcmc_project_dim, vecs.shape[1])])
-    return prior, problem, laplace, lambda m: w_proj.T @ m
+    laplace, projector = pb.driver.stage_eig(cfg, prior, map_result, out_dir)
+    return prior, problem, laplace, projector
 
 
 def run_map(pb, cfg, problem, prior) -> dict:
     t0 = time.perf_counter()
-    try:
-        res = pb.laplace.compute_map(problem, prior, cfg=cfg)
-    except pb.laplace.MapConvergenceError as exc:
-        return {"time_s": time.perf_counter() - t0, "converged": False,
-                "reason": "iteration_cap", "newton_iterations": exc.iterations,
-                "cg_iterations": None, "grad_norm": exc.grad_norm,
-                "error": "MapConvergenceError"}
+    res = pb.laplace.compute_map(problem, prior, cfg=cfg)
     return {"time_s": time.perf_counter() - t0, "converged": bool(res.converged),
             "reason": res.reason, "newton_iterations": res.iterations,
             "cg_iterations": res.cg_iterations,
