@@ -11,7 +11,7 @@ from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
 from .diagnostics import (DiagnosticsReport, autocorrelation, ess, mpsrf,
                           qoi_moments, summarize, vhat, within_between_cov)
 from .fem import (Mesh, SpdSolver, assemble_boundary_mass, assemble_mass,
-                  assemble_stiffness, build_unit_square_mesh, lower_band,
+                  assemble_stiffness, band_storage, build_unit_square_mesh,
                   point_observation_operator)
 from .laplace import (LaplaceApprox, MapConvergenceError, compute_map,
                       doublepass_randomized_eig, truncate_spectrum)

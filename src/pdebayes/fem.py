@@ -214,33 +214,44 @@ def point_observation_operator(mesh: Mesh, points) -> sp.csr_matrix:
                          shape=(k, mesh.num_vertices))
 
 
-def lower_band(matrix: sp.spmatrix) -> np.ndarray:
-    """LAPACK lower band storage of a sparse symmetric matrix.
+def band_storage(matrix: sp.spmatrix, lower: int) -> np.ndarray:
+    """LAPACK band storage of a sparse symmetric matrix, as dpbtrf reads it.
 
-    Returns the Fortran-ordered (kd+1, N) array with ab[i - j, j] = A[i, j]
-    for i >= j, where the half-bandwidth kd is read from the sparsity pattern.
+    Returns the Fortran-ordered (kd+1, N) array of one triangle: with
+    lower=1, ab[i - j, j] = A[i, j] for i >= j (diagonal in row 0); with
+    lower=0, ab[kd + i - j, j] = A[i, j] for i <= j (diagonal in row kd).
+    The half-bandwidth kd is read from the sparsity pattern.
     """
     csc = sp.csc_matrix(matrix)
     csc.sum_duplicates()
     n = matrix.shape[0]
     rows = csc.indices
     cols = np.repeat(np.arange(n), np.diff(csc.indptr))
-    lower = rows >= cols
-    offsets = rows[lower] - cols[lower]
+    offsets = rows - cols if lower else cols - rows
+    kept = offsets >= 0
+    offsets = offsets[kept]
     kd = int(offsets.max(initial=0))
     ab = np.zeros((kd + 1, n), order="F")
-    ab[offsets, cols[lower]] = csc.data[lower]
+    ab[offsets if lower else kd - offsets, cols[kept]] = csc.data[kept]
     return ab
 
 
 class SpdSolver:
     """Reusable band Cholesky factorization of an SPD matrix.
 
-    Consumes a matrix in LAPACK lower band storage, as returned by
-    StiffnessAssembler.assemble or lower_band: the band is factorized in
-    place with LAPACK dpbtrf and must not be used afterwards. solve() may be
-    called repeatedly with a vector or an (N, k) block of right-hand sides.
-    Deterministic: equal inputs give bit-equal outputs.
+    Consumes a matrix in LAPACK band storage, as returned by
+    StiffnessAssembler.assemble or band_storage, with LAPACK's own flag for
+    its triangle: lower=1 for lower storage, lower=0 for upper. The band is
+    factorized in place with dpbtrf and must not be used afterwards. solve()
+    may be called repeatedly with a vector or an (N, k) block of right-hand
+    sides. Deterministic: equal inputs give bit-equal outputs.
+
+    The storage is chosen by the operator's owner, for the kernels of
+    OpenBLAS: its dpbtrs solves faster from upper storage (the L^T x = y
+    half of a lower solve is its slowest triangular kernel), while its
+    dpbtrf factorizes faster from lower storage. A factor that serves many
+    solves (the prior's A, the linearized model's Laplacian) is therefore
+    upper, and a per-state Poisson factor, used for a few solves, is lower.
 
     The matrix is factorized in its given order, without a fill-reducing
     permutation. On the structured mesh the natural vertex order
@@ -249,20 +260,22 @@ class SpdSolver:
     Cholesky costs O(N n^2) with no fill outside the band.
     """
 
-    def __init__(self, band: np.ndarray):
-        self._factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    def __init__(self, band: np.ndarray, lower: int):
+        self.lower = lower
+        self._factor, info = dpbtrf(band, lower=lower, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"band Cholesky failed (LAPACK info {info}): "
                 "matrix is not positive definite")
-        if not np.all(np.isfinite(self._factor[0])):
+        # The factor's diagonal: row 0 of lower storage, row kd of upper.
+        if not np.all(np.isfinite(self._factor[0 if lower else -1])):
             raise np.linalg.LinAlgError("band Cholesky produced a non-finite factor")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._factor.shape[1]:
             raise ValueError("right-hand side has wrong length")
-        x, info = dpbtrs(self._factor, b, lower=1)
+        x, info = dpbtrs(self._factor, b, lower=self.lower)
         if info != 0:
             raise ValueError(f"band Cholesky solve failed (LAPACK info {info})")
         return x
@@ -273,10 +286,10 @@ class StiffnessAssembler:
 
     Precomputes, for a fixed mesh and Dirichlet vertex set, the geometric
     lower-triangle element entries with their positions in LAPACK lower band
-    storage, so that assembling the operator for a new per-triangle
-    coefficient costs a few vectorized passes. Rows and columns of Dirichlet
-    vertices are eliminated symmetrically (unit diagonal) to keep the
-    factorization SPD.
+    storage (mirrored into upper storage on request), so that assembling the
+    operator for a new per-triangle coefficient costs a few vectorized
+    passes. Rows and columns of Dirichlet vertices are eliminated
+    symmetrically (unit diagonal) to keep the factorization SPD.
 
     Also holds the fixed sparse (CSR) operators of the P1 space, on which
     the stiffness action and the derivative forms of the Poisson model are
@@ -341,15 +354,24 @@ class StiffnessAssembler:
         """area * coeff per triangle, stacked twice to match the rows of G."""
         return self._areas2 * np.concatenate([coeff, coeff])
 
-    def assemble(self, coeff: np.ndarray) -> np.ndarray:
+    def _positions(self, pos: np.ndarray, lower: int) -> np.ndarray:
+        """Flat positions pos of lower storage, moved to the storage lower
+        selects: A[i, j], i >= j, at p = (i - j) + j (kd + 1) in lower storage
+        mirrors to (kd - (i - j)) + i (kd + 1) = p + kd + (i - j)(kd - 1)."""
+        if lower:
+            return pos
+        kd = self._band_shape[0] - 1
+        return pos + kd + (pos % (kd + 1)) * (kd - 1)
+
+    def assemble(self, coeff: np.ndarray, lower: int = 1) -> np.ndarray:
         """Eliminated stiffness for a per-triangle coefficient, in LAPACK
-        lower band storage (a new array on every call)."""
+        band storage, lower unless lower=0 (a new array on every call)."""
         vals = self._geo_lower * coeff[self._tri_lower]
-        band = np.bincount(self._band_pos, weights=vals,
+        band = np.bincount(self._positions(self._band_pos, lower), weights=vals,
                            minlength=self._band_shape[0] * self._band_shape[1])
-        band[self._zero_pos] = 0.0
-        band[self._unit_pos] = 1.0
+        band[self._positions(self._zero_pos, lower)] = 0.0
+        band[self._positions(self._unit_pos, lower)] = 1.0
         return band.reshape(self._band_shape, order="F")
 
-    def factorize(self, coeff: np.ndarray) -> SpdSolver:
-        return SpdSolver(self.assemble(coeff))
+    def factorize(self, coeff: np.ndarray, lower: int = 1) -> SpdSolver:
+        return SpdSolver(self.assemble(coeff, lower), lower)

@@ -13,8 +13,9 @@ action, and the log ratio has a closed form in the gradients and w that
 needs no precision action. The kernels (Metropolis-Hastings, delayed
 rejection, and the subspace Gibbs sampler over the likelihood-informed
 directions) combine freely with the proposals; delayed rejection evaluates
-each density and log ratio once per step. All acceptance arithmetic is in
-log space.
+each density and log ratio once per step, and the density of a proposal
+whose mean does not depend on the state (pCN at beta = 1) once per state.
+All acceptance arithmetic is in log space.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class GaussianProposal:
     """
 
     requires_gradient = False
+    # True when the mean does not depend on the state, so that q(a -> b)
+    # depends on b only (see DRKernel.step).
+    independent = False
 
     def __init__(self, reference, scale: float):
         if scale <= 0:
@@ -113,6 +117,9 @@ class AutoregressiveProposal(GaussianProposal):
         super().__init__(reference, beta)
         self.beta = beta
         self._keep = math.sqrt(1.0 - beta**2)
+        # At beta = 1 the mean adds 0.0 * (m - ref_mean): it is exactly the
+        # reference mean at every state.
+        self.independent = beta == 1.0
 
     def mean(self, state: ChainState) -> np.ndarray:
         ref_mean = self.reference.mean
@@ -284,9 +291,18 @@ class DRKernel:
         proposals = self.proposals
         # Proposal log densities and log ratios of this step, each evaluated
         # once per stage and pair of states (ChainState hashes by identity).
+        # An independent proposal's density, a function of b only, is kept in
+        # b.cache under a tuple key, which no proposal or reference equals.
         @functools.cache
         def log_q(k, a, b):
-            return proposals[k].log_density(a, b.m)
+            proposal = proposals[k]
+            if not proposal.independent:
+                return proposal.log_density(a, b.m)
+            key = ("log_density", proposal)
+            value = b.cache.get(key)
+            if value is None:
+                value = b.cache[key] = proposal.log_density(a, b.m)
+            return value
 
         @functools.cache
         def log_r(k, a, b):

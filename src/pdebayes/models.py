@@ -236,13 +236,14 @@ class PoissonProblem(ObservedProblem):
 
 
 def generate_synthetic_data(problem: ObservedProblem, m_true: np.ndarray,
-                            seed: int, exact: bool = False) -> np.ndarray:
+                            seed: int) -> np.ndarray:
     """Observe the forward solution on a once-refined mesh, plus iid noise
     of the problem's sigma.
 
     The refinement breaks the inverse crime: the data-generating
-    discretization differs from the one used for inversion. Deterministic
-    for a fixed seed; exact=True skips the noise entirely.
+    discretization differs from the one used for inversion. The noise is
+    sigma * default_rng(seed).standard_normal(num_obs), so it is
+    deterministic for a fixed seed.
     """
     sigma = problem.sigma
     fine = build_unit_square_mesh(2 * problem.mesh.n)
@@ -250,9 +251,7 @@ def generate_synthetic_data(problem: ObservedProblem, m_true: np.ndarray,
     fine_problem = type(problem)(fine, problem.obs_points, sigma)
     u = fine_problem.solve_forward(lift @ np.asarray(m_true, dtype=float))
     d = fine_problem.observe(u)
-    if not exact:
-        d = d + sigma * np.random.default_rng(seed).standard_normal(d.shape)
-    return d
+    return d + sigma * np.random.default_rng(seed).standard_normal(d.shape)
 
 
 class LinearizedState:
@@ -292,7 +291,8 @@ class LinearizedPoissonProblem(ObservedProblem):
     def __init__(self, mesh: Mesh, obs_points, sigma: float):
         super().__init__(mesh, obs_points, sigma)
         self.M = assemble_mass(mesh)
-        self.solver = self.assembler.factorize(np.ones(mesh.num_triangles))
+        # Every solve of the run: upper storage (see SpdSolver).
+        self.solver = self.assembler.factorize(np.ones(mesh.num_triangles), lower=0)
 
     def solve_forward(self, m: np.ndarray) -> np.ndarray:
         return self._solve(self.solver, self.M @ m, "forward")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 
 from .fem import (BOUNDARY_TAGS, Mesh, SpdSolver, assemble_boundary_mass,
-                  assemble_mass, assemble_stiffness, lower_band)
+                  assemble_mass, assemble_stiffness, band_storage)
 
 
 def anisotropy_tensor(theta1: float, theta2: float, alpha: float) -> np.ndarray:
@@ -71,7 +71,8 @@ class BiLaplacianPrior:
         if robin_beta > 0:
             self.A = (self.A + robin_beta
                       * assemble_boundary_mass(mesh, BOUNDARY_TAGS)).tocsr()
-        self._solver = SpdSolver(lower_band(self.A))
+        # Solved in every covariance action: upper storage (see SpdSolver).
+        self._solver = SpdSolver(band_storage(self.A, lower=0), lower=0)
         # The precision stencil Q = A M_l^{-1} A, at most 19 diagonals in the
         # mesh's vertex order, applied as one DIA product.
         self._precision = scipy.sparse.dia_array(

@@ -18,8 +18,9 @@ class ChainState:
     """One evaluated point of a target, with lazy gradient caches.
 
     cache holds proposal quantities computed at this point: means keyed by
-    proposal, Langevin whitened gradients keyed by reference (see
-    pdebayes.mcmc).
+    proposal, Langevin whitened gradients keyed by reference, and the log
+    density of an independent proposal at this point keyed by
+    ("log_density", proposal) (see pdebayes.mcmc).
     """
 
     __slots__ = ("target", "m", "log_posterior", "_grad_phi", "_grad_logpost",

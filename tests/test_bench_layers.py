@@ -148,3 +148,13 @@ def test_diagnostics_case_reports_summarize_and_acf_table(tmp_path):
     for name in ("summarize", "qoi_tables"):
         assert len(case[f"{name}_times_s"]) == bench_layers.REPEATS
         assert case[f"{name}_median_s"] > 0
+
+
+def test_solves_case_times_both_storages_of_both_operators():
+    cases = bench_layers.bench_solves(pdebayes, sizes=(4,), calls=3)
+    assert [(c["operator"], c["n"], c["kd"]) for c in cases] == [
+        ("prior", 4, 6), ("poisson", 4, 6)]
+    for case in cases:
+        for name in ("dpbtrf", "dpbtrs"):
+            for storage in ("lower", "upper"):
+                assert case[f"{name}_{storage}_us"] > 0

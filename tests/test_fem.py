@@ -8,8 +8,9 @@ import scipy.sparse.linalg as spla
 from pdebayes.fem import (BOUNDARY_TAGS, SpdSolver, StiffnessAssembler,
                           assemble_boundary_mass, assemble_mass,
                           assemble_stiffness, build_unit_square_mesh,
-                          lower_band, point_observation_operator)
-from pdebayes.models import DIRICHLET_TAGS
+                          band_storage, point_observation_operator)
+from pdebayes.models import (DIRICHLET_TAGS, LinearizedPoissonProblem,
+                             PoissonProblem)
 from pdebayes.prior import BiLaplacianPrior
 
 from helpers import dense_boundary_mass, dense_mass, dense_stiffness
@@ -218,7 +219,7 @@ class TestSparseSolve:
     def test_diagonal_system(self):
         diag = np.array([2.0, 4.0, 5.0])
         b = np.array([2.0, 8.0, 15.0])
-        x = SpdSolver(lower_band(sp.diags(diag))).solve(b)
+        x = SpdSolver(band_storage(sp.diags(diag), 1), 1).solve(b)
         np.testing.assert_allclose(x, b / diag)
 
     def test_random_spd_matches_dense(self):
@@ -226,7 +227,7 @@ class TestSparseSolve:
         a = rng.standard_normal((10, 10))
         spd = a @ a.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        x = SpdSolver(lower_band(sp.csr_matrix(spd))).solve(b)
+        x = SpdSolver(band_storage(sp.csr_matrix(spd), 1), 1).solve(b)
         x_dense = np.linalg.solve(spd, b)
         assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-10
         assert np.linalg.norm(spd @ x - b) / np.linalg.norm(b) <= 1e-10
@@ -234,20 +235,21 @@ class TestSparseSolve:
     def test_zero_rhs(self):
         mesh = build_unit_square_mesh(3)
         k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
-        x = SpdSolver(lower_band(k)).solve(np.zeros(mesh.num_vertices))
+        x = SpdSolver(band_storage(k, 1), 1).solve(np.zeros(mesh.num_vertices))
         assert np.all(x == 0.0)
         assert not np.signbit(x).any()
 
     def test_indefinite_reported(self):
         indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(np.linalg.LinAlgError):
-            SpdSolver(lower_band(indefinite))
+        for lower in (1, 0):
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                SpdSolver(band_storage(indefinite, lower), lower)
 
     def test_block_solve_equals_column_solves(self):
         mesh = build_unit_square_mesh(4)
         k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
         b = np.random.default_rng(12).standard_normal((mesh.num_vertices, 5))
-        solver = SpdSolver(lower_band(k))
+        solver = SpdSolver(band_storage(k, 1), 1)
         x = solver.solve(b)
         assert x.shape == b.shape
         for j in range(5):
@@ -267,7 +269,7 @@ class TestSparseSolve:
     def test_singular_reported(self):
         singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
-            SpdSolver(lower_band(singular)).solve(np.array([1.0, 2.0]))
+            SpdSolver(band_storage(singular, 1), 1).solve(np.array([1.0, 2.0]))
 
     def test_deterministic_and_reusable(self):
         mesh = build_unit_square_mesh(4)
@@ -275,13 +277,85 @@ class TestSparseSolve:
         rng = np.random.default_rng(11)
         b1 = rng.standard_normal(mesh.num_vertices)
         b2 = rng.standard_normal(mesh.num_vertices)
-        solver = SpdSolver(lower_band(k))
+        solver = SpdSolver(band_storage(k, 1), 1)
         x1a = solver.solve(b1)
         x2 = solver.solve(b2)
         x1b = solver.solve(b1)
         assert np.array_equal(x1a, x1b)
-        assert np.array_equal(x1a, SpdSolver(lower_band(k)).solve(b1))
+        assert np.array_equal(x1a, SpdSolver(band_storage(k, 1), 1).solve(b1))
         assert np.linalg.norm(k @ x2 - b2) / np.linalg.norm(b2) <= 1e-10
+
+
+def banded_spd(n: int, kd: int, seed: int) -> sp.csr_matrix:
+    """A random symmetric diagonally dominant (so SPD) matrix of half-bandwidth kd."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(np.tril(rng.standard_normal((n, n)), kd), -kd)
+    a = a + a.T
+    a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+    return sp.csr_matrix(a)
+
+
+class TestBandLayouts:
+    """Lower (lower=1) and upper (lower=0) band storage of the same operator."""
+
+    def test_band_storage_holds_one_triangle(self):
+        a = banded_spd(7, 2, 30).toarray()
+        lower, upper = band_storage(a, 1), band_storage(a, 0)
+        assert lower.shape == upper.shape == (3, 7)
+        for i in range(7):
+            for j in range(max(0, i - 2), i + 1):
+                assert lower[i - j, j] == a[i, j]
+                assert upper[2 + j - i, i] == a[j, i]
+
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
+    def test_solutions_agree(self, shape):
+        mesh = build_unit_square_mesh(6)
+        k = assemble_stiffness(mesh, 1.0) + assemble_mass(mesh)
+        b = np.random.default_rng(31).standard_normal((mesh.num_vertices,) + shape)
+        x_lower = SpdSolver(band_storage(k, 1), 1).solve(b)
+        x_upper = SpdSolver(band_storage(k, 0), 0).solve(b)
+        assert x_upper.shape == b.shape
+        assert np.linalg.norm(x_upper - x_lower) <= 1e-12 * np.linalg.norm(x_lower)
+        assert np.linalg.norm(k @ x_upper - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("lower", [1, 0])
+    def test_nonfinite_factor_reported(self, lower):
+        # An infinite pivot passes dpbtrf's positivity test; its column of
+        # the factor scales to zero, so only the diagonal row shows it.
+        a = banded_spd(6, 2, 33).toarray()
+        a[0, 0] = np.inf
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite factor"):
+            SpdSolver(band_storage(sp.csr_matrix(a), lower), lower)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_assembled_upper_band_mirrors_the_lower_band(self, n):
+        mesh = build_unit_square_mesh(n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
+        lower, upper = assembler.assemble(coeff, 1), assembler.assemble(coeff, 0)
+        kd = lower.shape[0] - 1
+        assert upper.shape == lower.shape and upper.flags.f_contiguous
+        # Entry A[j + d, j] of lower row d is A[j, j + d] of upper row kd - d.
+        for d in range(kd + 1):
+            np.testing.assert_array_equal(upper[kd - d, d:], lower[d, :upper.shape[1] - d])
+            assert np.all(upper[kd - d, :d] == 0.0)
+        ref = band_storage(eliminated_stiffness(assembler, coeff), 0)
+        rows = ref.shape[0]
+        assert np.abs(upper[-rows:] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.all(upper[:-rows] == 0.0)
+
+    def test_fixed_factors_are_upper_and_state_factors_lower(self):
+        mesh = build_unit_square_mesh(4)
+        pts = np.random.default_rng(34).uniform(0.1, 0.9, size=(6, 2))
+        prior = BiLaplacianPrior(mesh, gamma=0.1, delta=0.5)
+        linearized = LinearizedPoissonProblem(mesh, pts, sigma=0.1)
+        poisson = PoissonProblem(mesh, pts, sigma=0.1)
+        poisson.set_data(np.zeros(6))
+        state = poisson.evaluate(np.zeros(mesh.num_vertices))
+        assert prior._solver.lower == 0
+        assert linearized.solver.lower == 0
+        assert state.solver.lower == 1
 
 
 def eliminated_stiffness(assembler, coeff) -> sp.csc_matrix:
@@ -303,7 +377,7 @@ class TestBandStorage:
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
         coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
         band = assembler.assemble(coeff)
-        ref = lower_band(eliminated_stiffness(assembler, coeff))
+        ref = band_storage(eliminated_stiffness(assembler, coeff), 1)
         rows = ref.shape[0]
         assert band.shape[1] == ref.shape[1] and band.shape[0] >= rows
         err = np.abs(band[:rows] - ref).max()
@@ -382,4 +456,6 @@ class TestBandwidth:
         prior = BiLaplacianPrior(mesh, gamma=0.1, delta=0.5, theta1=2.0,
                                  theta2=0.5, alpha=np.pi / 4)
         assert band.shape[0] == n + 3
-        assert lower_band(prior.A).shape[0] == n + 3
+        assert band.shape == assembler.assemble(np.ones(mesh.num_triangles), 0).shape
+        for lower in (1, 0):
+            assert band_storage(prior.A, lower).shape[0] == n + 3

@@ -767,6 +767,12 @@ def dr_stage_proposals(kind, n_stages, gauss2d):
         stages = [mc.RandomWalkProposal(prior, 3.0),
                   mc.LangevinProposal(reference, 0.8),
                   mc.DimensionRobustLangevinProposal(reference, 2.0, informed=True)]
+    elif kind == "independent":
+        # A first stage whose log density DRKernel.step keeps per state.
+        target, prior, reference, _, _ = gauss2d
+        stages = [mc.AutoregressiveProposal(prior, 1.0),
+                  mc.LangevinProposal(reference, 0.8),
+                  mc.DimensionRobustLangevinProposal(reference, 2.0, informed=True)]
     else:
         target, reference = gaussian_callable_target()
         stages = [mc.RandomWalkProposal(reference, 2.5),
@@ -829,7 +835,7 @@ class TestStepMemo:
                 rejected.append(proposed)
             current = rejected[0]
 
-    @pytest.mark.parametrize("kind", ["dense", "callable"])
+    @pytest.mark.parametrize("kind", ["dense", "callable", "independent"])
     @pytest.mark.parametrize("n_stages", [2, 3])
     def test_kernel_chain_equals_plain_steps(self, gauss2d, kind, n_stages):
         target, start, proposals = dr_stage_proposals(kind, n_stages, gauss2d)
@@ -849,9 +855,11 @@ class TestStepMemo:
         assert set(codes) == set(range(n_stages + 1))
 
     def test_stage_two_adds_two_densities_and_one_ratio(self, gauss2d, monkeypatch):
-        # Stage 1 evaluates q1(x->y1) and q1(y1->x); stage 2 adds q1(y2->y1),
-        # q1(y1->y2) and one closed-form H-MALA log ratio, evaluates no
-        # stage-2 density, and looks the rest up.
+        # Stage 1 asks for q1(x->y1) and q1(y1->x); stage 2 adds q1(y2->y1),
+        # q1(y1->y2) and one closed-form H-MALA log ratio, and evaluates no
+        # stage-2 density. At beta = 1, q1(a->b) depends on b only and is
+        # kept in b's cache: one evaluation per state, for the start, every
+        # stage-1 point and every stage-2 point.
         target, prior, laplace, _, _ = gauss2d
         proposals = [mc.AutoregressiveProposal(prior, 1.0),
                      mc.LangevinProposal(laplace, 0.2)]
@@ -861,9 +869,36 @@ class TestStepMemo:
         rec = mc.run_chain(target, mc.DRKernel(proposals), laplace.mean, n, seed=23)
         reached = int(rec.stage_attempts[1])
         assert 0 < reached < n
-        assert len(calls[0]) == 2 * n + 2 * reached
+        assert len(calls[0]) == 1 + n + reached
         assert calls[1] == []
         assert len(ratios) == reached
+
+    def test_dependent_first_stage_keeps_two_densities_per_step(self, gauss2d,
+                                                                 monkeypatch):
+        # At beta = 0.7 the pCN mean depends on the state: nothing is kept
+        # across steps, and the count of the step memo alone stands.
+        target, prior, laplace, _, _ = gauss2d
+        proposals = [mc.AutoregressiveProposal(prior, 0.7),
+                     mc.LangevinProposal(laplace, 0.2)]
+        assert not proposals[0].independent
+        calls = count_calls(monkeypatch, proposals[0], "log_density")
+        n = 200
+        rec = mc.run_chain(target, mc.DRKernel(proposals), laplace.mean, n, seed=23)
+        reached = int(rec.stage_attempts[1])
+        assert 0 < reached < n
+        assert len(calls) == 2 * n + 2 * reached
+
+    def test_independent_mh_step_evaluates_one_density(self, gauss2d, monkeypatch):
+        # An MH step asks for two pCN densities; at beta = 1 the current
+        # state's was kept when that state was proposed (or started), so a
+        # step evaluates only the proposed point's.
+        target, prior, laplace, _, _ = gauss2d
+        prop = mc.AutoregressiveProposal(prior, 1.0)
+        densities = count_calls(monkeypatch, prop, "log_density")
+        n = 50
+        rec = mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=25)
+        assert 0 < rec.stage_accepts[0] < n
+        assert len(densities) == n + 1
 
     @pytest.mark.parametrize("name", ["inf-mala", "h-inf-mala"])
     def test_langevin_mean_computed_once_per_state(self, gauss2d, monkeypatch, name):

@@ -249,20 +249,25 @@ class TestSparseDerivativeForms:
         assert np.array_equal(state.grad_p, grad_p)
 
 
+def noise_free(problem, m_true, seed):
+    """generate_synthetic_data minus its noise, rebuilt from the same seed."""
+    noise = problem.sigma * np.random.default_rng(seed).standard_normal(problem.num_obs)
+    return generate_synthetic_data(problem, m_true, seed) - noise
+
+
 class TestSyntheticData:
     def test_exact_mode(self, problem4):
         m_true = 0.2 * np.random.default_rng(14).standard_normal(problem4.dim)
-        d = generate_synthetic_data(problem4, m_true, seed=3, exact=True)
-        # Regenerating with noise and subtracting the exact part isolates noise.
+        d = noise_free(problem4, m_true, seed=3)
+        # Subtracting the noise-free part isolates a nonzero noise.
         d_noisy = generate_synthetic_data(problem4, m_true, seed=3)
         assert np.abs(d_noisy - d).max() > 0
         assert d.shape == (problem4.num_obs,)
 
     def test_exact_mode_zero_parameter_observes_linear_profile(self, problem4):
-        # u = y exactly on every refinement level, so exact data are the
+        # u = y exactly on every refinement level, so noise-free data are the
         # observation-point ordinates.
-        d = generate_synthetic_data(problem4, np.zeros(problem4.dim), seed=3,
-                                    exact=True)
+        d = noise_free(problem4, np.zeros(problem4.dim), seed=3)
         np.testing.assert_allclose(d, problem4.obs_points[:, 1], atol=1e-11)
 
     def test_deterministic_per_seed(self, problem4):
@@ -279,7 +284,7 @@ class TestSyntheticData:
         pts = rng.uniform(0.05, 0.95, size=(300, 2))
         problem = PoissonProblem(mesh, pts, sigma=0.01)
         m_true = np.zeros(problem.dim)
-        exact = generate_synthetic_data(problem, m_true, seed=6, exact=True)
+        exact = noise_free(problem, m_true, seed=6)
         noisy = generate_synthetic_data(problem, m_true, seed=6)
         var = np.var(noisy - exact)
         assert abs(var - 0.01**2) / 0.01**2 <= 0.3
@@ -287,7 +292,7 @@ class TestSyntheticData:
     def test_avoids_inverse_crime(self, problem4):
         # Data from the refined mesh differs from same-mesh observations.
         m_true = 0.5 * np.random.default_rng(16).standard_normal(problem4.dim)
-        d_fine = generate_synthetic_data(problem4, m_true, seed=7, exact=True)
+        d_fine = noise_free(problem4, m_true, seed=7)
         d_same = problem4.observe(problem4.solve_forward(m_true))
         assert np.abs(d_fine - d_same).max() > 1e-8
 

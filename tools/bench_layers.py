@@ -1,7 +1,7 @@
 """Time the layers of the default experiment: the Newton-CG MAP, one MCMC step
 and the diagnostics.
 
-One run records three sets of cases:
+One run records four sets of cases:
 
 - map: for each model kind (Poisson, linearized) and mesh n in {16, 32, 64},
   pdebayes.laplace.compute_map with the config's default newton.* settings:
@@ -21,6 +21,13 @@ One run records three sets of cases:
   and factor-transpose actions of the prior and of the Laplace approximation
   (each class counted on its own, so a Laplace action that calls the prior's
   counts once on both), and the acceptance rate of each stage.
+- solves: for the prior's A (pdebayes.driver.build_prior_for with the
+  default config) and the eliminated Poisson stiffness at coefficient 1
+  (pdebayes.fem.StiffnessAssembler with pdebayes.models.DIRICHLET_TAGS), at
+  mesh n in {16, 32, 64}: the median microseconds of SOLVE_CALLS calls of
+  LAPACK dpbtrf and of dpbtrs with one vector right-hand side, in lower
+  (lower=1) and in upper (lower=0) band storage, each call timed on its own
+  and the two storages alternating call by call.
 - diagnostics: seeded stationary AR(1) chains (phi = DIAG_PHI) shaped like
   the default run's records: DIAG_CHAINS mcmc.ChainRecords of DIAG_STEPS steps
   with DIAG_COORDS projected coordinates and a QoI. It records the median and
@@ -73,6 +80,7 @@ STEPS = 300
 REPEATS = 3
 CHAIN_SEED = 1
 OPERATOR_ACTIONS = ("apply_covariance", "apply_cov_factor", "apply_cov_factor_t")
+SOLVE_CALLS = 200
 DIAG_CHAINS = 4
 DIAG_STEPS = 5000
 DIAG_COORDS = 25
@@ -225,6 +233,48 @@ def bench_step(pb, setup, kind: str, method: str) -> dict:
     return case
 
 
+def bench_solves(pb, sizes=MAP_SIZES, calls: int = SOLVE_CALLS) -> list:
+    """The solves cases: dpbtrf and vector dpbtrs per band storage, per
+    operator and mesh size."""
+    import numpy as np
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    cases = []
+    for n in sizes:
+        cfg = pb.config.ExperimentConfig(mesh_n=n)
+        mesh = pb.fem.build_unit_square_mesh(n)
+        prior = pb.driver.build_prior_for(cfg, mesh)
+        assembler = pb.fem.StiffnessAssembler(
+            mesh, mesh.boundary_vertices(pb.models.DIRICHLET_TAGS))
+        ones = np.ones(mesh.num_triangles)
+        b = np.random.default_rng(n).standard_normal(mesh.num_vertices)
+        for operator, band in (
+                ("prior", lambda lower: pb.fem.band_storage(prior.A, lower)),
+                ("poisson", lambda lower: assembler.assemble(ones, lower))):
+            bands = {lower: band(lower) for lower in (1, 0)}
+            factors = {lower: dpbtrf(bands[lower], lower=lower)[0]
+                       for lower in (1, 0)}
+            factor_us = {1: [], 0: []}
+            solve_us = {1: [], 0: []}
+            for _ in range(calls):
+                for lower in (1, 0):
+                    work = bands[lower].copy(order="F")
+                    t0 = time.perf_counter()
+                    dpbtrf(work, lower=lower, overwrite_ab=1)
+                    t1 = time.perf_counter()
+                    dpbtrs(factors[lower], b, lower=lower)
+                    t2 = time.perf_counter()
+                    factor_us[lower].append((t1 - t0) * 1e6)
+                    solve_us[lower].append((t2 - t1) * 1e6)
+            case = {"operator": operator, "n": n, "dim": mesh.num_vertices,
+                    "kd": bands[1].shape[0] - 1, "calls": calls}
+            for lower, storage in ((1, "lower"), (0, "upper")):
+                case[f"dpbtrf_{storage}_us"] = statistics.median(factor_us[lower])
+                case[f"dpbtrs_{storage}_us"] = statistics.median(solve_us[lower])
+            cases.append(case)
+    return cases
+
+
 def ar1_records(pb, chains: int, steps: int, coords: int) -> list:
     """chains ChainRecords of stationary AR(1) series with coefficient
     DIAG_PHI: coords projected coordinates, and the QoI as one more series."""
@@ -297,6 +347,9 @@ def main() -> int:
         importlib.import_module(f"pdebayes.{layer}")
 
     record = {"machine": machine_record(), "repeats": REPEATS, "map": [], "steps": []}
+    record["solves"] = bench_solves(pb)
+    for case in record["solves"]:
+        print(json.dumps(case), flush=True)
     with tempfile.TemporaryDirectory() as out_dir:
         for kind in KINDS:
             for n in MAP_SIZES:
