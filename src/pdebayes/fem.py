@@ -2,8 +2,9 @@
 
 Provides the mesh, sparse operator assembly (stiffness, mass, boundary
 mass), repeated Dirichlet-eliminated stiffness assembly straight into LAPACK
-band storage, point observation operators, and a reusable banded Cholesky
-factorization for the SPD operators.
+band storage, the vertex-pair pattern of per-triangle-block operators, point
+observation operators, and a reusable banded Cholesky factorization for the
+SPD operators.
 All assembly is vectorized over triangles; the variable coefficient of the
 stiffness form is evaluated with one-point (centroid) quadrature so that
 derived gradients and Hessian actions are exact for that quadrature.
@@ -12,6 +13,7 @@ derived gradients and Hessian actions are exact for that quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -252,6 +254,9 @@ class SpdSolver:
     dpbtrf factorizes faster from lower storage. A factor that serves many
     solves (the prior's A, the linearized model's Laplacian) is therefore
     upper, and a per-state Poisson factor, used for a few solves, is lower.
+    A Poisson state that serves Hessian actions (two solves each) moves its
+    lower factor to upper storage with store_upper, a band transpose that
+    costs a fraction of an upper dpbtrf.
 
     The matrix is factorized in its given order, without a fill-reducing
     permutation. On the structured mesh the natural vertex order
@@ -271,6 +276,28 @@ class SpdSolver:
         if not np.all(np.isfinite(self._factor[0 if lower else -1])):
             raise np.linalg.LinAlgError("band Cholesky produced a non-finite factor")
 
+    def store_upper(self) -> None:
+        """Keep a lower factor L as U = L^T in upper band storage, which
+        dpbtrs solves from faster: the same factor, without refactorizing.
+        L[j + d, j] sits at row d of lower storage and at row kd - d, column
+        j + d of upper storage."""
+        if not self.lower:
+            return
+        kd, n = self._factor.shape[0] - 1, self._factor.shape[1]
+        flat = self._factor.ravel(order="F")
+        upper = np.zeros_like(self._factor)
+        # upper[r, c] = lower[kd - r, c + r - kd] sits at c (kd+1) + (r - kd) kd
+        # of lower's flat Fortran order: kd+1 entries kd apart per column, a
+        # strided view from column kd on; the first kd columns hold fewer.
+        step = flat.itemsize
+        upper[:, kd:] = np.lib.stride_tricks.as_strided(
+            flat[kd:], shape=(kd + 1, n - kd), strides=(kd * step, (kd + 1) * step),
+            writeable=False)
+        for c in range(kd):
+            upper[kd - c:, c] = flat[c:c * (kd + 1) + 1:kd]
+        self._factor = upper
+        self.lower = 0
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._factor.shape[1]:
@@ -279,6 +306,32 @@ class SpdSolver:
         if info != 0:
             raise ValueError(f"band Cholesky solve failed (LAPACK info {info})")
         return x
+
+
+class VertexPairs:
+    """CSR pattern of the vertex pairs (i, j) that share a triangle: the
+    pattern of every N x N operator summed from per-triangle 3x3 blocks.
+
+    For a block whose row a holds one value x[t, a] in all three columns,
+    row_sum @ x.ravel() is the CSR data of the operator: entry (i, j) sums
+    x[t, a] over the triangles t that hold i as their vertex a and hold j.
+    The pattern is symmetric: data[mirror] is the data of the transpose.
+    """
+
+    def __init__(self, mesh: Mesh):
+        nv = mesh.num_vertices
+        rows, cols = _block_pattern(mesh.triangles)
+        pairs, pos = np.unique(rows * nv + cols, return_inverse=True)
+        row, self.indices = np.divmod(pairs, nv)
+        self.indptr = np.searchsorted(row, np.arange(nv + 1))
+        self.mirror = np.searchsorted(pairs, self.indices * nv + row)
+        self.shape = (nv, nv)
+        self.row_sum = sp.csr_array(
+            (np.ones(pos.size), (pos, np.arange(pos.size) // 3)),
+            shape=(pairs.size, pos.size // 3))
+
+    def operator(self, data: np.ndarray) -> sp.csr_array:
+        return sp.csr_array((data, self.indices, self.indptr), shape=self.shape)
 
 
 class StiffnessAssembler:
@@ -292,12 +345,14 @@ class StiffnessAssembler:
     symmetrically (unit diagonal) to keep the factorization SPD.
 
     Also holds the fixed sparse (CSR) operators of the P1 space, on which
-    the stiffness action and the derivative forms of the Poisson model are
-    a few sparse products:
+    the stiffness action and the misfit gradient of the Poisson model are a
+    few sparse products:
       G   (2T, N)  gradient: row t is d/dx on triangle t, row T+t is d/dy;
       GT  (N, 2T)  its transpose;
       P   (N, T)   vertex scatter with area_t/3 at the three vertices of t;
       C   (T, N)   ones at the three vertices of t (centroid_values is C x / 3).
+    The VertexPairs pattern of the per-state Hessian operators is built on
+    first use, so an assembler that serves no Hessian action never builds it.
     """
 
     def __init__(self, mesh: Mesh, dirichlet_vertices: np.ndarray):
@@ -324,23 +379,35 @@ class StiffnessAssembler:
         self._areas2 = np.concatenate([mesh.areas, mesh.areas])
 
         # Lower-triangle entries (i >= j) of the element blocks, with the
-        # triangle each belongs to.
+        # triangle each belongs to. An entry in a Dirichlet row or column is
+        # overwritten by the elimination, so only the others are kept.
         rows, cols = _block_pattern(tris)
-        lower = rows >= cols
-        self._geo_lower = _stiffness_entries(mesh, 1.0).ravel()[lower]
-        self._tri_lower = np.repeat(np.arange(nt), 9)[lower]
-        rows = rows[lower]
-        cols = cols[lower]
-
-        # A[i, j] with i >= j sits at ab[i - j, j] of the Fortran-ordered
-        # (kd+1, N) band, flat position (i - j) + j*(kd + 1).
         offsets = rows - cols
         kd = int(offsets.max())
+        kept = (offsets >= 0) & ~is_dir[rows] & ~is_dir[cols]
+
+        # A[i, j] with i >= j sits at ab[i - j, j] of the Fortran-ordered
+        # (kd+1, N) band, flat position (i - j) + j*(kd + 1). The kept entries
+        # are summed per distinct position by one sparse product with the
+        # coefficient, in triangle order, and only those positions and the
+        # Dirichlet diagonal are written into a zero band.
         self._band_shape = (kd + 1, nv)
-        self._band_pos = offsets + cols * (kd + 1)
-        touched = (is_dir[rows] | is_dir[cols]) & (offsets > 0)
-        self._zero_pos = self._band_pos[touched]
-        self._unit_pos = np.flatnonzero(is_dir) * (kd + 1)
+        entry_pos = offsets[kept] + cols[kept] * (kd + 1)
+        touched = np.zeros((kd + 1) * nv, dtype=bool)
+        touched[entry_pos] = True
+        pos = np.flatnonzero(touched)
+        self._entry_sum = sp.csr_array(
+            (_stiffness_entries(mesh, 1.0).ravel()[kept],
+             (np.searchsorted(pos, entry_pos), np.flatnonzero(kept) // 9)),
+            shape=(pos.size, nt))
+        unit = np.flatnonzero(is_dir) * (kd + 1)
+        self._scatter = {lower: (self._positions(pos, lower),
+                                 self._positions(unit, lower))
+                         for lower in (1, 0)}
+
+    @cached_property
+    def vertex_pairs(self) -> VertexPairs:
+        return VertexPairs(self.mesh)
 
     def centroid_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate a P1 nodal field at triangle centroids.
@@ -366,11 +433,10 @@ class StiffnessAssembler:
     def assemble(self, coeff: np.ndarray, lower: int = 1) -> np.ndarray:
         """Eliminated stiffness for a per-triangle coefficient, in LAPACK
         band storage, lower unless lower=0 (a new array on every call)."""
-        vals = self._geo_lower * coeff[self._tri_lower]
-        band = np.bincount(self._positions(self._band_pos, lower), weights=vals,
-                           minlength=self._band_shape[0] * self._band_shape[1])
-        band[self._positions(self._zero_pos, lower)] = 0.0
-        band[self._positions(self._unit_pos, lower)] = 1.0
+        pos, unit = self._scatter[lower]
+        band = np.zeros(self._band_shape[0] * self._band_shape[1])
+        band[pos] = self._entry_sum @ coeff
+        band[unit] = 1.0
         return band.reshape(self._band_shape, order="F")
 
     def factorize(self, coeff: np.ndarray, lower: int = 1) -> SpdSolver:

@@ -95,9 +95,11 @@ class ObservedProblem:
         return residual, 0.5 * float(residual @ residual) / self.sigma**2
 
     def _solve(self, solver, rhs: np.ndarray, kind: str) -> np.ndarray:
-        """Solve with rhs's Dirichlet rows zeroed in place; counts one `kind` solve."""
+        """Solve with rhs's Dirichlet rows zeroed in place, for a vector or an
+        (N, b) block; counts one `kind` solve per right-hand side."""
         rhs[self.assembler.is_dirichlet] = 0.0
-        setattr(self.counter, kind, getattr(self.counter, kind) + 1)
+        setattr(self.counter, kind,
+                getattr(self.counter, kind) + rhs.size // rhs.shape[0])
         return solver.solve(rhs)
 
 
@@ -115,7 +117,9 @@ class PoissonState:
     the adjoint and all Hessian actions at the same point reuse it. The
     per-triangle gradients G u and G p of the state and the adjoint are
     formed on first use and kept; sampling steps that only need the cost
-    never form them.
+    never form them. The first Hessian action builds the state's Hessian
+    operators and moves the state's factor to upper band storage, from which
+    it solves faster (see SpdSolver).
     """
 
     def __init__(self, problem: "PoissonProblem", m: np.ndarray):
@@ -148,25 +152,54 @@ class PoissonState:
 
     # -- Hessian action ---------------------------------------------------
 
-    def hessian_action(self, mhat: np.ndarray, gauss_newton: bool = False) -> np.ndarray:
-        """Data-misfit Hessian (or its Gauss-Newton part) applied to mhat."""
+    @cached_property
+    def _hessian_operators(self) -> tuple:
+        """(K_u, K_u^T, K_p, K_p^T, E) on the vertex-pair pattern:
+        K_u[i, j] = sum over triangles t holding i and j of
+        e^{m_t} a_t (grad phi_i . grad u)_t / 3, the derivative of the
+        stiffness action on u along the centroid value of phi_j; K_p the same
+        with the adjoint p; E[i, j] the same sum of e^{m_t} a_t
+        (grad u . grad p)_t / 9. Built after the adjoint, which is solved
+        from lower storage as for a gradient, and before the factor moves to
+        upper storage."""
         pr = self.problem
         asm = pr.assembler
-        mhat_c = asm.centroid_values(np.asarray(mhat, dtype=float))
-        w = asm.gradient_weights(self.coeff * mhat_c)
+        pairs = asm.vertex_pairs
+        grads = pr.mesh.grads
+        nt = pr.mesh.num_triangles
+        weight = self.coeff * pr.mesh.areas / 3.0
+        ops = []
+        for g in (self.grad_u, self.grad_p):
+            gx, gy = weight * g[:nt], weight * g[nt:]
+            data = pairs.row_sum @ (grads[:, :, 0] * gx[:, None]
+                                    + grads[:, :, 1] * gy[:, None]).ravel()
+            ops += [pairs.operator(data), pairs.operator(data[pairs.mirror])]
+        e = _triangle_dot(self.grad_u, self.grad_p) * weight / 3.0
+        ops.append(pairs.operator(pairs.row_sum @ np.repeat(e, 3)))
+        self.solver.store_upper()
+        return tuple(ops)
 
-        uhat = pr._solve(self.solver, -(asm.GT @ (w * self.grad_u)), "incremental")
+    def hessian_action(self, mhat: np.ndarray, gauss_newton: bool = False) -> np.ndarray:
+        """Data-misfit Hessian (or its Gauss-Newton part) applied to mhat, a
+        vector or an (N, b) block of directions:
+        u^ = K^{-1}(-K_u m^), p^ = K^{-1}(-B^T B u^ / sigma^2 - K_p m^), and
+        H m^ = K_u^T p^ + K_p^T u^ + E m^; Gauss-Newton drops K_p and E."""
+        pr = self.problem
+        k_u, k_u_t, k_p, k_p_t, e = self._hessian_operators
+        mhat = np.asarray(mhat, dtype=float)
+
+        uhat = pr._solve(self.solver, -(k_u @ mhat), "incremental")
 
         rhs = -(pr.obs_op_t @ (pr.observe(uhat) / pr.sigma**2))
         if not gauss_newton:
-            rhs -= asm.GT @ (w * self.grad_p)
+            rhs -= k_p @ mhat
         phat = pr._solve(self.solver, rhs, "incremental")
 
-        per_tri = _triangle_dot(self.grad_u, asm.G @ phat)
+        out = k_u_t @ phat
         if not gauss_newton:
-            per_tri += _triangle_dot(asm.G @ uhat, self.grad_p)
-            per_tri += mhat_c * _triangle_dot(self.grad_u, self.grad_p)
-        return asm.P @ (self.coeff * per_tri)
+            out += k_p_t @ uhat
+            out += e @ mhat
+        return out
 
     # -- quantity of interest ---------------------------------------------
 

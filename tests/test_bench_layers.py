@@ -158,3 +158,22 @@ def test_solves_case_times_both_storages_of_both_operators():
         for name in ("dpbtrf", "dpbtrs"):
             for storage in ("lower", "upper"):
                 assert case[f"{name}_{storage}_us"] > 0
+
+
+@pytest.mark.parametrize("kind", ["poisson", "linearized"])
+def test_hessian_case_counts_the_solves_of_each_timing(tmp_path, kind):
+    cfg = parse_config(SMALL_LINEARIZED.replace("linearized", kind))
+    case = bench_layers.bench_hessian(pdebayes, cfg, str(tmp_path), calls=3)
+    columns = cfg.eig_k + cfg.eig_oversampling
+    assert (case["kind"], case["n"], case["dim"]) == (kind, 6, 49)
+    for name in ("first_action", "full_action", "gauss_newton_action"):
+        assert case[f"{name}_solves"] == [0, 0, 2]
+        assert case[f"{name}_us"] > 0
+    assert case["slab_in_one_call"]
+    assert case["slab_columns"] == pdebayes.laplace.EIG_SLAB
+    assert case["slab_solves"] == [0, 0, 2 * case["slab_columns"]]
+    assert case["eig_columns"] == columns
+    assert case["eig_solves"] == [0, 0, 4 * columns]
+    assert case["eig_hessian_calls"] == 2   # one slab per pass
+    assert len(case["eig_times_s"]) == bench_layers.REPEATS
+    assert case["slab_ms"] > 0 and case["eig_median_s"] > 0

@@ -357,6 +357,41 @@ class TestBandLayouts:
         assert linearized.solver.lower == 0
         assert state.solver.lower == 1
 
+    @pytest.mark.parametrize("first", ["block", "vector"])
+    def test_state_factor_turns_upper_on_first_hessian_action(self, first):
+        mesh = build_unit_square_mesh(4)
+        rng = np.random.default_rng(35)
+        poisson = PoissonProblem(mesh, rng.uniform(0.1, 0.9, size=(6, 2)), sigma=0.1)
+        poisson.set_data(rng.standard_normal(6))
+        state = poisson.evaluate(0.3 * rng.standard_normal(mesh.num_vertices))
+        state.gradient()
+        assert state.solver.lower == 1
+        lower_factor = state.solver._factor.copy(order="F")
+        v = rng.standard_normal((mesh.num_vertices, 2))
+        state.hessian_action(v if first == "block" else v[:, 0])
+        assert state.solver.lower == 0
+        kd = lower_factor.shape[0] - 1
+        for d in range(kd + 1):
+            np.testing.assert_array_equal(state.solver._factor[kd - d, d:],
+                                          lower_factor[d, :mesh.num_vertices - d])
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stored_upper_factor_solves_as_an_upper_factorization(self, n):
+        mesh = build_unit_square_mesh(n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
+        moved, upper = assembler.factorize(coeff, 1), assembler.factorize(coeff, 0)
+        moved.store_upper()
+        assert moved.lower == 0 and moved._factor.flags.f_contiguous
+        # The band transpose of the lower factor is the upper factor, to
+        # rounding, and solves as it does.
+        np.testing.assert_allclose(moved._factor, upper._factor, rtol=0, atol=1e-14)
+        b = np.random.default_rng(36).standard_normal((mesh.num_vertices, 3))
+        x = moved.solve(b)
+        for other in (upper, assembler.factorize(coeff, 1)):
+            assert np.linalg.norm(x - other.solve(b)) <= 1e-12 * np.linalg.norm(x)
+
 
 def eliminated_stiffness(assembler, coeff) -> sp.csc_matrix:
     """Reference for StiffnessAssembler.assemble: the sparse stiffness with

@@ -7,7 +7,7 @@ import scipy.linalg
 from pdebayes import driver
 from pdebayes.config import ConfigError, ExperimentConfig
 from pdebayes.fem import build_unit_square_mesh
-from pdebayes.laplace import (EigensolverBreakdown, LaplaceApprox,
+from pdebayes.laplace import (EIG_SLAB, EigensolverBreakdown, LaplaceApprox,
                               _cg_newton_direction, compute_map,
                               doublepass_randomized_eig, truncate_spectrum)
 from pdebayes.models import (LinearizedPoissonProblem, PoissonProblem,
@@ -257,7 +257,30 @@ class TestDoublePassEig:
     def test_breakdown_reported(self):
         prior = DenseGaussian(np.zeros(6), np.eye(6))
         with pytest.raises(EigensolverBreakdown):
-            doublepass_randomized_eig(lambda x: np.zeros(6), prior, k=2, p=2)
+            doublepass_randomized_eig(lambda x: np.zeros_like(x), prior, k=2, p=2)
+
+    @pytest.mark.parametrize("kind", ["poisson", "linearized"])
+    def test_slabs_equal_a_column_loop(self, kind, poisson_setup, linear_setup):
+        # EIG_SLAB + 10 columns: one full slab and one partial one. The pairs
+        # must be those of the same operator applied one column at a time.
+        if kind == "poisson":
+            prior, problem = poisson_setup
+            state = problem.evaluate(compute_map(problem, prior).m)
+        else:
+            prior, problem = linear_setup[:2]
+            state = problem.evaluate(np.zeros(prior.dim))
+
+        def action(x):
+            return state.hessian_action(x)
+
+        def column_loop(x):
+            return np.column_stack([action(col) for col in x.T])
+
+        pairs = [doublepass_randomized_eig(op, prior, k=EIG_SLAB, p=10,
+                                           rng=np.random.default_rng(8))
+                 for op in (action, column_loop)]
+        assert np.array_equal(pairs[0][0], pairs[1][0])
+        assert np.array_equal(pairs[0][1], pairs[1][1])
 
 
 class TestTruncateSpectrum:

@@ -249,6 +249,46 @@ class TestSparseDerivativeForms:
         assert np.array_equal(state.grad_p, grad_p)
 
 
+def linearized_state(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    mesh = build_unit_square_mesh(n)
+    pts = rng.uniform(0.05, 0.95, size=(12, 2))
+    problem = LinearizedPoissonProblem(mesh, pts, sigma=0.05)
+    problem.set_data(rng.standard_normal(12))
+    return problem.evaluate(rng.standard_normal(problem.dim))
+
+
+class TestBlockActions:
+    """A Hessian action on an (N, b) block is the column actions, bit for bit."""
+
+    @pytest.mark.parametrize("first", ["columns", "block"])
+    @pytest.mark.parametrize("gauss_newton", [False, True], ids=["full", "gn"])
+    @pytest.mark.parametrize("kind", ["poisson", "linearized"])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_block_equals_columns(self, kind, n, gauss_newton, first):
+        # Either order: the first action, vector or block, moves a Poisson
+        # state's factor to upper storage before any solve.
+        rng = np.random.default_rng(60 + n)
+        if kind == "poisson":
+            mesh = build_unit_square_mesh(n)
+            pts = rng.uniform(0.05, 0.95, size=(12, 2))
+            problem = PoissonProblem(mesh, pts, sigma=0.05)
+            m = 0.5 * rng.standard_normal(problem.dim)
+            problem.set_data(problem.observe(problem.solve_forward(m))
+                             + 0.05 * rng.standard_normal(12))
+            state = problem.evaluate(m)
+        else:
+            state = linearized_state(n, 60 + n)
+        block = rng.standard_normal((state.problem.dim, 5))
+        if first == "block":
+            action = state.hessian_action(block, gauss_newton)
+        columns = np.column_stack([state.hessian_action(col, gauss_newton)
+                                   for col in block.T])
+        if first == "columns":
+            action = state.hessian_action(block, gauss_newton)
+        assert np.array_equal(action, columns)
+
+
 def noise_free(problem, m_true, seed):
     """generate_synthetic_data minus its noise, rebuilt from the same seed."""
     noise = problem.sigma * np.random.default_rng(seed).standard_normal(problem.num_obs)
@@ -405,6 +445,18 @@ class TestSolveCounting:
         assert problem.counter.snapshot() == (1, 1, 0)
         state.hessian_action(m)
         assert problem.counter.snapshot() == (1, 1, 2)
+        state.hessian_action(np.column_stack([m] * 5))
+        assert problem.counter.snapshot() == (1, 1, 12)
+
+    @pytest.mark.parametrize("kind", ["adjoint", "incremental"])
+    def test_block_solve_counts_its_columns(self, problem4, kind):
+        problem = LinearizedPoissonProblem(problem4.mesh, problem4.obs_points,
+                                           problem4.sigma)
+        rhs = np.random.default_rng(23).standard_normal((problem.dim, 3))
+        problem._solve(problem.solver, rhs[:, 0].copy(), kind)
+        problem._solve(problem.solver, rhs, kind)
+        assert getattr(problem.counter, kind) == 4
+        assert problem.counter.total == 4
 
     def test_linearized_counts_by_kind(self, problem4):
         problem = LinearizedPoissonProblem(problem4.mesh, problem4.obs_points,
@@ -419,3 +471,5 @@ class TestSolveCounting:
         assert problem.counter.snapshot() == (1, 2, 0)
         state.hessian_action(m)
         assert problem.counter.snapshot() == (1, 2, 2)
+        state.hessian_action(np.column_stack([m] * 5))
+        assert problem.counter.snapshot() == (1, 2, 12)

@@ -1,7 +1,7 @@
-"""Time the layers of the default experiment: the Newton-CG MAP, one MCMC step
-and the diagnostics.
+"""Time the layers of the default experiment: the Newton-CG MAP, the Hessian
+actions and the eigensolver, one MCMC step and the diagnostics.
 
-One run records four sets of cases:
+One run records five sets of cases:
 
 - map: for each model kind (Poisson, linearized) and mesh n in {16, 32, 64},
   pdebayes.laplace.compute_map with the config's default newton.* settings:
@@ -10,7 +10,20 @@ One run records four sets of cases:
   CG iterations (MapResult.cg_iterations), the number of model Hessian
   actions (one per CG iteration), the final gradient norm, whether the MAP
   converged and why it stopped (MapResult.reason: gradient, iteration_cap or
-  line_search_stall).
+  line_search_stall), and the median time per CG iteration.
+- hessian: for each model kind and mesh n in {16, 32, 64}, the model at the
+  MAP of build_sampling_setup, evaluated afresh (pdebayes.driver's set-up,
+  as the map case) with its gradient formed: the microseconds of its first
+  Hessian action, and the median microseconds of HESSIAN_CALLS vector
+  actions, full and Gauss-Newton; the median milliseconds of REPEATS slab
+  passes, the full action on one slab of the eigensolver's sketch (an
+  (N, laplace.EIG_SLAB) block in one call; a checkout without EIG_SLAB
+  applies the action to SLAB_COLUMNS columns one at a time, as its
+  eigensolver does); and the median wall time of REPEATS calls of
+  pdebayes.laplace.doublepass_randomized_eig with the config's eig.* settings,
+  each on a fresh state, as stage_eig calls it. Every timing records the
+  solves it made by kind (forward, adjoint, incremental), and the eigensolve
+  also its number of hessian_action calls.
 - steps: for each model kind at n = 32 and each of the 9 methods
   (pdebayes.config.METHODS, with the config's default step sizes), the kernel
   of pdebayes.driver.build_kernel runs one counted chain of STEPS steps from
@@ -81,6 +94,8 @@ REPEATS = 3
 CHAIN_SEED = 1
 OPERATOR_ACTIONS = ("apply_covariance", "apply_cov_factor", "apply_cov_factor_t")
 SOLVE_CALLS = 200
+HESSIAN_CALLS = 50
+SLAB_COLUMNS = 40
 DIAG_CHAINS = 4
 DIAG_STEPS = 5000
 DIAG_COORDS = 25
@@ -189,8 +204,76 @@ def bench_map(pb, kind: str, n: int, out_dir: str) -> dict:
     times = [run_map(pb, cfg, problem, prior)["time_s"] for _ in range(REPEATS)]
     record.pop("time_s")
     record.update({"kind": kind, "n": n, "dim": prior.dim,
-                   "median_s": statistics.median(times), "times_s": times})
+                   "median_s": statistics.median(times), "times_s": times,
+                   "ms_per_cg_iteration": statistics.median(times)
+                   / max(record["cg_iterations"], 1) * 1e3})
     return record
+
+
+def counted_solves(problem, fn) -> tuple:
+    """(seconds, solves by kind) of one call of fn()."""
+    before = problem.counter.snapshot()
+    t0 = time.perf_counter()
+    fn()
+    seconds = time.perf_counter() - t0
+    return seconds, [a - b for a, b in zip(problem.counter.snapshot(), before)]
+
+
+def fresh_state(problem, m):
+    """The model evaluated at m with its gradient formed, as a MAP state is."""
+    state = problem.evaluate(m)
+    state.gradient()
+    return state
+
+
+def bench_hessian(pb, cfg, out_dir: str, calls: int = HESSIAN_CALLS) -> dict:
+    import numpy as np
+
+    prior, problem, laplace, _ = build_sampling_setup(pb, cfg, out_dir)
+    m_map = laplace.m_map
+    rng = np.random.default_rng(cfg.mesh_n)
+    v = rng.standard_normal(prior.dim)
+    state = fresh_state(problem, m_map)
+    first_s, first_solves = counted_solves(problem, lambda: state.hessian_action(v))
+    case = {"kind": cfg.model_kind, "n": cfg.mesh_n, "dim": prior.dim,
+            "first_action_us": first_s * 1e6, "first_action_solves": first_solves}
+    for name, gauss_newton in (("full", False), ("gauss_newton", True)):
+        runs = [counted_solves(problem, lambda: state.hessian_action(v, gauss_newton))
+                for _ in range(calls)]
+        case[f"{name}_action_us"] = statistics.median(r[0] for r in runs) * 1e6
+        case[f"{name}_action_solves"] = runs[0][1]
+
+    slab = getattr(pb.laplace, "EIG_SLAB", None)
+    block = rng.standard_normal((prior.dim, slab or SLAB_COLUMNS))
+    if slab:
+        def slab_pass():
+            return state.hessian_action(block)
+    else:
+        def slab_pass():
+            return [state.hessian_action(col) for col in block.T]
+    runs = [counted_solves(problem, slab_pass) for _ in range(REPEATS)]
+    case.update({"slab_columns": block.shape[1], "slab_in_one_call": bool(slab),
+                 "slab_ms": statistics.median(r[0] for r in runs) * 1e3,
+                 "slab_solves": runs[0][1]})
+
+    def eig(eig_state):
+        return pb.laplace.doublepass_randomized_eig(
+            lambda x: eig_state.hessian_action(x, gauss_newton=False),
+            prior, k=cfg.eig_k, p=cfg.eig_oversampling,
+            rng=np.random.default_rng(cfg.eig_seed))
+
+    eig_state = fresh_state(problem, m_map)
+    with CallCounter(map_owners(pb)) as counter:
+        eig_solves = counted_solves(problem, lambda: eig(eig_state))[1]
+    times = []
+    for _ in range(REPEATS):
+        eig_state = fresh_state(problem, m_map)
+        times.append(counted_solves(problem, lambda: eig(eig_state))[0])
+    case.update({"eig_columns": cfg.eig_k + cfg.eig_oversampling,
+                 "eig_median_s": statistics.median(times), "eig_times_s": times,
+                 "eig_solves": eig_solves,
+                 "eig_hessian_calls": counter.calls["hessian_action"]})
+    return case
 
 
 def timed(fn) -> list:
@@ -346,7 +429,8 @@ def main() -> int:
                   "targets"):
         importlib.import_module(f"pdebayes.{layer}")
 
-    record = {"machine": machine_record(), "repeats": REPEATS, "map": [], "steps": []}
+    record = {"machine": machine_record(), "repeats": REPEATS, "map": [],
+              "hessian": [], "steps": []}
     record["solves"] = bench_solves(pb)
     for case in record["solves"]:
         print(json.dumps(case), flush=True)
@@ -355,6 +439,11 @@ def main() -> int:
             for n in MAP_SIZES:
                 record["map"].append(bench_map(pb, kind, n, out_dir))
                 print(json.dumps(record["map"][-1]), flush=True)
+        for kind in KINDS:
+            for n in MAP_SIZES:
+                cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=n)
+                record["hessian"].append(bench_hessian(pb, cfg, out_dir))
+                print(json.dumps(record["hessian"][-1]), flush=True)
         for kind in KINDS:
             cfg = pb.config.ExperimentConfig(model_kind=kind, mesh_n=STEP_N)
             setup = build_sampling_setup(pb, cfg, out_dir)
