@@ -4,9 +4,11 @@ compute_map runs an inexact Newton-CG iteration, preconditioned by the prior
 covariance, on the negative log-posterior (misfit plus prior quadratic). The
 curvature of the misfit at the MAP point is then compressed by a double-pass
 randomized solver for the generalized eigenproblem  H_misfit v = lam C^{-1} v,
-and the retained pairs define a Gaussian N(m_map, H^{-1}) whose covariance
-actions use the low-rank Sherman-Morrison-Woodbury form
-H^{-1} = C - V diag(lam/(1+lam)) V^T.
+sketched in the coordinates whitened by the prior's square-root factor S
+(S S^T = C), where it is the prior-preconditioned Hessian S^T H_misfit S of
+Flath et al. (SIAM J. Sci. Comput. 33, 2011). The retained pairs define a
+Gaussian N(m_map, H^{-1}) whose covariance actions use the low-rank
+Sherman-Morrison-Woodbury form H^{-1} = C - V diag(lam/(1+lam)) V^T.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import ExperimentConfig, validate
 from .models import ModelEvaluationError
@@ -43,7 +44,7 @@ class MapConvergenceError(RuntimeError):
 
 
 class EigensolverBreakdown(RuntimeError):
-    """The randomized sketch lost rank during orthonormalization."""
+    """The operator annihilated the randomized sketch: H Omega is zero."""
 
 
 @dataclass
@@ -171,27 +172,6 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
     return MapResult(state, reason, it, gnorm, cg_total, history)
 
 
-def _chol_qr(Y: np.ndarray, inner_apply) -> np.ndarray:
-    """Orthonormalize the columns of Y in the inner_apply inner product.
-
-    A Euclidean QR pass first tames the conditioning of the sketch (its
-    columns span many orders of magnitude when the spectrum decays fast);
-    two weighted Cholesky-QR passes then enforce the requested inner product.
-    """
-    q, _ = np.linalg.qr(Y)
-    for _ in range(2):
-        z = inner_apply(q)
-        gram = q.T @ z
-        gram = 0.5 * (gram + gram.T)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverBreakdown(
-                "sketch became rank deficient during orthonormalization") from exc
-        q = scipy.linalg.solve_triangular(chol, q.T, lower=True).T
-    return q
-
-
 def _apply_in_slabs(apply, x: np.ndarray) -> np.ndarray:
     """apply(x) for an operator of (N, b) blocks, EIG_SLAB columns at a time."""
     return np.hstack([apply(x[:, j:j + EIG_SLAB])
@@ -202,11 +182,13 @@ def doublepass_randomized_eig(hess_action, prior, k: int, p: int = 20,
                               rng: np.random.Generator | None = None):
     """Dominant pairs of the generalized problem H v = lam C^{-1} v.
 
-    First pass applies C * H once to a Gaussian block of k+p columns to
-    capture the dominant range; the block is then orthonormalized against
-    C^{-1} and a second pass of H builds the small projected problem.
-    hess_action applies H to an (N, b) block; both passes call it, and the
-    prior's covariance, on slabs of at most EIG_SLAB columns. Returns
+    The first pass applies S^T H, with S the prior's square-root factor
+    (S S^T = C), once to a Gaussian block of k+p columns: the sketch of the
+    whitened operator S^T H S captures the dominant range. One Euclidean QR of
+    the sketch gives Q~, and Q = S Q~ is C^{-1}-orthonormal by construction
+    (Q^T C^{-1} Q = Q~^T Q~). A second pass of H builds the small projected
+    problem. hess_action applies H to an (N, b) block; both passes call it
+    on slabs of at most EIG_SLAB columns, the first followed by S^T. Returns
     (lam, V) with lam descending and V^T C^{-1} V = I.
     """
     rng = rng or np.random.default_rng(0)
@@ -214,10 +196,10 @@ def doublepass_randomized_eig(hess_action, prior, k: int, p: int = 20,
     if k + p > n:
         raise ValueError(f"requested {k}+{p} columns exceeds dimension {n}")
     omega = rng.standard_normal((n, k + p))
-    y = _apply_in_slabs(lambda x: prior.apply_covariance(hess_action(x)), omega)
-    if not np.abs(y).max() > 0:
+    z = _apply_in_slabs(lambda x: prior.apply_cov_factor_t(hess_action(x)), omega)
+    if not np.abs(z).max() > 0:
         raise EigensolverBreakdown("operator annihilated the Gaussian sketch")
-    q = _chol_qr(y, prior.apply_precision)
+    q = prior.apply_cov_factor(np.linalg.qr(z)[0])
     hq = _apply_in_slabs(hess_action, q)
     t = q.T @ hq
     t = 0.5 * (t + t.T)

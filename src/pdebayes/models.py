@@ -43,9 +43,6 @@ class SolveCounter:
     def total(self) -> int:
         return self.forward + self.adjoint + self.incremental
 
-    def snapshot(self) -> tuple:
-        return (self.forward, self.adjoint, self.incremental)
-
 
 class ObservedProblem:
     """Point observations with Gaussian noise of a field on the unit square.

@@ -1,6 +1,7 @@
 """Gaussian field prior built from a Robin-damped anisotropic elliptic operator.
 
 The covariance is the squared inverse of A = gamma*K_Theta + delta*M + beta*M_b,
+with the Robin coefficient beta = sqrt(gamma*delta)/1.42 on the whole boundary,
 discretized with P1 elements. Mass lumping makes the covariance square root
 A^{-1} M_l^{1/2} diagonal-friendly, and the precision A M_l^{-1} A is defined
 with the same lumped mass so that precision and covariance actions are exact
@@ -42,22 +43,16 @@ class BiLaplacianPrior:
     """
 
     def __init__(self, mesh: Mesh, gamma: float, delta: float,
-                 robin_beta: float | None = None,
                  theta1: float = 1.0, theta2: float = 1.0, alpha: float = 0.0,
                  mean: np.ndarray | float = 0.0):
         for name, value in (("gamma", gamma), ("delta", delta),
                             ("theta1", theta1), ("theta2", theta2)):
             if value <= 0:
                 raise ValueError(f"prior parameter {name} must be positive, got {value}")
-        if robin_beta is None:
-            robin_beta = default_robin_coefficient(gamma, delta)
-        if robin_beta < 0:
-            raise ValueError("robin coefficient must be nonnegative")
 
         self.mesh = mesh
         self.gamma = gamma
         self.delta = delta
-        self.robin_beta = robin_beta
         self.theta = anisotropy_tensor(theta1, theta2, alpha)
 
         self.M = assemble_mass(mesh)
@@ -66,11 +61,9 @@ class BiLaplacianPrior:
         self._ml_sqrt = np.sqrt(ml)
         self._ml_inv = 1.0 / ml
 
-        self.A = (gamma * assemble_stiffness(mesh, self.theta)
-                  + delta * self.M).tocsr()
-        if robin_beta > 0:
-            self.A = (self.A + robin_beta
-                      * assemble_boundary_mass(mesh, BOUNDARY_TAGS)).tocsr()
+        self.A = (gamma * assemble_stiffness(mesh, self.theta) + delta * self.M
+                  + default_robin_coefficient(gamma, delta)
+                  * assemble_boundary_mass(mesh, BOUNDARY_TAGS)).tocsr()
         # Solved in every covariance action: upper storage (see SpdSolver).
         self._solver = SpdSolver(band_storage(self.A, lower=0), lower=0)
         # The precision stencil Q = A M_l^{-1} A, at most 19 diagonals in the
@@ -106,8 +99,9 @@ class BiLaplacianPrior:
         return self._precision @ v
 
     def apply_cov_factor(self, z: np.ndarray) -> np.ndarray:
-        """Square root factor S z = A^{-1} M_l^{1/2} z with S S^T = C."""
-        return self._solver.solve(self._ml_sqrt * z)
+        """Square root factor S z = A^{-1} M_l^{1/2} z with S S^T = C, for a
+        vector or an (N, b) block."""
+        return self._solver.solve((self._ml_sqrt * z.T).T)
 
     def apply_cov_factor_t(self, v: np.ndarray) -> np.ndarray:
         """S^T v = M_l^{1/2} A^{-1} v, for a vector or an (N, b) block."""

@@ -145,6 +145,11 @@ def reference_hessian_action(state, mhat, gauss_newton=False):
     return out
 
 
+def solves_by_kind(counter) -> tuple:
+    """(forward, adjoint, incremental) solves of a models.SolveCounter."""
+    return (counter.forward, counter.adjoint, counter.incremental)
+
+
 # ---------------------------------------------------------------------------
 # Dense linear-Gaussian model (shares the model protocol)
 # ---------------------------------------------------------------------------

@@ -169,7 +169,6 @@ def test_hessian_case_counts_the_solves_of_each_timing(tmp_path, kind):
     for name in ("first_action", "full_action", "gauss_newton_action"):
         assert case[f"{name}_solves"] == [0, 0, 2]
         assert case[f"{name}_us"] > 0
-    assert case["slab_in_one_call"]
     assert case["slab_columns"] == pdebayes.laplace.EIG_SLAB
     assert case["slab_solves"] == [0, 0, 2 * case["slab_columns"]]
     assert case["eig_columns"] == columns

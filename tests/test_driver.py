@@ -24,7 +24,7 @@ from pdebayes.models import LinearizedPoissonProblem, ModelEvaluationError
 from pdebayes.targets import PosteriorTarget
 
 from helpers import (dense_gaussian_posterior, dense_prior_matrices,
-                     read_chain_csv, read_report)
+                     read_chain_csv, read_report, solves_by_kind)
 
 FAST_POISSON = """
 mesh.n = 6
@@ -275,10 +275,10 @@ class TestMapStateHandOff:
             raise AssertionError("model evaluated in stage_eig")
 
         monkeypatch.setattr(problem, "evaluate", no_evaluation)
-        before = problem.counter.snapshot()
+        before = solves_by_kind(problem.counter)
         laplace, projector = driver.stage_eig(cfg, prior, map_result,
                                               str(tmp_path))
-        solves = [a - b for a, b in zip(problem.counter.snapshot(), before)]
+        solves = [a - b for a, b in zip(solves_by_kind(problem.counter), before)]
         assert solves == [0, 0, 4 * (cfg.eig_k + cfg.eig_oversampling)]
 
         fresh = evaluate(map_result.m)
@@ -499,3 +499,23 @@ def test_artifact_digests_tool_runs():
     assert not [line for line in lines if line.split()[3] == "error"]
     configs = {line.split()[4] for line in lines if line.split()[3] == "config"}
     assert len(configs) == 26
+
+
+def test_artifact_diff_reports_rounding_and_sign_flips(tmp_path):
+    chain = "# seed=1, kernel=mh\niter,accepted,log_posterior,qoi,c_1,c_2\n{}\n"
+    rows = {"a": ["0,1,-2.5,0.5,1.0,4.0", "1,0,-2.5,0.5,-3.0,2.0"],
+            "b": ["0,1,-2.5,0.5,-1.0,4.0", "1,1,-2.5,0.5,3.0,2.0000000004"]}
+    for side in ("a", "b"):
+        config = tmp_path / side / "linearized_dr"
+        config.mkdir(parents=True)
+        (config / "chain_00.csv").write_text(chain.format("\n".join(rows[side])))
+        (config / "truth.txt").write_text("# truth\n1.5\n")
+        (config / "config_used.txt").write_text(f"output_dir = {side}\n")
+    proc = subprocess.run([sys.executable, str(TOOLS / "artifact_diff.py"),
+                           str(tmp_path / "a"), str(tmp_path / "b")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "linearized_dr chain_00.csv max_rel 1.00e+00 (accepted) differing "
+        "accepted,c_2 sign-flipped c_1 accepted rows differing 1",
+        "2 artifacts compared: 1 identical, 1 differ"]

@@ -249,6 +249,24 @@ class TestDoublePassEig:
         gram = vecs.T @ r_dense @ vecs
         assert np.abs(gram - np.eye(len(lam))).max() <= 1e-8
 
+    def test_rank_deficient_operator(self):
+        # A rank-3 operator under a 12-column sketch: the sketch has rank 3,
+        # and its one QR still gives a C^{-1}-orthonormal basis.
+        rng = np.random.default_rng(9)
+        n = 30
+        a = rng.standard_normal((n, n))
+        prior = DenseGaussian(np.zeros(n), a @ a.T + n * np.eye(n))
+        f = rng.standard_normal((3, n))
+        h = f.T @ f
+        lam, vecs = doublepass_randomized_eig(lambda x: h @ x, prior, k=6, p=6,
+                                              rng=np.random.default_rng(10))
+        prec = np.linalg.inv(prior.cov)
+        lam_dense = scipy.linalg.eigh(h, prec, eigvals_only=True)[::-1]
+        np.testing.assert_allclose(lam[:3], lam_dense[:3], rtol=1e-9)
+        assert np.all(lam[:3] > 0)
+        assert np.abs(lam[3:]).max() <= 1e-9 * lam[0]
+        np.testing.assert_allclose(vecs.T @ prec @ vecs, np.eye(6), atol=1e-9)
+
     def test_rejects_oversized_request(self, linear_setup):
         prior = linear_setup[0]
         with pytest.raises(ValueError):

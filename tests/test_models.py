@@ -9,7 +9,8 @@ from pdebayes.models import (DIRICHLET_TAGS, LinearizedPoissonProblem,
                              PoissonState, generate_synthetic_data)
 
 from helpers import (dense_poisson_solve, dense_stiffness,
-                     reference_hessian_action, weighted_gradient_form)
+                     reference_hessian_action, solves_by_kind,
+                     weighted_gradient_form)
 
 
 @pytest.fixture(scope="module")
@@ -438,15 +439,15 @@ class TestSolveCounting:
         problem.set_data(problem4.data)
         m = 0.1 * np.random.default_rng(21).standard_normal(problem.dim)
         state = problem.evaluate(m)
-        assert problem.counter.snapshot() == (1, 0, 0)
+        assert solves_by_kind(problem.counter) == (1, 0, 0)
         state.gradient()
-        assert problem.counter.snapshot() == (1, 1, 0)
+        assert solves_by_kind(problem.counter) == (1, 1, 0)
         state.gradient()   # the adjoint is kept
-        assert problem.counter.snapshot() == (1, 1, 0)
+        assert solves_by_kind(problem.counter) == (1, 1, 0)
         state.hessian_action(m)
-        assert problem.counter.snapshot() == (1, 1, 2)
+        assert solves_by_kind(problem.counter) == (1, 1, 2)
         state.hessian_action(np.column_stack([m] * 5))
-        assert problem.counter.snapshot() == (1, 1, 12)
+        assert solves_by_kind(problem.counter) == (1, 1, 12)
 
     @pytest.mark.parametrize("kind", ["adjoint", "incremental"])
     def test_block_solve_counts_its_columns(self, problem4, kind):
@@ -464,12 +465,12 @@ class TestSolveCounting:
         problem.set_data(problem4.data)
         m = np.random.default_rng(22).standard_normal(problem.dim)
         state = problem.evaluate(m)
-        assert problem.counter.snapshot() == (1, 0, 0)
+        assert solves_by_kind(problem.counter) == (1, 0, 0)
         state.gradient()
-        assert problem.counter.snapshot() == (1, 1, 0)
+        assert solves_by_kind(problem.counter) == (1, 1, 0)
         state.gradient()   # the linearized state keeps no adjoint
-        assert problem.counter.snapshot() == (1, 2, 0)
+        assert solves_by_kind(problem.counter) == (1, 2, 0)
         state.hessian_action(m)
-        assert problem.counter.snapshot() == (1, 2, 2)
+        assert solves_by_kind(problem.counter) == (1, 2, 2)
         state.hessian_action(np.column_stack([m] * 5))
-        assert problem.counter.snapshot() == (1, 2, 12)
+        assert solves_by_kind(problem.counter) == (1, 2, 12)

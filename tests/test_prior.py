@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdebayes.fem import build_unit_square_mesh
+from pdebayes.fem import assemble_mass, assemble_stiffness, build_unit_square_mesh
 from pdebayes.prior import BiLaplacianPrior, anisotropy_tensor, default_robin_coefficient
 
 from helpers import dense_prior_matrices, prior_cost
@@ -63,13 +63,15 @@ class TestConstruction:
                                        rtol=1e-10, atol=1e-12)
 
     def test_robin_touches_only_boundary(self):
+        # A - (gamma K_Theta + delta M) is the Robin term: nonzero only where
+        # both vertices lie on the boundary.
         mesh = build_unit_square_mesh(4)
-        a0 = BiLaplacianPrior(mesh, 0.1, 0.5, robin_beta=0.0).A.toarray()
-        a1 = BiLaplacianPrior(mesh, 0.1, 0.5, robin_beta=0.3).A.toarray()
-        diff = np.abs(a1 - a0)
-        boundary = mesh.boundary_vertices(("bottom", "top", "left", "right"))
-        interior = np.setdiff1d(np.arange(mesh.num_vertices), boundary)
-        assert diff[np.ix_(interior, interior)].max() == 0.0
+        prior = BiLaplacianPrior(mesh, 0.1, 0.5)
+        diff = np.abs((prior.A - (0.1 * assemble_stiffness(mesh, prior.theta)
+                                  + 0.5 * assemble_mass(mesh))).toarray())
+        boundary = np.zeros(mesh.num_vertices, dtype=bool)
+        boundary[mesh.boundary_vertices(("bottom", "top", "left", "right"))] = True
+        assert diff[~np.outer(boundary, boundary)].max() == 0.0
         assert diff.max() > 0.0
 
 
@@ -145,15 +147,15 @@ class TestOperatorActions:
         w = prior4.apply_cov_factor(prior4.apply_cov_factor_inv(v))
         assert np.linalg.norm(w - v) / np.linalg.norm(v) < 1e-10
 
-    @pytest.mark.parametrize("cols", [0, 1, 7])
+    @pytest.mark.parametrize("cols", [0, 1, 5, 7])
     def test_block_actions_equal_column_loop(self, prior4, cols):
         block = np.random.default_rng(10).standard_normal((prior4.dim, cols))
-        for action in (prior4.apply_precision, prior4.apply_cov_factor_inv):
+        for action in (prior4.apply_precision, prior4.apply_cov_factor_inv,
+                       prior4.apply_cov_factor, prior4.apply_cov_factor_t):
             loop = np.zeros((prior4.dim, cols))
             for j in range(cols):
                 loop[:, j] = action(block[:, j])
             assert np.array_equal(action(block), loop)
-
 
     @pytest.mark.parametrize("cols", [None, 3])
     def test_precision_stencil_equals_two_products(self, prior4, cols):

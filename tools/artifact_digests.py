@@ -23,6 +23,10 @@ on two checkouts and diff the outputs:
     python3 tools/artifact_digests.py --src /path/to/other/src > b.txt
     diff a.txt b.txt
 
+With --keep DIR each config writes into DIR/<model.kind>_<mcmc.method>, with
+_<override> appended for the extra configs, and its artifacts stay there;
+tools/artifact_diff.py then says by how much two such directories differ.
+
 Set OPENBLAS_NUM_THREADS=1 (or the thread count of the other run): a
 different BLAS thread count can change the last digits of reported floats.
 """
@@ -30,6 +34,7 @@ different BLAS thread count can change the last digits of reported floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -70,6 +75,10 @@ def main() -> int:
     parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
                         help="directory that holds the pdebayes package "
                              "(default: src/ of this checkout)")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="keep each config's artifacts in a subdirectory of "
+                             "DIR, which must not hold them yet (default: "
+                             "temporary directories)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from pdebayes.config import METHODS, MODEL_KINDS, ExperimentConfig, serialize
@@ -85,7 +94,12 @@ def main() -> int:
                          for name, value in extra.items()) or "-"
         config_sha = hashlib.sha256(serialize(cfg).encode()).hexdigest()
         error = None
-        with tempfile.TemporaryDirectory() as out_dir:
+        keep_dir = args.keep and os.path.join(
+            args.keep, "_".join([kind, method] + ([label] if extra else [])))
+        with (contextlib.nullcontext(keep_dir) if keep_dir
+              else tempfile.TemporaryDirectory()) as out_dir:
+            if keep_dir:
+                os.makedirs(out_dir)
             try:
                 run_experiment(cfg, out_dir)
             except Exception as exc:

@@ -17,11 +17,9 @@ One run records five sets of cases:
   Hessian action, and the median microseconds of HESSIAN_CALLS vector
   actions, full and Gauss-Newton; the median milliseconds of REPEATS slab
   passes, the full action on one slab of the eigensolver's sketch (an
-  (N, laplace.EIG_SLAB) block in one call; a checkout without EIG_SLAB
-  applies the action to SLAB_COLUMNS columns one at a time, as its
-  eigensolver does); and the median wall time of REPEATS calls of
-  pdebayes.laplace.doublepass_randomized_eig with the config's eig.* settings,
-  each on a fresh state, as stage_eig calls it. Every timing records the
+  (N, laplace.EIG_SLAB) block in one call); and the median wall time of
+  REPEATS calls of pdebayes.laplace.doublepass_randomized_eig with the
+  config's eig.* settings, each on a fresh state, as stage_eig calls it. Every timing records the
   solves it made by kind (forward, adjoint, incremental), and the eigensolve
   also its number of hessian_action calls.
 - steps: for each model kind at n = 32 and each of the 9 methods
@@ -95,7 +93,6 @@ CHAIN_SEED = 1
 OPERATOR_ACTIONS = ("apply_covariance", "apply_cov_factor", "apply_cov_factor_t")
 SOLVE_CALLS = 200
 HESSIAN_CALLS = 50
-SLAB_COLUMNS = 40
 DIAG_CHAINS = 4
 DIAG_STEPS = 5000
 DIAG_COORDS = 25
@@ -210,13 +207,18 @@ def bench_map(pb, kind: str, n: int, out_dir: str) -> dict:
     return record
 
 
+def solves_by_kind(counter) -> tuple:
+    """(forward, adjoint, incremental) solves of a models.SolveCounter."""
+    return (counter.forward, counter.adjoint, counter.incremental)
+
+
 def counted_solves(problem, fn) -> tuple:
     """(seconds, solves by kind) of one call of fn()."""
-    before = problem.counter.snapshot()
+    before = solves_by_kind(problem.counter)
     t0 = time.perf_counter()
     fn()
     seconds = time.perf_counter() - t0
-    return seconds, [a - b for a, b in zip(problem.counter.snapshot(), before)]
+    return seconds, [a - b for a, b in zip(solves_by_kind(problem.counter), before)]
 
 
 def fresh_state(problem, m):
@@ -243,16 +245,10 @@ def bench_hessian(pb, cfg, out_dir: str, calls: int = HESSIAN_CALLS) -> dict:
         case[f"{name}_action_us"] = statistics.median(r[0] for r in runs) * 1e6
         case[f"{name}_action_solves"] = runs[0][1]
 
-    slab = getattr(pb.laplace, "EIG_SLAB", None)
-    block = rng.standard_normal((prior.dim, slab or SLAB_COLUMNS))
-    if slab:
-        def slab_pass():
-            return state.hessian_action(block)
-    else:
-        def slab_pass():
-            return [state.hessian_action(col) for col in block.T]
-    runs = [counted_solves(problem, slab_pass) for _ in range(REPEATS)]
-    case.update({"slab_columns": block.shape[1], "slab_in_one_call": bool(slab),
+    block = rng.standard_normal((prior.dim, pb.laplace.EIG_SLAB))
+    runs = [counted_solves(problem, lambda: state.hessian_action(block))
+            for _ in range(REPEATS)]
+    case.update({"slab_columns": block.shape[1],
                  "slab_ms": statistics.median(r[0] for r in runs) * 1e3,
                  "slab_solves": runs[0][1]})
 
