@@ -68,14 +68,12 @@ def synthesize_data(cfg: ExperimentConfig, problem, prior):
     """Truth field and observations, on the configured truth mesh.
 
     The truth field is a prior sample; observations come from a once-refined
-    solve of the problem, so the inversion never sees its own discretization.
-    Returns (truth mesh size, m_true, data vector).
+    solve on the truth mesh, so the inversion never sees its own
+    discretization. Returns (truth mesh size, m_true, data vector).
     """
     n_truth = cfg.data_truth_mesh or problem.mesh.n
     if n_truth != problem.mesh.n:
-        mesh_t = build_unit_square_mesh(n_truth)
-        prior = build_prior_for(cfg, mesh_t)
-        problem = type(problem)(mesh_t, problem.obs_points, problem.sigma)
+        prior = build_prior_for(cfg, build_unit_square_mesh(n_truth))
     m_true = prior.sample(np.random.default_rng(cfg.data_seed + 1))
     d = generate_synthetic_data(problem, m_true, seed=cfg.data_seed + 2)
     return n_truth, m_true, d

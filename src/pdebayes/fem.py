@@ -335,14 +335,14 @@ class VertexPairs:
 
 
 class StiffnessAssembler:
-    """Fast repeated stiffness assembly with Dirichlet elimination.
+    """The Poisson model's repeated stiffness assembly, Dirichlet-eliminated.
 
     Precomputes, for a fixed mesh and Dirichlet vertex set, the geometric
     lower-triangle element entries with their positions in LAPACK lower band
-    storage (mirrored into upper storage on request), so that assembling the
-    operator for a new per-triangle coefficient costs a few vectorized
-    passes. Rows and columns of Dirichlet vertices are eliminated
-    symmetrically (unit diagonal) to keep the factorization SPD.
+    storage, so that assembling the operator for a new per-triangle
+    coefficient costs a few vectorized passes. Rows and columns of Dirichlet
+    vertices are eliminated symmetrically (unit diagonal) to keep the
+    factorization SPD.
 
     Also holds the fixed sparse (CSR) operators of the P1 space, on which
     the stiffness action and the misfit gradient of the Poisson model are a
@@ -359,10 +359,8 @@ class StiffnessAssembler:
         self.mesh = mesh
         nv = mesh.num_vertices
         nt = mesh.num_triangles
-        self.dirichlet = np.asarray(dirichlet_vertices, dtype=np.int64)
         is_dir = np.zeros(nv, dtype=bool)
-        is_dir[self.dirichlet] = True
-        self.is_dirichlet = is_dir
+        is_dir[dirichlet_vertices] = True
 
         tris = mesh.triangles
         flat = tris.ravel()
@@ -395,15 +393,12 @@ class StiffnessAssembler:
         entry_pos = offsets[kept] + cols[kept] * (kd + 1)
         touched = np.zeros((kd + 1) * nv, dtype=bool)
         touched[entry_pos] = True
-        pos = np.flatnonzero(touched)
+        self._pos = np.flatnonzero(touched)
         self._entry_sum = sp.csr_array(
             (_stiffness_entries(mesh, 1.0).ravel()[kept],
-             (np.searchsorted(pos, entry_pos), np.flatnonzero(kept) // 9)),
-            shape=(pos.size, nt))
-        unit = np.flatnonzero(is_dir) * (kd + 1)
-        self._scatter = {lower: (self._positions(pos, lower),
-                                 self._positions(unit, lower))
-                         for lower in (1, 0)}
+             (np.searchsorted(self._pos, entry_pos), np.flatnonzero(kept) // 9)),
+            shape=(self._pos.size, nt))
+        self._unit = np.flatnonzero(is_dir) * (kd + 1)
 
     @cached_property
     def vertex_pairs(self) -> VertexPairs:
@@ -421,23 +416,13 @@ class StiffnessAssembler:
         """area * coeff per triangle, stacked twice to match the rows of G."""
         return self._areas2 * np.concatenate([coeff, coeff])
 
-    def _positions(self, pos: np.ndarray, lower: int) -> np.ndarray:
-        """Flat positions pos of lower storage, moved to the storage lower
-        selects: A[i, j], i >= j, at p = (i - j) + j (kd + 1) in lower storage
-        mirrors to (kd - (i - j)) + i (kd + 1) = p + kd + (i - j)(kd - 1)."""
-        if lower:
-            return pos
-        kd = self._band_shape[0] - 1
-        return pos + kd + (pos % (kd + 1)) * (kd - 1)
-
-    def assemble(self, coeff: np.ndarray, lower: int = 1) -> np.ndarray:
+    def assemble(self, coeff: np.ndarray) -> np.ndarray:
         """Eliminated stiffness for a per-triangle coefficient, in LAPACK
-        band storage, lower unless lower=0 (a new array on every call)."""
-        pos, unit = self._scatter[lower]
+        lower band storage (a new array on every call)."""
         band = np.zeros(self._band_shape[0] * self._band_shape[1])
-        band[pos] = self._entry_sum @ coeff
-        band[unit] = 1.0
+        band[self._pos] = self._entry_sum @ coeff
+        band[self._unit] = 1.0
         return band.reshape(self._band_shape, order="F")
 
-    def factorize(self, coeff: np.ndarray, lower: int = 1) -> SpdSolver:
-        return SpdSolver(self.assemble(coeff, lower), lower)
+    def factorize(self, coeff: np.ndarray) -> SpdSolver:
+        return SpdSolver(self.assemble(coeff), lower=1)

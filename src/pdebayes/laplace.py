@@ -173,9 +173,12 @@ def compute_map(model, prior, m0: np.ndarray | None = None,
 
 
 def _apply_in_slabs(apply, x: np.ndarray) -> np.ndarray:
-    """apply(x) for an operator of (N, b) blocks, EIG_SLAB columns at a time."""
-    return np.hstack([apply(x[:, j:j + EIG_SLAB])
-                      for j in range(0, x.shape[1], EIG_SLAB)])
+    """apply(x) for an operator of (N, b) blocks, EIG_SLAB columns at a time,
+    each slab's result written into one preallocated C-ordered block."""
+    out = np.empty(x.shape)
+    for j in range(0, x.shape[1], EIG_SLAB):
+        out[:, j:j + EIG_SLAB] = apply(x[:, j:j + EIG_SLAB])
+    return out
 
 
 def doublepass_randomized_eig(hess_action, prior, k: int, p: int = 20,
@@ -195,8 +198,8 @@ def doublepass_randomized_eig(hess_action, prior, k: int, p: int = 20,
     n = prior.dim
     if k + p > n:
         raise ValueError(f"requested {k}+{p} columns exceeds dimension {n}")
-    omega = rng.standard_normal((n, k + p))
-    z = _apply_in_slabs(lambda x: prior.apply_cov_factor_t(hess_action(x)), omega)
+    z = _apply_in_slabs(lambda x: prior.apply_cov_factor_t(hess_action(x)),
+                        rng.standard_normal((n, k + p)))
     if not np.abs(z).max() > 0:
         raise EigensolverBreakdown("operator annihilated the Gaussian sketch")
     q = prior.apply_cov_factor(np.linalg.qr(z)[0])

@@ -12,12 +12,14 @@ Gaussian, which makes it a dense-computable oracle for the whole pipeline.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .fem import (Mesh, StiffnessAssembler, assemble_mass,
-                  build_unit_square_mesh, point_observation_operator)
+from .fem import (Mesh, SpdSolver, StiffnessAssembler, assemble_mass,
+                  assemble_stiffness, band_storage, build_unit_square_mesh,
+                  point_observation_operator)
 
 DIRICHLET_TAGS = ("bottom", "top")
 
@@ -48,9 +50,9 @@ class ObservedProblem:
     """Point observations with Gaussian noise of a field on the unit square.
 
     Holds what both problems share: the mesh, the observation operator and
-    data, the noise level, the stiffness assembler with Dirichlet data on the
-    top and bottom sides, and the tally of PDE solves. Subclasses define
-    evaluate(m), which returns a state with the misfit `cost`, gradient(),
+    data, the noise level, the mask of the Dirichlet vertices on the top and
+    bottom sides, and the tally of PDE solves. Subclasses define evaluate(m),
+    which returns a state with the misfit `cost`, gradient(),
     hessian_action() and qoi().
     """
 
@@ -64,8 +66,8 @@ class ObservedProblem:
         # Every adjoint and incremental right-hand side applies the transpose;
         # kept as CSR so that no call builds a transposed view.
         self.obs_op_t = self.obs_op.T.tocsr()
-        self.assembler = StiffnessAssembler(
-            mesh, mesh.boundary_vertices(DIRICHLET_TAGS))
+        self.is_dirichlet = np.zeros(mesh.num_vertices, dtype=bool)
+        self.is_dirichlet[mesh.boundary_vertices(DIRICHLET_TAGS)] = True
         self.counter = SolveCounter()
         self.data = None
 
@@ -94,7 +96,7 @@ class ObservedProblem:
     def _solve(self, solver, rhs: np.ndarray, kind: str) -> np.ndarray:
         """Solve with rhs's Dirichlet rows zeroed in place, for a vector or an
         (N, b) block; counts one `kind` solve per right-hand side."""
-        rhs[self.assembler.is_dirichlet] = 0.0
+        rhs[self.is_dirichlet] = 0.0
         setattr(self.counter, kind,
                 getattr(self.counter, kind) + rhs.size // rhs.shape[0])
         return solver.solve(rhs)
@@ -211,10 +213,12 @@ class PoissonState:
 
 
 class PoissonProblem(ObservedProblem):
-    """Coefficient inversion setup: mesh, boundary data, observations, noise."""
+    """Coefficient inversion setup: mesh, boundary data, observations, noise,
+    and the stiffness assembler that every state re-assembles with."""
 
     def __init__(self, mesh: Mesh, obs_points, sigma: float):
         super().__init__(mesh, obs_points, sigma)
+        self.assembler = StiffnessAssembler(mesh, np.flatnonzero(self.is_dirichlet))
         self.dirichlet_values = np.zeros(mesh.num_vertices)
         self.dirichlet_values[mesh.boundary_vertices(["top"])] = 1.0
         # Gradient of the Dirichlet lift, fixed per problem: the forward
@@ -260,9 +264,8 @@ class PoissonProblem(ObservedProblem):
         except np.linalg.LinAlgError as exc:
             raise ModelEvaluationError(str(exc)) from exc
         rhs = -(asm.GT @ (asm.gradient_weights(coeff) * self.grad_lift))
-        rhs[asm.is_dirichlet] = self.dirichlet_values[asm.is_dirichlet]
-        self.counter.forward += 1
-        return m, coeff, solver, solver.solve(rhs)
+        u = self._solve(solver, rhs, "forward") + self.dirichlet_values
+        return m, coeff, solver, u
 
 
 def generate_synthetic_data(problem: ObservedProblem, m_true: np.ndarray,
@@ -270,14 +273,17 @@ def generate_synthetic_data(problem: ObservedProblem, m_true: np.ndarray,
     """Observe the forward solution on a once-refined mesh, plus iid noise
     of the problem's sigma.
 
-    The refinement breaks the inverse crime: the data-generating
-    discretization differs from the one used for inversion. The noise is
-    sigma * default_rng(seed).standard_normal(num_obs), so it is
+    m_true lives on the mesh of its own size, (n+1)^2 vertices, which need
+    not be the problem's. The refinement breaks the inverse crime: the
+    data-generating discretization differs from the one used for inversion.
+    The noise is sigma * default_rng(seed).standard_normal(num_obs), so it is
     deterministic for a fixed seed.
     """
     sigma = problem.sigma
-    fine = build_unit_square_mesh(2 * problem.mesh.n)
-    lift = point_observation_operator(problem.mesh, fine.vertices)
+    n = math.isqrt(np.size(m_true)) - 1
+    mesh = problem.mesh if problem.mesh.n == n else build_unit_square_mesh(n)
+    fine = build_unit_square_mesh(2 * n)
+    lift = point_observation_operator(mesh, fine.vertices)
     fine_problem = type(problem)(fine, problem.obs_points, sigma)
     u = fine_problem.solve_forward(lift @ np.asarray(m_true, dtype=float))
     d = fine_problem.observe(u)
@@ -315,14 +321,21 @@ class LinearizedPoissonProblem(ObservedProblem):
 
     The map m -> observations is exactly linear, so the Bayesian posterior
     with a Gaussian prior is Gaussian; dense_forward_matrix() exposes the
-    matrix for oracle computations on small meshes.
+    matrix for oracle computations on small meshes. The Laplacian is
+    factorized once, when the problem is built.
     """
 
     def __init__(self, mesh: Mesh, obs_points, sigma: float):
         super().__init__(mesh, obs_points, sigma)
         self.M = assemble_mass(mesh)
-        # Every solve of the run: upper storage (see SpdSolver).
-        self.solver = self.assembler.factorize(np.ones(mesh.num_triangles), lower=0)
+        # Assembled once, without a StiffnessAssembler: Dirichlet rows and
+        # columns become the identity's, and every stored entry is kept (the
+        # hypotenuse's exact zeros too), so kd = n+2 and dpbtrf's arithmetic is
+        # the assembled band's, also at n=64. Upper storage (see SpdSolver).
+        lap = assemble_stiffness(mesh).tocoo()
+        on_dirichlet = self.is_dirichlet[lap.row] | self.is_dirichlet[lap.col]
+        lap.data[on_dirichlet] = lap.row[on_dirichlet] == lap.col[on_dirichlet]
+        self.solver = SpdSolver(band_storage(lap, lower=0), lower=0)
 
     def solve_forward(self, m: np.ndarray) -> np.ndarray:
         return self._solve(self.solver, self.M @ m, "forward")
@@ -335,6 +348,6 @@ class LinearizedPoissonProblem(ObservedProblem):
     def dense_forward_matrix(self) -> np.ndarray:
         """The observation map as a dense matrix (small meshes only)."""
         rhs = self.M.toarray()
-        rhs[self.assembler.is_dirichlet, :] = 0.0
+        rhs[self.is_dirichlet, :] = 0.0
         u_cols = self.solver.solve(rhs)
         return self.obs_op @ u_cols

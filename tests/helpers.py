@@ -124,7 +124,7 @@ def reference_hessian_action(state, mhat, gauss_newton=False):
     assembled sparse stiffness, reusing the state's factorization."""
     pr = state.problem
     mesh = pr.mesh
-    is_dir = pr.assembler.is_dirichlet
+    is_dir = pr.is_dirichlet
     mhat_c = mhat[mesh.triangles].mean(axis=1)
     cm = state.coeff * mhat_c
     k_cm = assemble_stiffness(mesh, cm)

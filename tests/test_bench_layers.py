@@ -176,3 +176,14 @@ def test_hessian_case_counts_the_solves_of_each_timing(tmp_path, kind):
     assert case["eig_hessian_calls"] == 2   # one slab per pass
     assert len(case["eig_times_s"]) == bench_layers.REPEATS
     assert case["slab_ms"] > 0 and case["eig_median_s"] > 0
+
+
+def test_memory_case_reads_the_peak_after_each_stage(tmp_path):
+    src = str(Path(pdebayes.__file__).resolve().parents[1])
+    case = bench_layers.bench_memory(src, "linearized", 16, str(tmp_path), samples=10)
+    assert (case["kind"], case["n"], case["samples"]) == ("linearized", 16, 10)
+    peaks = case["peak_rss_mb"]
+    assert list(peaks) == ["import", "setup", "data", "map", "eig", "chains",
+                           "diagnostics"]
+    assert peaks["import"] > 0 and list(peaks.values()) == sorted(peaks.values())
+    assert (tmp_path / "report.txt").is_file()

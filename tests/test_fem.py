@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf
 
+from pdebayes import models
 from pdebayes.fem import (BOUNDARY_TAGS, SpdSolver, StiffnessAssembler,
                           assemble_boundary_mass, assemble_mass,
                           assemble_stiffness, build_unit_square_mesh,
@@ -286,6 +288,37 @@ class TestSparseSolve:
         assert np.linalg.norm(k @ x2 - b2) / np.linalg.norm(b2) <= 1e-10
 
 
+def upper_of(lower: np.ndarray) -> np.ndarray:
+    """Upper band storage of the symmetric matrix held in lower band storage:
+    entry A[j + d, j] of lower row d is A[j, j + d] of upper row kd - d."""
+    kd, n = lower.shape[0] - 1, lower.shape[1]
+    upper = np.zeros_like(lower, order="F")
+    for d in range(kd + 1):
+        upper[kd - d, d:] = lower[d, :n - d]
+    return upper
+
+
+def linearized_band(mesh) -> np.ndarray:
+    """The band that LinearizedPoissonProblem factorizes, copied as it is
+    handed to SpdSolver (which factorizes it in place)."""
+    bands = []
+
+    class Capturing(SpdSolver):
+        def __init__(self, band, lower):
+            bands.append((band.copy(order="F"), lower))
+            super().__init__(band, lower)
+
+    original = models.SpdSolver
+    models.SpdSolver = Capturing
+    try:
+        LinearizedPoissonProblem(mesh, np.array([[0.5, 0.5]]), sigma=0.1)
+    finally:
+        models.SpdSolver = original
+    (band, lower), = bands
+    assert lower == 0
+    return band
+
+
 def banded_spd(n: int, kd: int, seed: int) -> sp.csr_matrix:
     """A random symmetric diagonally dominant (so SPD) matrix of half-bandwidth kd."""
     rng = np.random.default_rng(seed)
@@ -329,21 +362,36 @@ class TestBandLayouts:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_assembled_upper_band_mirrors_the_lower_band(self, n):
+        # The assembler writes lower storage only; the linearized model builds
+        # the upper band of the same operator at coefficient 1 on its own.
         mesh = build_unit_square_mesh(n)
         assembler = StiffnessAssembler(mesh,
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
         coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
-        lower, upper = assembler.assemble(coeff, 1), assembler.assemble(coeff, 0)
-        kd = lower.shape[0] - 1
-        assert upper.shape == lower.shape and upper.flags.f_contiguous
-        # Entry A[j + d, j] of lower row d is A[j, j + d] of upper row kd - d.
-        for d in range(kd + 1):
-            np.testing.assert_array_equal(upper[kd - d, d:], lower[d, :upper.shape[1] - d])
-            assert np.all(upper[kd - d, :d] == 0.0)
+        upper = upper_of(assembler.assemble(coeff))
         ref = band_storage(eliminated_stiffness(assembler, coeff), 0)
         rows = ref.shape[0]
         assert np.abs(upper[-rows:] - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.all(upper[:-rows] == 0.0)
+        band = linearized_band(mesh)
+        assert band.flags.f_contiguous
+        assert np.array_equal(band, upper_of(assembler.assemble(np.ones(mesh.num_triangles))))
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_linearized_factor_equals_the_assembled_bands_factor(self, n):
+        # The model assembles its Laplacian without the assembler, keeping the
+        # exactly-zero outer diagonal, so that the band keeps kd = n+2 and
+        # LAPACK's arithmetic: with kd = n+1 the factor at n=64 differs.
+        mesh = build_unit_square_mesh(n)
+        assembler = StiffnessAssembler(mesh,
+                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        ref, info = dpbtrf(upper_of(assembler.assemble(np.ones(mesh.num_triangles))),
+                           lower=0)
+        assert info == 0
+        model = LinearizedPoissonProblem(mesh, np.array([[0.5, 0.5]]), sigma=0.1)
+        assert model.solver.lower == 0
+        assert model.solver._factor.shape == (n + 3, mesh.num_vertices)
+        assert np.array_equal(model.solver._factor, ref)
 
     def test_fixed_factors_are_upper_and_state_factors_lower(self):
         mesh = build_unit_square_mesh(4)
@@ -381,7 +429,8 @@ class TestBandLayouts:
         assembler = StiffnessAssembler(mesh,
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
         coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
-        moved, upper = assembler.factorize(coeff, 1), assembler.factorize(coeff, 0)
+        moved = assembler.factorize(coeff)
+        upper = SpdSolver(upper_of(assembler.assemble(coeff)), 0)
         moved.store_upper()
         assert moved.lower == 0 and moved._factor.flags.f_contiguous
         # The band transpose of the lower factor is the upper factor, to
@@ -389,16 +438,24 @@ class TestBandLayouts:
         np.testing.assert_allclose(moved._factor, upper._factor, rtol=0, atol=1e-14)
         b = np.random.default_rng(36).standard_normal((mesh.num_vertices, 3))
         x = moved.solve(b)
-        for other in (upper, assembler.factorize(coeff, 1)):
+        for other in (upper, assembler.factorize(coeff)):
             assert np.linalg.norm(x - other.solve(b)) <= 1e-12 * np.linalg.norm(x)
+
+
+def dirichlet_mask(mesh) -> np.ndarray:
+    """The vertices that the tests' assemblers eliminate: DIRICHLET_TAGS."""
+    is_dir = np.zeros(mesh.num_vertices, dtype=bool)
+    is_dir[mesh.boundary_vertices(DIRICHLET_TAGS)] = True
+    return is_dir
 
 
 def eliminated_stiffness(assembler, coeff) -> sp.csc_matrix:
     """Reference for StiffnessAssembler.assemble: the sparse stiffness with
     the Dirichlet rows and columns zeroed and a unit diagonal there."""
-    keep = sp.diags((~assembler.is_dirichlet).astype(float))
+    is_dir = dirichlet_mask(assembler.mesh)
+    keep = sp.diags((~is_dir).astype(float))
     k = (keep @ assemble_stiffness(assembler.mesh, coeff) @ keep
-         + sp.diags(assembler.is_dirichlet.astype(float))).tocsc()
+         + sp.diags(is_dir.astype(float))).tocsc()
     k.eliminate_zeros()
     return k
 
@@ -436,7 +493,7 @@ class TestBandStorage:
         rows, cols = rows[lower], cols[lower]
         band = np.zeros(assembler.assemble(coeff).shape, order="F")
         np.add.at(band, (rows - cols, cols), vals)
-        is_dir = assembler.is_dirichlet
+        is_dir = dirichlet_mask(mesh)
         band[:, is_dir] = 0.0
         band[0, is_dir] = 1.0
         off = (is_dir[rows] & (rows > cols))
@@ -491,6 +548,6 @@ class TestBandwidth:
         prior = BiLaplacianPrior(mesh, gamma=0.1, delta=0.5, theta1=2.0,
                                  theta2=0.5, alpha=np.pi / 4)
         assert band.shape[0] == n + 3
-        assert band.shape == assembler.assemble(np.ones(mesh.num_triangles), 0).shape
+        assert band.shape == linearized_band(mesh).shape
         for lower in (1, 0):
             assert band_storage(prior.A, lower).shape[0] == n + 3

@@ -8,7 +8,7 @@ from pdebayes import driver
 from pdebayes.config import ConfigError, ExperimentConfig
 from pdebayes.fem import build_unit_square_mesh
 from pdebayes.laplace import (EIG_SLAB, EigensolverBreakdown, LaplaceApprox,
-                              _cg_newton_direction, compute_map,
+                              _apply_in_slabs, _cg_newton_direction, compute_map,
                               doublepass_randomized_eig, truncate_spectrum)
 from pdebayes.models import (LinearizedPoissonProblem, PoissonProblem,
                              generate_synthetic_data)
@@ -206,6 +206,22 @@ class TestPreconditionedCG:
 
 
 class TestDoublePassEig:
+    @pytest.mark.parametrize("columns", [1, 40, 41, 120])
+    def test_slabs_equal_the_stacked_slab_results(self, columns):
+        rng = np.random.default_rng(columns)
+        a = rng.standard_normal((30, 30))
+        x = rng.standard_normal((30, columns))
+        widths = []
+
+        def apply(block):
+            widths.append(block.shape[1])
+            return a @ block
+
+        out = _apply_in_slabs(apply, x)
+        ref = np.hstack([a @ x[:, j:j + EIG_SLAB] for j in range(0, columns, EIG_SLAB)])
+        assert np.array_equal(out, ref) and out.flags.c_contiguous
+        assert widths == [min(EIG_SLAB, columns - j) for j in range(0, columns, EIG_SLAB)]
+
     def test_synthetic_operator_exact(self):
         # Operator built from its own eigendecomposition is recovered.
         rng = np.random.default_rng(5)

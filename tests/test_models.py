@@ -330,6 +330,19 @@ class TestSyntheticData:
         var = np.var(noisy - exact)
         assert abs(var - 0.01**2) / 0.01**2 <= 0.3
 
+    @pytest.mark.parametrize("cls", [PoissonProblem, LinearizedPoissonProblem])
+    def test_truth_mesh_is_read_from_the_field(self, problem4, cls):
+        # A truth field on a finer mesh than the problem's is observed as by a
+        # problem on the truth mesh, without one being built.
+        problem = cls(problem4.mesh, problem4.obs_points, problem4.sigma)
+        mesh8 = build_unit_square_mesh(8)
+        on_truth_mesh = cls(mesh8, problem4.obs_points, problem4.sigma)
+        m_true = 0.3 * np.random.default_rng(17).standard_normal(mesh8.num_vertices)
+        assert np.array_equal(generate_synthetic_data(problem, m_true, seed=8),
+                              generate_synthetic_data(on_truth_mesh, m_true, seed=8))
+        with pytest.raises(ValueError):
+            generate_synthetic_data(problem, m_true[:-1], seed=8)
+
     def test_avoids_inverse_crime(self, problem4):
         # Data from the refined mesh differs from same-mesh observations.
         m_true = 0.5 * np.random.default_rng(16).standard_normal(problem4.dim)
@@ -402,6 +415,8 @@ class TestLinearizedModel:
         mesh = build_unit_square_mesh(4)
         pts = rng.uniform(0.1, 0.9, size=(10, 2))
         lin = LinearizedPoissonProblem(mesh, pts, sigma=0.1)
+        # Only the Poisson model re-assembles its stiffness per state.
+        assert not hasattr(lin, "assembler")
         f = lin.dense_forward_matrix()
         m = rng.standard_normal(lin.dim)
         np.testing.assert_allclose(lin.observe(lin.solve_forward(m)), f @ m,

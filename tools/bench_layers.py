@@ -1,7 +1,15 @@
 """Time the layers of the default experiment: the Newton-CG MAP, the Hessian
 actions and the eigensolver, one MCMC step and the diagnostics.
 
-One run records five sets of cases:
+One run records six sets of cases:
+
+- memory: for each model kind and mesh n in {16, 32, 64}, one
+  pdebayes.driver.run_experiment of the default config with chains of
+  MEMORY_SAMPLES steps, in a fresh Python process: the peak resident set
+  size (ru_maxrss, in MB) after importing pdebayes and after each stage
+  (setup, data, map, eig, chains, diagnostics; the driver's _stage runner
+  is wrapped to read it), so that the stage that sets a run's high-water
+  mark can be seen.
 
 - map: for each model kind (Poisson, linearized) and mesh n in {16, 32, 64},
   pdebayes.laplace.compute_map with the config's default newton.* settings:
@@ -33,12 +41,14 @@ One run records five sets of cases:
   (each class counted on its own, so a Laplace action that calls the prior's
   counts once on both), and the acceptance rate of each stage.
 - solves: for the prior's A (pdebayes.driver.build_prior_for with the
-  default config) and the eliminated Poisson stiffness at coefficient 1
-  (pdebayes.fem.StiffnessAssembler with pdebayes.models.DIRICHLET_TAGS), at
+  default config) and the eliminated Poisson stiffness at coefficient 1, at
   mesh n in {16, 32, 64}: the median microseconds of SOLVE_CALLS calls of
   LAPACK dpbtrf and of dpbtrs with one vector right-hand side, in lower
   (lower=1) and in upper (lower=0) band storage, each call timed on its own
-  and the two storages alternating call by call.
+  and the two storages alternating call by call. The stiffness's lower band
+  is pdebayes.fem.StiffnessAssembler's (with pdebayes.models.DIRICHLET_TAGS),
+  and its upper band is the one pdebayes.models.LinearizedPoissonProblem
+  builds and hands to SpdSolver, copied before it is factorized.
 - diagnostics: seeded stationary AR(1) chains (phi = DIAG_PHI) shaped like
   the default run's records: DIAG_CHAINS mcmc.ChainRecords of DIAG_STEPS steps
   with DIAG_COORDS projected coordinates and a QoI. It records the median and
@@ -78,6 +88,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -98,6 +109,31 @@ DIAG_STEPS = 5000
 DIAG_COORDS = 25
 DIAG_PHI = 0.98
 DIAG_SEED = 1
+MEMORY_SAMPLES = 400
+
+# The memory case's child: argv is src, model kind, mesh n, samples, out dir.
+MEMORY_CHILD = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from pdebayes import config, driver
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+peaks = {"import": peak_mb()}
+run_stage = driver._stage
+
+def recorded(name, fn, *args):
+    out = run_stage(name, fn, *args)
+    peaks[name] = peak_mb()
+    return out
+
+driver._stage = recorded
+cfg = config.ExperimentConfig(model_kind=sys.argv[2], mesh_n=int(sys.argv[3]),
+                              mcmc_samples=int(sys.argv[4]))
+driver.run_experiment(cfg, sys.argv[5])
+print(json.dumps(peaks))
+"""
 
 
 def machine_record() -> dict:
@@ -312,6 +348,38 @@ def bench_step(pb, setup, kind: str, method: str) -> dict:
     return case
 
 
+def bench_memory(src: str, kind: str, n: int, out_dir: str,
+                 samples: int = MEMORY_SAMPLES) -> dict:
+    """The memory case of one model kind and mesh size: MEMORY_CHILD run
+    with the pdebayes package under src, writing its artifacts to out_dir."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD, src, kind, str(n), str(samples), out_dir],
+        capture_output=True, text=True, check=True)
+    return {"kind": kind, "n": n, "samples": samples,
+            "peak_rss_mb": json.loads(proc.stdout.splitlines()[-1])}
+
+
+def linearized_band(pb, mesh):
+    """The upper band of the eliminated Laplacian that
+    pb.models.LinearizedPoissonProblem factorizes when it is built, copied as
+    it reaches SpdSolver (which factorizes it in place)."""
+    solver = pb.fem.SpdSolver
+    original = solver.__init__
+    bands = []
+
+    def capturing(self, band, lower):
+        bands.append(band.copy(order="F"))
+        original(self, band, lower)
+
+    solver.__init__ = capturing
+    try:
+        pb.models.LinearizedPoissonProblem(mesh, [[0.5, 0.5]], 1.0)
+    finally:
+        solver.__init__ = original
+    band, = bands
+    return band
+
+
 def bench_solves(pb, sizes=MAP_SIZES, calls: int = SOLVE_CALLS) -> list:
     """The solves cases: dpbtrf and vector dpbtrs per band storage, per
     operator and mesh size."""
@@ -325,12 +393,12 @@ def bench_solves(pb, sizes=MAP_SIZES, calls: int = SOLVE_CALLS) -> list:
         prior = pb.driver.build_prior_for(cfg, mesh)
         assembler = pb.fem.StiffnessAssembler(
             mesh, mesh.boundary_vertices(pb.models.DIRICHLET_TAGS))
-        ones = np.ones(mesh.num_triangles)
         b = np.random.default_rng(n).standard_normal(mesh.num_vertices)
-        for operator, band in (
-                ("prior", lambda lower: pb.fem.band_storage(prior.A, lower)),
-                ("poisson", lambda lower: assembler.assemble(ones, lower))):
-            bands = {lower: band(lower) for lower in (1, 0)}
+        for operator, bands in (
+                ("prior", {lower: pb.fem.band_storage(prior.A, lower)
+                           for lower in (1, 0)}),
+                ("poisson", {1: assembler.assemble(np.ones(mesh.num_triangles)),
+                             0: linearized_band(pb, mesh)})):
             factors = {lower: dpbtrf(bands[lower], lower=lower)[0]
                        for lower in (1, 0)}
             factor_us = {1: [], 0: []}
@@ -425,8 +493,14 @@ def main() -> int:
                   "targets"):
         importlib.import_module(f"pdebayes.{layer}")
 
-    record = {"machine": machine_record(), "repeats": REPEATS, "map": [],
-              "hessian": [], "steps": []}
+    record = {"machine": machine_record(), "repeats": REPEATS, "memory": [],
+              "map": [], "hessian": [], "steps": []}
+    for kind in KINDS:
+        for n in MAP_SIZES:
+            with tempfile.TemporaryDirectory() as out_dir:
+                record["memory"].append(bench_memory(os.path.abspath(args.src),
+                                                     kind, n, out_dir))
+            print(json.dumps(record["memory"][-1]), flush=True)
     record["solves"] = bench_solves(pb)
     for case in record["solves"]:
         print(json.dumps(case), flush=True)
