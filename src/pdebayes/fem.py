@@ -238,15 +238,35 @@ def band_storage(matrix: sp.spmatrix, lower: int) -> np.ndarray:
     return ab
 
 
+def upper_band(lower: np.ndarray) -> np.ndarray:
+    """The symmetric matrix (or the factor L, as U = L^T) held in lower band
+    storage, copied to a new upper band: entry A[j + d, j] at row d of lower
+    storage sits at row kd - d, column j + d of upper storage."""
+    kd, n = lower.shape[0] - 1, lower.shape[1]
+    flat = lower.ravel(order="F")
+    upper = np.zeros_like(lower, order="F")
+    # upper[r, c] = lower[kd - r, c + r - kd] sits at c (kd+1) + (r - kd) kd
+    # of lower's flat Fortran order: kd+1 entries kd apart per column, a
+    # strided view from column kd on; the first kd columns hold fewer.
+    step = flat.itemsize
+    upper[:, kd:] = np.lib.stride_tricks.as_strided(
+        flat[kd:], shape=(kd + 1, n - kd), strides=(kd * step, (kd + 1) * step),
+        writeable=False)
+    for c in range(kd):
+        upper[kd - c:, c] = flat[c:c * (kd + 1) + 1:kd]
+    return upper
+
+
 class SpdSolver:
     """Reusable band Cholesky factorization of an SPD matrix.
 
     Consumes a matrix in LAPACK band storage, as returned by
-    StiffnessAssembler.assemble or band_storage, with LAPACK's own flag for
-    its triangle: lower=1 for lower storage, lower=0 for upper. The band is
-    factorized in place with dpbtrf and must not be used afterwards. solve()
-    may be called repeatedly with a vector or an (N, k) block of right-hand
-    sides. Deterministic: equal inputs give bit-equal outputs.
+    StiffnessAssembler.assemble, upper_band or band_storage, with LAPACK's
+    own flag for its triangle: lower=1 for lower storage, lower=0 for upper.
+    The band is factorized in place with dpbtrf and must not be used
+    afterwards. solve() may be called repeatedly with a vector or an (N, k)
+    block of right-hand sides. Deterministic: equal inputs give bit-equal
+    outputs.
 
     The storage is chosen by the operator's owner, for the kernels of
     OpenBLAS: its dpbtrs solves faster from upper storage (the L^T x = y
@@ -278,25 +298,9 @@ class SpdSolver:
 
     def store_upper(self) -> None:
         """Keep a lower factor L as U = L^T in upper band storage, which
-        dpbtrs solves from faster: the same factor, without refactorizing.
-        L[j + d, j] sits at row d of lower storage and at row kd - d, column
-        j + d of upper storage."""
-        if not self.lower:
-            return
-        kd, n = self._factor.shape[0] - 1, self._factor.shape[1]
-        flat = self._factor.ravel(order="F")
-        upper = np.zeros_like(self._factor)
-        # upper[r, c] = lower[kd - r, c + r - kd] sits at c (kd+1) + (r - kd) kd
-        # of lower's flat Fortran order: kd+1 entries kd apart per column, a
-        # strided view from column kd on; the first kd columns hold fewer.
-        step = flat.itemsize
-        upper[:, kd:] = np.lib.stride_tricks.as_strided(
-            flat[kd:], shape=(kd + 1, n - kd), strides=(kd * step, (kd + 1) * step),
-            writeable=False)
-        for c in range(kd):
-            upper[kd - c:, c] = flat[c:c * (kd + 1) + 1:kd]
-        self._factor = upper
-        self.lower = 0
+        dpbtrs solves from faster: the same factor, without refactorizing."""
+        if self.lower:
+            self._factor, self.lower = upper_band(self._factor), 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -335,14 +339,15 @@ class VertexPairs:
 
 
 class StiffnessAssembler:
-    """The Poisson model's repeated stiffness assembly, Dirichlet-eliminated.
+    """Dirichlet-eliminated stiffness assembly into LAPACK lower band storage.
 
     Precomputes, for a fixed mesh and Dirichlet vertex set, the geometric
     lower-triangle element entries with their positions in LAPACK lower band
     storage, so that assembling the operator for a new per-triangle
     coefficient costs a few vectorized passes. Rows and columns of Dirichlet
     vertices are eliminated symmetrically (unit diagonal) to keep the
-    factorization SPD.
+    factorization SPD. The Poisson model keeps one and re-assembles with it
+    per state; the linearized model assembles with one once and drops it.
 
     Also holds the fixed sparse (CSR) operators of the P1 space, on which
     the stiffness action and the misfit gradient of the Poisson model are a

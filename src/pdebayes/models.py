@@ -18,8 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .fem import (Mesh, SpdSolver, StiffnessAssembler, assemble_mass,
-                  assemble_stiffness, band_storage, build_unit_square_mesh,
-                  point_observation_operator)
+                  build_unit_square_mesh, point_observation_operator, upper_band)
 
 DIRICHLET_TAGS = ("bottom", "top")
 
@@ -328,14 +327,11 @@ class LinearizedPoissonProblem(ObservedProblem):
     def __init__(self, mesh: Mesh, obs_points, sigma: float):
         super().__init__(mesh, obs_points, sigma)
         self.M = assemble_mass(mesh)
-        # Assembled once, without a StiffnessAssembler: Dirichlet rows and
-        # columns become the identity's, and every stored entry is kept (the
-        # hypotenuse's exact zeros too), so kd = n+2 and dpbtrf's arithmetic is
-        # the assembled band's, also at n=64. Upper storage (see SpdSolver).
-        lap = assemble_stiffness(mesh).tocoo()
-        on_dirichlet = self.is_dirichlet[lap.row] | self.is_dirichlet[lap.col]
-        lap.data[on_dirichlet] = lap.row[on_dirichlet] == lap.col[on_dirichlet]
-        self.solver = SpdSolver(band_storage(lap, lower=0), lower=0)
+        # Every solve of the run: upper storage (see SpdSolver), moved from
+        # the lower band of an assembler that is dropped once it is read.
+        band = StiffnessAssembler(mesh, np.flatnonzero(self.is_dirichlet)).assemble(
+            np.ones(mesh.num_triangles))
+        self.solver = SpdSolver(upper_band(band), lower=0)
 
     def solve_forward(self, m: np.ndarray) -> np.ndarray:
         return self._solve(self.solver, self.M @ m, "forward")

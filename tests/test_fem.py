@@ -6,11 +6,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf
 
-from pdebayes import models
 from pdebayes.fem import (BOUNDARY_TAGS, SpdSolver, StiffnessAssembler,
                           assemble_boundary_mass, assemble_mass,
                           assemble_stiffness, build_unit_square_mesh,
-                          band_storage, point_observation_operator)
+                          band_storage, point_observation_operator, upper_band)
 from pdebayes.models import (DIRICHLET_TAGS, LinearizedPoissonProblem,
                              PoissonProblem)
 from pdebayes.prior import BiLaplacianPrior
@@ -298,27 +297,6 @@ def upper_of(lower: np.ndarray) -> np.ndarray:
     return upper
 
 
-def linearized_band(mesh) -> np.ndarray:
-    """The band that LinearizedPoissonProblem factorizes, copied as it is
-    handed to SpdSolver (which factorizes it in place)."""
-    bands = []
-
-    class Capturing(SpdSolver):
-        def __init__(self, band, lower):
-            bands.append((band.copy(order="F"), lower))
-            super().__init__(band, lower)
-
-    original = models.SpdSolver
-    models.SpdSolver = Capturing
-    try:
-        LinearizedPoissonProblem(mesh, np.array([[0.5, 0.5]]), sigma=0.1)
-    finally:
-        models.SpdSolver = original
-    (band, lower), = bands
-    assert lower == 0
-    return band
-
-
 def banded_spd(n: int, kd: int, seed: int) -> sp.csr_matrix:
     """A random symmetric diagonally dominant (so SPD) matrix of half-bandwidth kd."""
     rng = np.random.default_rng(seed)
@@ -362,26 +340,24 @@ class TestBandLayouts:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_assembled_upper_band_mirrors_the_lower_band(self, n):
-        # The assembler writes lower storage only; the linearized model builds
-        # the upper band of the same operator at coefficient 1 on its own.
+        # The assembler writes lower storage only; upper_band moves it.
         mesh = build_unit_square_mesh(n)
         assembler = StiffnessAssembler(mesh,
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
         coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
-        upper = upper_of(assembler.assemble(coeff))
+        lower = assembler.assemble(coeff)
+        upper = upper_band(lower)
+        assert upper.flags.f_contiguous and np.array_equal(upper, upper_of(lower))
         ref = band_storage(eliminated_stiffness(assembler, coeff), 0)
         rows = ref.shape[0]
         assert np.abs(upper[-rows:] - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.all(upper[:-rows] == 0.0)
-        band = linearized_band(mesh)
-        assert band.flags.f_contiguous
-        assert np.array_equal(band, upper_of(assembler.assemble(np.ones(mesh.num_triangles))))
 
-    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("n", [5, 8, 12, 64])
     def test_linearized_factor_equals_the_assembled_bands_factor(self, n):
-        # The model assembles its Laplacian without the assembler, keeping the
-        # exactly-zero outer diagonal, so that the band keeps kd = n+2 and
-        # LAPACK's arithmetic: with kd = n+1 the factor at n=64 differs.
+        # The model factors the assembler's band at coefficient 1 moved to
+        # upper storage, bit for bit at every n; factoring it lower and moving
+        # the factor with store_upper differs in rounding at n=64.
         mesh = build_unit_square_mesh(n)
         assembler = StiffnessAssembler(mesh,
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
@@ -548,6 +524,7 @@ class TestBandwidth:
         prior = BiLaplacianPrior(mesh, gamma=0.1, delta=0.5, theta1=2.0,
                                  theta2=0.5, alpha=np.pi / 4)
         assert band.shape[0] == n + 3
-        assert band.shape == linearized_band(mesh).shape
+        linearized = LinearizedPoissonProblem(mesh, np.array([[0.5, 0.5]]), sigma=0.1)
+        assert linearized.solver._factor.shape == band.shape
         for lower in (1, 0):
             assert band_storage(prior.A, lower).shape[0] == n + 3
