@@ -4,7 +4,8 @@ Provides the mesh, sparse operator assembly (stiffness, mass, boundary
 mass), repeated Dirichlet-eliminated stiffness assembly straight into LAPACK
 band storage, the vertex-pair pattern of per-triangle-block operators, point
 observation operators, and a reusable banded Cholesky factorization for the
-SPD operators.
+SPD operators. The fixed P1 operators of the Poisson model (gradient, vertex
+scatter, centroid sum) are built by the model itself, in pdebayes.models.
 All assembly is vectorized over triangles; the variable coefficient of the
 stiffness form is evaluated with one-point (centroid) quadrature so that
 derived gradients and Hessian actions are exact for that quadrature.
@@ -13,7 +14,6 @@ derived gradients and Hessian actions are exact for that quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -348,43 +348,18 @@ class StiffnessAssembler:
     vertices are eliminated symmetrically (unit diagonal) to keep the
     factorization SPD. The Poisson model keeps one and re-assembles with it
     per state; the linearized model assembles with one once and drops it.
-
-    Also holds the fixed sparse (CSR) operators of the P1 space, on which
-    the stiffness action and the misfit gradient of the Poisson model are a
-    few sparse products:
-      G   (2T, N)  gradient: row t is d/dx on triangle t, row T+t is d/dy;
-      GT  (N, 2T)  its transpose;
-      P   (N, T)   vertex scatter with area_t/3 at the three vertices of t;
-      C   (T, N)   ones at the three vertices of t (centroid_values is C x / 3).
-    The VertexPairs pattern of the per-state Hessian operators is built on
-    first use, so an assembler that serves no Hessian action never builds it.
     """
 
     def __init__(self, mesh: Mesh, dirichlet_vertices: np.ndarray):
-        self.mesh = mesh
         nv = mesh.num_vertices
         nt = mesh.num_triangles
         is_dir = np.zeros(nv, dtype=bool)
         is_dir[dirichlet_vertices] = True
 
-        tris = mesh.triangles
-        flat = tris.ravel()
-        ptr3 = np.arange(0, 3 * nt + 1, 3)          # three entries per triangle
-        self.G = sp.csr_matrix(
-            (np.concatenate([mesh.grads[:, :, 0].ravel(),
-                             mesh.grads[:, :, 1].ravel()]),
-             np.concatenate([flat, flat]), np.arange(0, 6 * nt + 1, 3)),
-            shape=(2 * nt, nv))
-        self.GT = self.G.T.tocsr()
-        self.P = sp.csc_matrix((np.repeat(mesh.areas / 3.0, 3), flat, ptr3),
-                               shape=(nv, nt)).tocsr()
-        self.C = sp.csr_matrix((np.ones(3 * nt), flat, ptr3), shape=(nt, nv))
-        self._areas2 = np.concatenate([mesh.areas, mesh.areas])
-
         # Lower-triangle entries (i >= j) of the element blocks, with the
         # triangle each belongs to. An entry in a Dirichlet row or column is
         # overwritten by the elimination, so only the others are kept.
-        rows, cols = _block_pattern(tris)
+        rows, cols = _block_pattern(mesh.triangles)
         offsets = rows - cols
         kd = int(offsets.max())
         kept = (offsets >= 0) & ~is_dir[rows] & ~is_dir[cols]
@@ -405,22 +380,6 @@ class StiffnessAssembler:
             shape=(self._pos.size, nt))
         self._unit = np.flatnonzero(is_dir) * (kd + 1)
 
-    @cached_property
-    def vertex_pairs(self) -> VertexPairs:
-        return VertexPairs(self.mesh)
-
-    def centroid_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate a P1 nodal field at triangle centroids.
-
-        Sums the three vertex values in triangle order, then divides by 3,
-        so the result equals coeffs[triangles].mean(axis=1) bit for bit.
-        """
-        return (self.C @ coeffs) / 3.0
-
-    def gradient_weights(self, coeff: np.ndarray) -> np.ndarray:
-        """area * coeff per triangle, stacked twice to match the rows of G."""
-        return self._areas2 * np.concatenate([coeff, coeff])
-
     def assemble(self, coeff: np.ndarray) -> np.ndarray:
         """Eliminated stiffness for a per-triangle coefficient, in LAPACK
         lower band storage (a new array on every call)."""
@@ -428,6 +387,3 @@ class StiffnessAssembler:
         band[self._pos] = self._entry_sum @ coeff
         band[self._unit] = 1.0
         return band.reshape(self._band_shape, order="F")
-
-    def factorize(self, coeff: np.ndarray) -> SpdSolver:
-        return SpdSolver(self.assemble(coeff), lower=1)

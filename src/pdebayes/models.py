@@ -16,8 +16,9 @@ import math
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fem import (Mesh, SpdSolver, StiffnessAssembler, assemble_mass,
+from .fem import (Mesh, SpdSolver, StiffnessAssembler, VertexPairs, assemble_mass,
                   build_unit_square_mesh, point_observation_operator, upper_band)
 
 DIRICHLET_TAGS = ("bottom", "top")
@@ -137,15 +138,15 @@ class PoissonState:
 
     @cached_property
     def grad_u(self) -> np.ndarray:
-        return self.problem.assembler.G @ self.u
+        return self.problem.G @ self.u
 
     @cached_property
     def grad_p(self) -> np.ndarray:
-        return self.problem.assembler.G @ self.adjoint
+        return self.problem.G @ self.adjoint
 
     def gradient(self) -> np.ndarray:
         """Misfit gradient: entries <phi_j e^m grad u . grad p>."""
-        return self.problem.assembler.P @ (
+        return self.problem.P @ (
             self.coeff * _triangle_dot(self.grad_u, self.grad_p))
 
     # -- Hessian action ---------------------------------------------------
@@ -161,8 +162,7 @@ class PoissonState:
         from lower storage as for a gradient, and before the factor moves to
         upper storage."""
         pr = self.problem
-        asm = pr.assembler
-        pairs = asm.vertex_pairs
+        pairs = pr.vertex_pairs
         grads = pr.mesh.grads
         nt = pr.mesh.num_triangles
         weight = self.coeff * pr.mesh.areas / 3.0
@@ -213,24 +213,50 @@ class PoissonState:
 
 class PoissonProblem(ObservedProblem):
     """Coefficient inversion setup: mesh, boundary data, observations, noise,
-    and the stiffness assembler that every state re-assembles with."""
+    the stiffness assembler that every state re-assembles with, and the
+    fixed sparse (CSR) operators of the P1 space, on which the stiffness
+    action and the misfit gradient are a few sparse products:
+      G   (2T, N)  gradient: row t is d/dx on triangle t, row T+t is d/dy;
+      GT  (N, 2T)  its transpose;
+      P   (N, T)   vertex scatter with area_t/3 at the three vertices of t;
+      C   (T, N)   ones at the three vertices of t (C m / 3 is m at the
+                   centroids, summed in triangle order).
+    The VertexPairs pattern of the per-state Hessian operators is built on
+    first use, so a problem that serves no Hessian action never builds it.
+    """
 
     def __init__(self, mesh: Mesh, obs_points, sigma: float):
         super().__init__(mesh, obs_points, sigma)
         self.assembler = StiffnessAssembler(mesh, np.flatnonzero(self.is_dirichlet))
-        self.dirichlet_values = np.zeros(mesh.num_vertices)
+        nv, nt = mesh.num_vertices, mesh.num_triangles
+        flat = mesh.triangles.ravel()
+        ptr3 = np.arange(0, 3 * nt + 1, 3)          # three entries per triangle
+        self.G = sp.csr_matrix(
+            (np.concatenate([mesh.grads[:, :, 0].ravel(), mesh.grads[:, :, 1].ravel()]),
+             np.concatenate([flat, flat]), np.arange(0, 6 * nt + 1, 3)),
+            shape=(2 * nt, nv))
+        self.GT = self.G.T.tocsr()
+        self.P = sp.csc_matrix((np.repeat(mesh.areas / 3.0, 3), flat, ptr3),
+                               shape=(nv, nt)).tocsr()
+        self.C = sp.csr_matrix((np.ones(3 * nt), flat, ptr3), shape=(nt, nv))
+
+        self.dirichlet_values = np.zeros(nv)
         self.dirichlet_values[mesh.boundary_vertices(["top"])] = 1.0
         # Gradient of the Dirichlet lift, fixed per problem: the forward
         # right-hand side is -G^T (w * G u_D) off the Dirichlet vertices.
-        self.grad_lift = self.assembler.G @ self.dirichlet_values
+        self.grad_lift = self.G @ self.dirichlet_values
 
         # Triangle adjacent to each bottom edge, for the flux integral: the
         # bottom edge of cell ix is the first edge of its lower triangle 2*ix.
         bottom = mesh.boundary_edges["bottom"]
         self.bottom_tris = 2 * np.arange(mesh.n, dtype=np.int64)
-        self.bottom_grad_y = self.assembler.G[mesh.num_triangles + self.bottom_tris]
+        self.bottom_grad_y = self.G[nt + self.bottom_tris]
         self.bottom_lengths = np.linalg.norm(
             mesh.vertices[bottom[:, 1]] - mesh.vertices[bottom[:, 0]], axis=1)
+
+    @cached_property
+    def vertex_pairs(self) -> VertexPairs:
+        return VertexPairs(self.mesh)
 
     # -- model interface ---------------------------------------------------
 
@@ -254,15 +280,16 @@ class PoissonProblem(ObservedProblem):
             raise ValueError("parameter field has wrong length")
         if not np.all(np.isfinite(m)):
             raise ModelEvaluationError("parameter field contains non-finite entries")
-        asm = self.assembler
-        coeff = np.exp(asm.centroid_values(m))
+        coeff = np.exp((self.C @ m) / 3.0)
         if not np.all(np.isfinite(coeff)):
             raise ModelEvaluationError("exp(m) overflowed at a quadrature point")
         try:
-            solver = asm.factorize(coeff)
+            solver = SpdSolver(self.assembler.assemble(coeff), lower=1)
         except np.linalg.LinAlgError as exc:
             raise ModelEvaluationError(str(exc)) from exc
-        rhs = -(asm.GT @ (asm.gradient_weights(coeff) * self.grad_lift))
+        # area * coeff per triangle, stacked twice to match the rows of G.
+        weights = self.mesh.areas * coeff
+        rhs = -(self.GT @ (np.concatenate([weights, weights]) * self.grad_lift))
         u = self._solve(solver, rhs, "forward") + self.dirichlet_values
         return m, coeff, solver, u
 

@@ -51,17 +51,15 @@ class BiLaplacianPrior:
                 raise ValueError(f"prior parameter {name} must be positive, got {value}")
 
         self.mesh = mesh
-        self.gamma = gamma
-        self.delta = delta
         self.theta = anisotropy_tensor(theta1, theta2, alpha)
 
-        self.M = assemble_mass(mesh)
         ml = assemble_mass(mesh, lumped=True).diagonal()
         self.lumped_mass = ml
         self._ml_sqrt = np.sqrt(ml)
         self._ml_inv = 1.0 / ml
 
-        self.A = (gamma * assemble_stiffness(mesh, self.theta) + delta * self.M
+        self.A = (gamma * assemble_stiffness(mesh, self.theta)
+                  + delta * assemble_mass(mesh)
                   + default_robin_coefficient(gamma, delta)
                   * assemble_boundary_mass(mesh, BOUNDARY_TAGS)).tocsr()
         # Solved in every covariance action: upper storage (see SpdSolver).

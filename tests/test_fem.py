@@ -263,8 +263,8 @@ class TestSparseSolve:
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
         coeff = np.exp(rng.standard_normal(mesh.num_triangles))
         b = rng.standard_normal(mesh.num_vertices)
-        x = assembler.factorize(coeff).solve(b)
-        x_lu = spla.splu(eliminated_stiffness(assembler, coeff)).solve(b)
+        x = SpdSolver(assembler.assemble(coeff), 1).solve(b)
+        x_lu = spla.splu(eliminated_stiffness(mesh, coeff)).solve(b)
         assert np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu) <= 1e-12
 
     def test_singular_reported(self):
@@ -348,7 +348,7 @@ class TestBandLayouts:
         lower = assembler.assemble(coeff)
         upper = upper_band(lower)
         assert upper.flags.f_contiguous and np.array_equal(upper, upper_of(lower))
-        ref = band_storage(eliminated_stiffness(assembler, coeff), 0)
+        ref = band_storage(eliminated_stiffness(mesh, coeff), 0)
         rows = ref.shape[0]
         assert np.abs(upper[-rows:] - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.all(upper[:-rows] == 0.0)
@@ -405,7 +405,7 @@ class TestBandLayouts:
         assembler = StiffnessAssembler(mesh,
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
         coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
-        moved = assembler.factorize(coeff)
+        moved = SpdSolver(assembler.assemble(coeff), 1)
         upper = SpdSolver(upper_of(assembler.assemble(coeff)), 0)
         moved.store_upper()
         assert moved.lower == 0 and moved._factor.flags.f_contiguous
@@ -414,7 +414,7 @@ class TestBandLayouts:
         np.testing.assert_allclose(moved._factor, upper._factor, rtol=0, atol=1e-14)
         b = np.random.default_rng(36).standard_normal((mesh.num_vertices, 3))
         x = moved.solve(b)
-        for other in (upper, assembler.factorize(coeff)):
+        for other in (upper, SpdSolver(assembler.assemble(coeff), 1)):
             assert np.linalg.norm(x - other.solve(b)) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -425,12 +425,12 @@ def dirichlet_mask(mesh) -> np.ndarray:
     return is_dir
 
 
-def eliminated_stiffness(assembler, coeff) -> sp.csc_matrix:
+def eliminated_stiffness(mesh, coeff) -> sp.csc_matrix:
     """Reference for StiffnessAssembler.assemble: the sparse stiffness with
     the Dirichlet rows and columns zeroed and a unit diagonal there."""
-    is_dir = dirichlet_mask(assembler.mesh)
+    is_dir = dirichlet_mask(mesh)
     keep = sp.diags((~is_dir).astype(float))
-    k = (keep @ assemble_stiffness(assembler.mesh, coeff) @ keep
+    k = (keep @ assemble_stiffness(mesh, coeff) @ keep
          + sp.diags(is_dir.astype(float))).tocsc()
     k.eliminate_zeros()
     return k
@@ -445,7 +445,7 @@ class TestBandStorage:
                                        mesh.boundary_vertices(DIRICHLET_TAGS))
         coeff = np.exp(np.random.default_rng(n).standard_normal(mesh.num_triangles))
         band = assembler.assemble(coeff)
-        ref = band_storage(eliminated_stiffness(assembler, coeff), 1)
+        ref = band_storage(eliminated_stiffness(mesh, coeff), 1)
         rows = ref.shape[0]
         assert band.shape[1] == ref.shape[1] and band.shape[0] >= rows
         err = np.abs(band[:rows] - ref).max()
@@ -493,22 +493,23 @@ class TestSparseOperators:
         # forward, gradient and Hessian forms are built from.
         mesh = build_unit_square_mesh(n)
         rng = np.random.default_rng(40 + n)
-        assembler = StiffnessAssembler(mesh,
-                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        problem = PoissonProblem(mesh, np.array([[0.5, 0.5]]), sigma=0.1)
         coeff = np.exp(rng.standard_normal(mesh.num_triangles))
         x = rng.standard_normal(mesh.num_vertices)
         ref = assemble_stiffness(mesh, coeff) @ x
-        action = assembler.GT @ (assembler.gradient_weights(coeff)
-                                 * (assembler.G @ x))
+        weights = mesh.areas * coeff
+        action = problem.GT @ (np.concatenate([weights, weights])
+                               * (problem.G @ x))
         assert np.linalg.norm(action - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_centroid_values_equal_vertex_mean(self, n):
+        # The Poisson model's centroid values: C sums the three vertex values
+        # in triangle order, so (C m) / 3 is the mean bit for bit.
         mesh = build_unit_square_mesh(n)
-        assembler = StiffnessAssembler(mesh,
-                                       mesh.boundary_vertices(DIRICHLET_TAGS))
+        problem = PoissonProblem(mesh, np.array([[0.5, 0.5]]), sigma=0.1)
         coeffs = np.random.default_rng(50 + n).standard_normal(mesh.num_vertices)
-        assert np.array_equal(assembler.centroid_values(coeffs),
+        assert np.array_equal((problem.C @ coeffs) / 3.0,
                               coeffs[mesh.triangles].mean(axis=1))
 
 

@@ -249,6 +249,14 @@ class TestSparseDerivativeForms:
         assert np.array_equal(state.grad_u, grad_u)
         assert np.array_equal(state.grad_p, grad_p)
 
+    def test_vertex_pairs_are_built_by_the_first_hessian_action(self, state_and_dir):
+        # The problem owns the pattern; evaluations and gradients never build it.
+        state, v = state_and_dir
+        state.gradient()
+        assert "vertex_pairs" not in state.problem.__dict__
+        state.hessian_action(v)
+        assert "vertex_pairs" in state.problem.__dict__
+
 
 def linearized_state(n: int, seed: int):
     rng = np.random.default_rng(seed)
