@@ -91,7 +91,7 @@ def build_proposal(name: str, cfg: ExperimentConfig, prior, laplace):
     if base == "mala":
         return mcmc.LangevinProposal(reference, cfg.mcmc_tau)
     if base == "inf-mala":
-        return mcmc.DimensionRobustLangevinProposal(reference, cfg.mcmc_h, informed)
+        return mcmc.DimensionRobustLangevinProposal(reference, cfg.mcmc_h)
     raise ValueError(f"unknown method '{name}'")
 
 

@@ -1,20 +1,22 @@
 """Transition kernels and proposal distributions over the posterior.
 
-Seven Gaussian proposals (random walk, pCN, MALA, their curvature-informed
-counterparts using the low-rank posterior Gaussian, and the
-dimension-robust Langevin variants) share one template: a state-dependent
-mean plus a scaled reference covariance whose square root and precision are
-applied through prior or Laplace factor operations, never densely. A
-proposal enters the acceptance ratio through its log ratio
+Seven Gaussian proposals (random walk, pCN, MALA, the dimension-robust
+Langevin move inf-MALA, and their curvature-informed counterparts using the
+low-rank posterior Gaussian) share one template: a state-dependent mean plus
+a scaled reference covariance whose square root and precision are applied
+through prior or Laplace factor operations, never densely. A proposal
+enters the acceptance ratio through its log ratio
 log q(b -> a) - log q(a -> b), by default the difference of two log
-densities. MALA and H-MALA work through the reference's square-root factor
-S instead: each state keeps w = S^T grad log pi once, a move is one factor
-action, and the log ratio has a closed form in the gradients and w that
-needs no precision action. The kernels (Metropolis-Hastings, delayed
-rejection, and the subspace Gibbs sampler over the likelihood-informed
-directions) combine freely with the proposals; delayed rejection evaluates
-each density and log ratio once per step, and the density of a proposal
-whose mean does not depend on the state (pCN at beta = 1) once per state.
+densities. The Langevin moves (MALA, inf-MALA and their curvature-informed
+versions, one class with two step parametrizations) work through the
+reference's square-root factor S instead: each state keeps
+w = S^T grad log pi once, a move is one factor action, and the log ratio has
+a closed form in the gradients and w that needs no precision action. The
+kernels (Metropolis-Hastings, delayed rejection, and the subspace Gibbs
+sampler over the likelihood-informed directions) combine freely with the
+proposals; delayed rejection evaluates each density and log ratio once per
+step, and the density of a proposal whose mean does not depend on the state
+(pCN at beta = 1) once per state.
 All acceptance arithmetic is in log space.
 """
 
@@ -52,11 +54,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class GaussianProposal:
     """Gaussian proposal with covariance scale^2 times a reference covariance.
 
-    Subclasses define the state-dependent mean; a mean that costs operator
-    actions is computed once per state and kept, read-only, in state.cache
-    under its proposal. Log densities are reported up to the
-    (state-independent) normalizing constant, evaluated through the
-    reference precision. sample draws z and hands it to draw, and log_ratio
+    Subclasses define the state-dependent mean. Log densities are reported
+    up to the (state-independent) normalizing constant, evaluated through
+    the reference precision. sample draws z and hands it to draw, and log_ratio
     is the proposal's term of the acceptance ratio; a subclass with a
     cheaper closed form overrides those two, not sample or log_density.
     """
@@ -127,30 +127,30 @@ class AutoregressiveProposal(GaussianProposal):
 
 
 class LangevinProposal(GaussianProposal):
-    """One-step Euler-Maruyama Langevin move preconditioned by the reference.
+    """Langevin move preconditioned by the reference: mean
+    m + tau * Cov * grad log pi(m), covariance scale^2 Cov.
 
-    Mean m + tau * Cov * grad log pi(m), covariance 2 tau Cov. With S the
-    reference's square-root factor (S S^T = Cov) and w = S^T grad log pi(m),
-    kept once per state, a move is m + S (tau w + sqrt(2 tau) z): one factor
-    action. The acceptance ratio's proposal term has a closed form in the
-    gradients and w (log_ratio), with no reference precision action.
+    The default scale sqrt(2 tau) is the one-step Euler-Maruyama move (MALA).
+    With S the reference's square-root factor (S S^T = Cov) and
+    w = S^T grad log pi(m), kept once per state, a move is
+    m + S (tau w + scale z): one factor action. The acceptance ratio's
+    proposal term has a closed form in the gradients and w (log_ratio), with
+    no reference precision action.
     """
 
     requires_gradient = True
 
-    def __init__(self, reference, tau: float):
+    def __init__(self, reference, tau: float, scale: float | None = None):
         if tau <= 0:
             raise ValueError("Langevin step size tau must be positive")
-        super().__init__(reference, math.sqrt(2.0 * tau))
+        super().__init__(reference, math.sqrt(2.0 * tau) if scale is None else scale)
         self.tau = tau
+        # c = tau / scale^2, the log ratio's coefficient: exactly 1/2 for MALA.
+        self._c = 0.5 if scale is None else tau / scale**2
 
     def mean(self, state: ChainState) -> np.ndarray:
-        mu = state.cache.get(self)
-        if mu is None:
-            mu = state.cache[self] = _read_only(
-                state.m + self.tau * self.reference.apply_covariance(
-                    state.grad_log_posterior))
-        return mu
+        return state.m + self.tau * self.reference.apply_covariance(
+            state.grad_log_posterior)
 
     def _whitened_gradient(self, state: ChainState) -> np.ndarray:
         """w = S^T grad log pi(m), kept read-only in state.cache under the
@@ -167,48 +167,34 @@ class LangevinProposal(GaussianProposal):
         return state.m + self.reference.apply_cov_factor(self.tau * w + self.scale * z)
 
     def log_ratio(self, a: ChainState, b: ChainState, log_q=None) -> float:
-        """-(1/2) d.(g_a + g_b) - (tau/4)(|w_b|^2 - |w_a|^2), d = b - a: the
-        log_density difference in closed form, so log_q is not needed."""
+        """-c d.(g_a + g_b) - (c tau/2)(|w_b|^2 - |w_a|^2), d = b - a: the
+        log_density difference in closed form (its d^T Cov^{-1} d terms
+        cancel), so log_q is not needed."""
         w_a, w_b = self._whitened_gradient(a), self._whitened_gradient(b)
         d = b.m - a.m
-        return (-0.5 * float(d @ (a.grad_log_posterior + b.grad_log_posterior))
-                - 0.25 * self.tau * (float(w_b @ w_b) - float(w_a @ w_a)))
+        c = self._c
+        return (-c * float(d @ (a.grad_log_posterior + b.grad_log_posterior))
+                - 0.5 * c * self.tau * (float(w_b @ w_b) - float(w_a @ w_a)))
 
 
-class DimensionRobustLangevinProposal(GaussianProposal):
-    """Semi-implicit Langevin move that stays well defined under refinement.
+class DimensionRobustLangevinProposal(LangevinProposal):
+    """Preconditioned Crank-Nicolson Langevin move (Cotter et al., Stat. Sci.
+    2013), well defined under mesh refinement.
 
-    Mean sqrt(1-beta^2) m + (beta sqrt(h)/2)(ref_mean - Cov grad misfit),
-    covariance beta^2 Cov, with beta = 4 sqrt(h)/(4+h). With the prior as
-    reference the drift term is mean_prior - C grad_misfit; with the low-rank
-    posterior Gaussian (informed=True) it is m + Hinv grad log posterior,
-    both realized through operator actions.
+    The Langevin move with tau = 2h/(4+h) and scale beta = 4 sqrt(h)/(4+h).
+    With the prior as reference its mean is rho m + (1-rho)(mean - C grad
+    misfit), rho = (4-h)/(4+h); with the low-rank posterior Gaussian it is
+    the curvature-informed variant.
     """
 
-    requires_gradient = True
-
-    def __init__(self, reference, h: float, informed: bool = False):
+    def __init__(self, reference, h: float):
         if h <= 0:
             raise ValueError("step parameter h must be positive")
-        beta = 4.0 * math.sqrt(h) / (4.0 + h)
-        super().__init__(reference, beta)
-        self.h = h
-        self.beta = beta
-        self._keep = math.sqrt(max(0.0, 1.0 - beta**2))
-        self.informed = informed
+        super().__init__(reference, 2.0 * h / (4.0 + h), 4.0 * math.sqrt(h) / (4.0 + h))
 
-    def mean(self, state: ChainState) -> np.ndarray:
-        mu = state.cache.get(self)
-        if mu is not None:
-            return mu
-        ref = self.reference
-        if self.informed:
-            drift = state.m - ref.apply_covariance(-state.grad_log_posterior)
-        else:
-            drift = ref.mean - ref.apply_covariance(state.grad_misfit)
-        mu = state.cache[self] = _read_only(
-            self._keep * state.m + 0.5 * self.beta * math.sqrt(self.h) * drift)
-        return mu
+    # An attribute of its own, so that each proposal class can be wrapped
+    # separately from outside.
+    mean = LangevinProposal.mean
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +338,9 @@ class DiliKernel:
     Marzouk, J. Comput. Phys. 2016), so it is reversible with respect to the
     Laplace approximation restricted to the subspace; the c move is pCN with
     parameter cs_beta against the prior restricted to the complement. Both
-    acceptances evaluate the full posterior at the recombined point.
+    acceptances evaluate the full posterior at the recombined point. A scan
+    draws both moves' noise from one prior sample, so the chain depends on
+    the retained subspace and not on the signs of its basis vectors.
     """
 
     n_stages = 2
@@ -396,9 +384,14 @@ class DiliKernel:
         beta = self.cs_beta
         attempted = np.ones(2, dtype=np.int64)
         r, c = self.split(current.m)
+        # One prior draw for both moves, split like the state: its
+        # coefficients are standard normal and independent of its complement
+        # part, and V r_noise does not depend on the signs of V's columns.
+        r_noise, c_noise = self.split(
+            self.prior.apply_cov_factor(rng.standard_normal(self.prior.dim)))
 
         # Informed-subspace move at c fixed.
-        r_prop = self._lis_mean(r) + self._lis_sd * rng.standard_normal(r.size)
+        r_prop = self._lis_mean(r) + self._lis_sd * r_noise
         mid = current
         lis_accepted = 0
         try:
@@ -416,9 +409,7 @@ class DiliKernel:
         # the complement; the prior quadratic form splits exactly across the
         # two components, so the correction uses the full prior precision.
         keep = math.sqrt(1.0 - beta**2)
-        noise = self.prior.apply_cov_factor(rng.standard_normal(self.prior.dim))
-        noise = noise - self.vecs @ self.laplace.project(noise)
-        c_prop = (self._c_prior + keep * (c - self._c_prior) + beta * noise)
+        c_prop = self._c_prior + keep * (c - self._c_prior) + beta * c_noise
         try:
             candidate = target.make_state(mid.m + (c_prop - c))
             d_fwd = c_prop - self._c_prior - keep * (c - self._c_prior)

@@ -17,10 +17,10 @@ from .models import ModelEvaluationError
 class ChainState:
     """One evaluated point of a target, with lazy gradient caches.
 
-    cache holds proposal quantities computed at this point: means keyed by
-    proposal, Langevin whitened gradients keyed by reference, and the log
-    density of an independent proposal at this point keyed by
-    ("log_density", proposal) (see pdebayes.mcmc).
+    cache holds proposal quantities computed at this point: Langevin
+    whitened gradients keyed by reference, and the log density of an
+    independent proposal at this point keyed by ("log_density", proposal)
+    (see pdebayes.mcmc).
     """
 
     __slots__ = ("target", "m", "log_posterior", "_grad_phi", "_grad_logpost",

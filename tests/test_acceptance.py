@@ -241,8 +241,7 @@ def test_criterion_4b_all_kernels_gaussian_target():
         "mh/inf-mala": mc.MHKernel(mc.DimensionRobustLangevinProposal(prior, 0.55)),
         "mh/h-pcn": mc.MHKernel(mc.AutoregressiveProposal(truncated, 0.8)),
         "mh/h-mala": mc.MHKernel(mc.LangevinProposal(truncated, 0.35)),
-        "mh/h-inf-mala": mc.MHKernel(mc.DimensionRobustLangevinProposal(
-            truncated, 1.2, informed=True)),
+        "mh/h-inf-mala": mc.MHKernel(mc.DimensionRobustLangevinProposal(truncated, 1.2)),
         "dr": mc.DRKernel([mc.AutoregressiveProposal(truncated, 1.0),
                            mc.LangevinProposal(truncated, 0.25)]),
         "dili": mc.DiliKernel(truncated, lis_step=0.5, cs_beta=0.8),

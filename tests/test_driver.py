@@ -498,7 +498,7 @@ def test_artifact_digests_tool_runs():
     assert all(len(line.split()) == 5 for line in lines), lines
     assert not [line for line in lines if line.split()[3] == "error"]
     configs = {line.split()[4] for line in lines if line.split()[3] == "config"}
-    assert len(configs) == 26
+    assert len(configs) == 34
 
 
 def test_artifact_diff_reports_rounding_and_sign_flips(tmp_path):

@@ -57,8 +57,7 @@ def make_proposal(name, prior, laplace):
         "inf-mala": lambda: mc.DimensionRobustLangevinProposal(prior, 0.5),
         "h-pcn": lambda: mc.AutoregressiveProposal(laplace, 0.7),
         "h-mala": lambda: mc.LangevinProposal(laplace, 0.2),
-        "h-inf-mala": lambda: mc.DimensionRobustLangevinProposal(
-            laplace, 0.8, informed=True),
+        "h-inf-mala": lambda: mc.DimensionRobustLangevinProposal(laplace, 0.8),
     }[name]()
 
 
@@ -101,7 +100,7 @@ class TestProposalDistributions:
     def test_h_inf_mala_matches_stated_form(self, gauss2d):
         target, prior, laplace, _, _ = gauss2d
         h = 0.52
-        prop = mc.DimensionRobustLangevinProposal(laplace, h, informed=True)
+        prop = mc.DimensionRobustLangevinProposal(laplace, h)
         beta = 4 * math.sqrt(h) / (4 + h)
         state = target.make_state(np.array([-0.3, 0.7]))
         hinv = np.column_stack([laplace.apply_covariance(e) for e in np.eye(2)])
@@ -110,6 +109,18 @@ class TestProposalDistributions:
                   + beta * math.sqrt(h) / 2
                   * (state.m - hinv @ pull - hinv @ state.grad_misfit))
         np.testing.assert_allclose(prop.mean(state), expect, rtol=1e-11)
+
+    def test_inf_mala_mean_is_pcnl_beyond_h_four(self, gauss2d):
+        # At h > 4, rho = (4-h)/(4+h) is negative: the mean is
+        # rho m + (1-rho)(mean_pr - C grad_misfit), not |rho| m + ...
+        target, prior, _, _, _ = gauss2d
+        h = 5.0
+        prop = mc.DimensionRobustLangevinProposal(prior, h)
+        rho = (4 - h) / (4 + h)
+        state = target.make_state(np.array([0.4, -0.9]))
+        expect = (rho * state.m
+                  + (1 - rho) * (prior.mean - prior.cov @ state.grad_misfit))
+        np.testing.assert_allclose(prop.mean(state), expect, rtol=1e-12)
 
     def test_hmala_log_density_maximal_at_mean(self, gauss2d):
         # At the posterior mode the Langevin drift vanishes, so the proposal
@@ -706,18 +717,25 @@ def langevin_setup(request, gauss2d):
     return PosteriorTarget(problem, prior), prior, laplace
 
 
+LANGEVIN = ["mala", "h-mala", "inf-mala", "h-inf-mala"]
+
+
 class TestLangevinFactorForm:
-    """MALA (prior reference) and H-MALA (Laplace reference) move through the
-    reference factor and accept through a closed-form log ratio; both must
-    equal the Gaussian proposal they stand for."""
+    """MALA and inf-MALA (prior reference) and H-MALA and H-inf-MALA (Laplace
+    reference) move through the reference factor and accept through a
+    closed-form log ratio; each must equal the Gaussian proposal it stands
+    for."""
 
     @staticmethod
     def proposal(name, prior, laplace):
-        if name == "mala":
-            return mc.LangevinProposal(prior, 1e-3)
-        return mc.LangevinProposal(laplace, 0.2)
+        return {
+            "mala": lambda: mc.LangevinProposal(prior, 1e-3),
+            "h-mala": lambda: mc.LangevinProposal(laplace, 0.2),
+            "inf-mala": lambda: mc.DimensionRobustLangevinProposal(prior, 2e-3),
+            "h-inf-mala": lambda: mc.DimensionRobustLangevinProposal(laplace, 0.5),
+        }[name]()
 
-    @pytest.mark.parametrize("name", ["mala", "h-mala"])
+    @pytest.mark.parametrize("name", LANGEVIN)
     def test_log_ratio_equals_density_difference(self, langevin_setup, name):
         target, prior, laplace = langevin_setup
         prop = self.proposal(name, prior, laplace)
@@ -729,7 +747,7 @@ class TestLangevinFactorForm:
             assert abs(expected) > 1e-3
             assert prop.log_ratio(a, b) == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("name", ["mala", "h-mala"])
+    @pytest.mark.parametrize("name", LANGEVIN)
     def test_draw_equals_mean_plus_scaled_factor(self, langevin_setup, name):
         target, prior, laplace = langevin_setup
         prop = self.proposal(name, prior, laplace)
@@ -766,13 +784,13 @@ def dr_stage_proposals(kind, n_stages, gauss2d):
         target, prior, reference, _, _ = gauss2d
         stages = [mc.RandomWalkProposal(prior, 3.0),
                   mc.LangevinProposal(reference, 0.8),
-                  mc.DimensionRobustLangevinProposal(reference, 2.0, informed=True)]
+                  mc.DimensionRobustLangevinProposal(reference, 2.0)]
     elif kind == "independent":
         # A first stage whose log density DRKernel.step keeps per state.
         target, prior, reference, _, _ = gauss2d
         stages = [mc.AutoregressiveProposal(prior, 1.0),
                   mc.LangevinProposal(reference, 0.8),
-                  mc.DimensionRobustLangevinProposal(reference, 2.0, informed=True)]
+                  mc.DimensionRobustLangevinProposal(reference, 2.0)]
     else:
         target, reference = gaussian_callable_target()
         stages = [mc.RandomWalkProposal(reference, 2.5),
@@ -900,21 +918,7 @@ class TestStepMemo:
         assert 0 < rec.stage_accepts[0] < n
         assert len(densities) == n + 1
 
-    @pytest.mark.parametrize("name", ["inf-mala", "h-inf-mala"])
-    def test_langevin_mean_computed_once_per_state(self, gauss2d, monkeypatch, name):
-        target, prior, laplace, _, _ = gauss2d
-        prop = make_proposal(name, prior, laplace)
-        # Every computation of a Langevin mean is one covariance action.
-        computed = count_calls(monkeypatch, prop.reference, "apply_covariance")
-        asked = count_calls(monkeypatch, prop, "mean")   # keeps states alive
-        n = 100
-        mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=24)
-        assert len(asked) == 3 * n
-        assert len(computed) == len({id(state) for state in asked})
-        assert len(computed) < 2 * n
-        assert not prop.mean(asked[-1]).flags.writeable
-
-    @pytest.mark.parametrize("name", ["mala", "h-mala"])
+    @pytest.mark.parametrize("name", LANGEVIN)
     def test_langevin_factor_transpose_once_per_state(self, gauss2d, monkeypatch,
                                                        name):
         # An MH step draws through the reference factor from the kept
@@ -922,6 +926,11 @@ class TestStepMemo:
         # S^T is applied once per state (the start and each proposed point),
         # and no mean or covariance action is computed.
         target, prior, laplace, _, _ = gauss2d
+        if name == "h-inf-mala":
+            # Against the exact posterior Gaussian this move is pCN for the
+            # posterior and accepts every step; keep one direction.
+            laplace = LaplaceApprox(prior, laplace.m_map, laplace.lam[:1],
+                                    laplace.vecs[:, :1])
         prop = make_proposal(name, prior, laplace)
         factor_t = count_calls(monkeypatch, prop.reference, "apply_cov_factor_t")
         covariance = count_calls(monkeypatch, prop.reference, "apply_covariance")
@@ -963,15 +972,15 @@ class TestStepMemo:
         assert np.array_equal(g, -model.evaluate(m).gradient() - prior.grad(m))
 
     def test_h_inf_mala_mean_reuses_the_prior_gradient(self, gauss2d, monkeypatch):
-        # Each step applies the prior precision once for the proposed state's
-        # log posterior and once in each of the two Laplace log_density
-        # calls; the curvature-informed mean reads the state's gradient.
+        # Each step applies the prior precision once, for the proposed
+        # state's log posterior: the move reads the state's gradient through
+        # the factor, and the closed-form log ratio needs no precision.
         target, prior, laplace, _, _ = gauss2d
-        prop = mc.DimensionRobustLangevinProposal(laplace, 0.8, informed=True)
+        prop = mc.DimensionRobustLangevinProposal(laplace, 0.8)
         actions = count_calls(monkeypatch, prior, "apply_precision")
         n = 100
         mc.run_chain(target, mc.MHKernel(prop), laplace.mean, n, seed=28)
-        assert len(actions) == 3 * n + 1
+        assert len(actions) == n + 1
 
     def test_dili_complement_move_is_two_vector_actions(self, dili_setup, monkeypatch):
         # One action per evaluated state (start, subspace and complement
@@ -1058,6 +1067,25 @@ class TestDiliKernel:
         allc = np.concatenate([r.coords for r in recs])
         se = np.sqrt(np.diag(cov)) / np.sqrt(len(allc) / 10.0)
         assert np.abs(allc.mean(axis=0) - mean).max() <= 4 * np.abs(se).max()
+
+    def test_chain_does_not_depend_on_eigenvector_signs(self, langevin_setup):
+        # Negating a retained direction negates its coefficients, their MAP
+        # value and their noise exactly, so the chain is bit-identical.
+        # Both approximations get vectors in the same memory layout, so that
+        # every product takes the same BLAS path.
+        target, prior, laplace = langevin_setup
+        flipped = laplace.vecs.copy()
+        flipped[:, 1] *= -1.0
+        recs = [mc.run_chain(target,
+                             mc.DiliKernel(LaplaceApprox(prior, laplace.m_map,
+                                                         laplace.lam, vecs),
+                                           lis_step=0.5, cs_beta=0.2),
+                             laplace.mean, 100, seed=33, projector=lambda m: m.copy())
+                for vecs in (laplace.vecs.copy(), flipped)]
+        assert np.all(recs[0].stage_accepts > 0)
+        assert np.array_equal(recs[0].coords, recs[1].coords)
+        assert np.array_equal(recs[0].log_posterior, recs[1].log_posterior)
+        assert np.array_equal(recs[0].accepted, recs[1].accepted)
 
     def test_reports_two_acceptance_rates(self, dili_setup):
         target, _, _, kernel = dili_setup

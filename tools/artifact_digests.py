@@ -4,8 +4,10 @@ Runs pdebayes.driver.run_experiment for every MCMC method under both model
 kinds at mesh n=8, 30 observations, eig.k 20 + 10 oversampling, 2 chains of
 80 samples and 6 projected coordinates, each in a temporary directory. Under
 both model kinds it also runs the paths that matrix leaves out: chains
-started from a prior sample or the MAP, data from a truth mesh of n=16, and
-delayed rejection with an H-inf-MALA second stage: 26 configs in all. Prints
+started from a prior sample or the MAP, data from a truth mesh of n=16,
+delayed rejection with an H-inf-MALA second stage, and rw, pcn, mala and
+inf-mala at step sizes small enough to accept at n=8 (at the defaults they
+accept nothing there): 34 configs in all. Prints
 one line per artifact of each config, in name order, then one line for the
 config itself:
 
@@ -58,6 +60,10 @@ OVERRIDES = [
     ("h-pcn", "mcmc_start", "map"),
     ("h-pcn", "data_truth_mesh", 16),
     ("dr", "mcmc_dr_stage2", "h-inf-mala"),
+    ("rw", "mcmc_step", 0.03),
+    ("pcn", "mcmc_beta", 0.03),
+    ("mala", "mcmc_tau", 1e-4),
+    ("inf-mala", "mcmc_h", 1e-4),
 ]
 
 
